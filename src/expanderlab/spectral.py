@@ -120,8 +120,9 @@ class _PhaseShooter:
 
     def __init__(self, alpha: float, params: ProblemParams, rho_max: float,
                  rho0: Optional[float] = None):
-        if alpha < 0:
-            raise DomainError("alpha must be nonnegative")
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise DomainError(
+                f"alpha must be finite and nonnegative, got {alpha}")
         self.alpha = float(alpha)
         self.params = params
         self.rho_max = float(rho_max)
@@ -325,7 +326,10 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     The miss function is the gap between the integrated phase at rho_max
     and the phase of the decaying asymptotic branch (log-derivative
     -rho/2 + 2(-lam - d/2 + 1/(p-1))/rho, correction O(rho^-2) dropped).
-    Secant steps are taken inside the bracket with bisection fallback.  The
+    Steps are false-position proposals inside the bracket with bisection
+    fallback.  At rho_max = 16 the miss function is nearly a step in
+    lambda, so the search is in effect bisection: it takes about 40 miss
+    evaluations to reach lambda_tol, as many as bisection or brentq.  The
     eigenfunction is rebuilt by gluing a forward integration to a backward
     one seeded on the decaying branch; forward-only reconstruction would be
     polluted by the e^(rho^2/4) growing branch past mid-domain.
@@ -589,11 +593,16 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
 
     Searches (alpha_star, alpha_star + 0.1 alpha_star], taking the largest
     sampled alpha whose top eigenvalue stays below the target and bisecting
-    toward 0.9 eps_target when the window overshoots.  Rejects powers at or
-    beyond the instability threshold, where no radial profile is unstable.
+    toward 0.9 eps_target when the window overshoots.  Each step is decided
+    by Sturm counts alone: lambda_top > x exactly when count_above(x) >= 1,
+    so a step costs at most three phase integrations (at 0, eps_target and
+    0.9 eps_target) and the eigenpair is solved once, at the accepted alpha.
+    Rejects powers at or beyond the instability threshold, where no radial
+    profile is unstable.
     """
-    if eps_target <= 0:
-        raise DomainError("eps_target must be positive")
+    if not (math.isfinite(eps_target) and eps_target > 0):
+        raise DomainError(
+            f"eps_target must be finite and positive, got {eps_target}")
     if params.jl_finite and params.p >= params.p_jl:
         raise NoUnstableExpanderError(
             f"p={params.p} is at or beyond the threshold "
@@ -612,33 +621,34 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
     a_star = star.alpha_star
     delta = 0.1 * a_star
 
-    def lam_top(a):
-        return top_eigenpair(a, params, grid)
+    def top_above(sh, lam):
+        return sh.count_above(lam) >= 1
 
     a_hi = a_star + delta
-    pair_hi = lam_top(a_hi)
-    if 0.0 < pair_hi.lam < eps_target:
-        a_bar, pair = a_hi, pair_hi
+    sh_hi = _PhaseShooter(a_hi, params, grid.rho_max)
+    if not top_above(sh_hi, eps_target) and top_above(sh_hi, 0.0):
+        a_bar, sh_bar = a_hi, sh_hi
     else:
         # overshoot: bisect lambda_top toward 0.9 eps_target
         lo, hi = a_star, a_hi
-        a_bar, pair = None, None
+        a_bar, sh_bar = None, None
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            pm = lam_top(mid)
-            if pm.lam >= eps_target:
+            sh = _PhaseShooter(mid, params, grid.rho_max)
+            if top_above(sh, eps_target):
                 hi = mid
-            elif pm.lam <= 0.0:
+            elif not top_above(sh, 0.0):
                 lo = mid
             else:
-                a_bar, pair = mid, pm
-                if pm.lam >= 0.9 * eps_target or hi - lo < tol:
+                a_bar, sh_bar = mid, sh
+                if top_above(sh, 0.9 * eps_target) or hi - lo < tol:
                     break
                 lo = mid
         if a_bar is None:
             raise NoUnstableExpanderError(
                 f"could not isolate lambda_top in (0, {eps_target}) above "
                 f"alpha_star={a_star}")
+    pair = top_eigenpair(a_bar, params, grid, shooter=sh_bar)
 
     profile = shoot_profile(a_bar, params, grid)
     v_bar = PotentialField.from_profile(profile).v
@@ -647,9 +657,8 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
     gap = float(np.max(np.abs(v_bar - v_star)))
 
     second = None
-    spec = positive_spectrum(a_bar, params, grid)
-    if len(spec) > 1:
-        second = spec[1].lam
+    if sh_bar.count_above(0.0) > 1:
+        second = positive_spectrum(a_bar, params, grid)[1].lam
 
     return SelectedExpander(alpha_star=star, alpha_bar=a_bar,
                             lambda_bar=pair.lam, profile=profile,

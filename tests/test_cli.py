@@ -44,6 +44,12 @@ class TestExponentsCommand:
         assert run(tmp_path, "exponents", "--d", "2", "--p", "3") == 65
         assert run(tmp_path, "exponents", "--d", "5", "--p", "0.5") == 65
 
+    def test_non_finite_alpha_exit_65(self, tmp_path):
+        assert run(tmp_path, "alpha-star", "--d", "5", "--p", "3",
+                   "--alpha-min", "nan") == 65
+        assert run(tmp_path, "spectrum", "--d", "5", "--p", "3",
+                   "--alpha", "inf") == 65
+
     def test_usage_error_exit_64(self):
         with pytest.raises(SystemExit) as exc:
             main(["not-a-command"])
