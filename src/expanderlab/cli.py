@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -76,6 +77,11 @@ class RunConfig:
         return {k: v for k, v in dataclasses.asdict(self).items()}
 
     def validate(self):
+        for name, value in self.as_dict().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        if self.alpha_steps < 1:
+            raise DomainError("alpha_steps must be at least 1")
         for name in ("rho_max", "drho", "dtau", "tol"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")

@@ -41,6 +41,7 @@ from .exponents import (
     FeasibilityCheck,
     ProblemParams,
     check_feasibility,
+    odd_power,
 )
 from .profiles import RadialGrid, estimate_ell
 from .semigroup import RadialFunction, lq_norm, sphere_area
@@ -245,10 +246,6 @@ class _CrankNicolson:
         return solve_banded((4, 2), self._factorized(dtau), rhs)
 
 
-def _odd_power_arr(v: np.ndarray, p: float) -> np.ndarray:
-    return np.sign(v) * np.abs(v) ** p
-
-
 def stability_cap(v: np.ndarray, params: ProblemParams) -> float:
     """Largest stable step for the explicit nonlinearity."""
     vmax = float(np.max(np.abs(v)))
@@ -284,7 +281,7 @@ def step_imex(state: EvolutionState, dtau: float, params: ProblemParams,
     stepper = _CrankNicolson(state.grid, params, pot, beta)
     source = None
     if nonlinear:
-        source = _odd_power_arr(state.v, params.p)
+        source = odd_power(state.v, params.p)
         if pot is not None:
             source = source - pot * state.v
     v_new = stepper.step(state.v, dtau, source)
@@ -437,7 +434,7 @@ def evolve_similarity(v0: np.ndarray, tau0: float, tau1: float,
     q, r = _default_exponents(params, q, r)
     p = params.p
     return _evolve(v0, grid, params, tau0, tau1, dtau, None,
-                   lambda v: _odd_power_arr(v, p), q, r, reference)
+                   lambda v: odd_power(v, p), q, r, reference)
 
 
 def linearized_evolve(w0: np.ndarray, potential: PotentialField,
@@ -465,11 +462,11 @@ def evolve_perturbation(psi0: np.ndarray, potential: PotentialField,
     prof = potential.profile
     q, r = _default_exponents(params, q, r)
     u_bar = prof.u
-    n_bar = _odd_power_arr(u_bar, params.p)
+    n_bar = odd_power(u_bar, params.p)
     v_pot = potential.v
 
     def remainder(psi):
-        return (_odd_power_arr(u_bar + psi, params.p) - n_bar - v_pot * psi)
+        return (odd_power(u_bar + psi, params.p) - n_bar - v_pot * psi)
 
     return _evolve(psi0, prof.grid, params, tau0, tau1, dtau, v_pot,
                    remainder, q, r, None, extra_norm=extra_norm,

@@ -142,7 +142,7 @@ def check_feasibility(params: ProblemParams, lambda_bar: float,
                             slack=slack, satisfied=satisfied)
 
 
-def _power(v, p):
+def odd_power(v, p):
     """sign(v) |v|^p, the odd power used throughout for real exponents."""
     return np.sign(v) * np.abs(v) ** p
 
@@ -162,7 +162,8 @@ def taylor_remainder_gap(x, y, p):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     p = np.asarray(p, dtype=float)
-    lhs = np.abs(_power(x + y, p) - _power(x, p) - p * np.abs(x) ** (p - 1.0) * y)
+    lhs = np.abs(odd_power(x + y, p) - odd_power(x, p)
+                 - p * np.abs(x) ** (p - 1.0) * y)
     small = p <= 2.0
     rhs_small = p * np.abs(y) ** p
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -190,7 +191,7 @@ def contraction_remainder_gap(x, y, z, p):
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     p = np.asarray(p, dtype=float)
-    lhs = np.abs(_power(x + y, p) - _power(x + z, p)
+    lhs = np.abs(odd_power(x + y, p) - odd_power(x + z, p)
                  - p * np.abs(x) ** (p - 1.0) * (y - z))
     small = p <= 2.0
     rhs_small = p * (np.abs(y) ** (p - 1.0) + np.abs(z) ** (p - 1.0)) * np.abs(y - z)

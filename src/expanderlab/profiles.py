@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .exceptions import DomainError, IntegrationError, TailNotResolvedError
-from .exponents import ProblemParams
+from .exponents import ProblemParams, odd_power
 
 RHO0_DEFAULT = 1e-4
 RTOL = 1e-10
@@ -99,10 +99,6 @@ class ExpanderProfile:
             yield (repr(float(r)), repr(float(a)), repr(float(b)))
 
 
-def _odd_power(v: float, p: float) -> float:
-    return math.copysign(abs(v) ** p, v) if v != 0.0 else 0.0
-
-
 def series_coefficients(alpha: float, params: ProblemParams):
     """Taylor coefficients c2, c4 of U = alpha + c2 rho^2 + c4 rho^4 + ...
 
@@ -111,7 +107,7 @@ def series_coefficients(alpha: float, params: ProblemParams):
     and c4 comes from the next order, including the linearized nonlinearity.
     """
     d, p = params.d, params.p
-    n_alpha = _odd_power(alpha, p)
+    n_alpha = float(odd_power(alpha, p))
     c2 = -(alpha / (p - 1.0) + n_alpha) / (2.0 * d)
     np_prime = p * abs(alpha) ** (p - 1.0)
     c4 = -c2 * (1.0 + 1.0 / (p - 1.0) + np_prime) / (4.0 * d + 8.0)
@@ -193,7 +189,7 @@ def _residual_max(grid: RadialGrid, u: np.ndarray, du: np.ndarray,
     d2u = (-du[:-6] + 9 * du[1:-5] - 45 * du[2:-4]
            + 45 * du[4:-2] - 9 * du[5:-1] + du[6:]) / (60.0 * h)
     d, p = params.d, params.p
-    nl = np.sign(u[3:-3]) * np.abs(u[3:-3]) ** p
+    nl = odd_power(u[3:-3], p)
     defect = (d2u + ((d - 1.0) / rho + 0.5 * rho) * du[3:-3]
               + u[3:-3] / (p - 1.0) + nl)
     return float(np.max(np.abs(defect)))

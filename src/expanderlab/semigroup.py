@@ -11,7 +11,9 @@ is an exponentially rescaled heat convolution:
 with G_a the heat kernel of variance parameter a.  On the Gaussian family
 A e^(-rho^2/(4v)) the action is closed form (amplitude and variance map),
 which pins the semigroup law exactly and serves as the oracle for the
-quadrature path on general radial data.
+quadrature path on general radial data.  On that path the angular part of
+the d-dimensional convolution is a Kummer function in closed form, so only
+the radius integral is computed numerically.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import special
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
@@ -171,56 +174,17 @@ def _gl_cache(n: int, cache={}):
 def _angular_factor(beta: np.ndarray, d: int) -> np.ndarray:
     """J(beta) = int_{-1}^{1} e^(beta (c - 1)) (1 - c^2)^((d-3)/2) dc.
 
-    Gauss-Legendre with order doubling; for large beta the integrand is a
-    boundary layer at c = 1, handled by the substitution c = 1 - t^2/beta
-    which also removes the half-integer endpoint power in even dimensions.
+    With c = 1 - 2t this is Kummer's integral (DLMF 13.4.1),
+
+        J = 2^(2 nu + 1) B(nu + 1, nu + 1) M(nu + 1, 2 nu + 2, -2 beta),
+
+    nu = (d - 3)/2: exact for every d >= 3 and beta >= 0, including
+    beta = 0 and the boundary-layer regime of large beta.
     """
-    beta = np.asarray(beta, dtype=float)
-    out = np.empty_like(beta)
     nu = (d - 3) / 2.0
-
-    small = beta <= 50.0
-    if np.any(small):
-        b = beta[small]
-        prev = None
-        for n in (24, 48, 96, 192, 384):
-            x, w = _gl_cache(n)
-            vals = np.exp(np.outer(b, x - 1.0)) * (1.0 - x ** 2) ** nu
-            cur = vals @ w
-            if prev is not None and np.all(
-                    np.abs(cur - prev) <= 1e-8 * np.abs(cur) + 1e-300):
-                break
-            prev = cur
-        else:
-            raise QuadratureAccuracyError(
-                "angular quadrature did not converge",
-                achieved=float(np.max(np.abs(cur - prev))))
-        out[small] = cur
-
-    large = ~small
-    if np.any(large):
-        b = beta[large]
-        # c = 1 - t^2 / beta, t in [0, sqrt(2 beta)] truncated at e^-45
-        tmax = np.sqrt(np.minimum(2.0 * b, 45.0))
-        prev = None
-        for n in (32, 64, 128, 256):
-            x, w = _gl_cache(n)
-            t = 0.5 * np.outer(tmax, x + 1.0)           # map [-1,1] -> [0,tmax]
-            jac = 0.5 * tmax
-            u = t ** 2
-            integrand = (np.exp(-u) * t ** (d - 2)
-                         * (2.0 - u / b[:, None]) ** nu)
-            cur = 2.0 * (integrand @ w) * jac / b ** ((d - 1) / 2.0)
-            if prev is not None and np.all(
-                    np.abs(cur - prev) <= 1e-8 * np.abs(cur) + 1e-300):
-                break
-            prev = cur
-        else:
-            raise QuadratureAccuracyError(
-                "angular quadrature did not converge",
-                achieved=float(np.max(np.abs(cur - prev))))
-        out[large] = cur
-    return out
+    return (2.0 ** (2.0 * nu + 1.0) * special.beta(nu + 1.0, nu + 1.0)
+            * special.hyp1f1(nu + 1.0, 2.0 * nu + 2.0,
+                             -2.0 * np.asarray(beta, dtype=float)))
 
 
 class _RadialEvaluator:
@@ -252,10 +216,11 @@ def apply_S0(tau: float, f: RadialFunction,
     """Free-semigroup action on gridded radial data by direct quadrature.
 
     The d-dimensional convolution reduces to a radius integral against
-    e^(-(x-s)^2/(4a)) J(xs/(2a)) s^(d-1); the angular factor J is computed
-    by Gauss-Legendre with order doubling.  The radius integral runs over
-    panels of width 8 kernel widths around each evaluation point, doubling
-    the panel order until two refinements agree to 1e-9 relative.
+    e^(-(x-s)^2/(4a)) J(xs/(2a)) s^(d-1); the angular factor J is a
+    confluent hypergeometric function in closed form.  The radius integral
+    runs over panels of width 8 kernel widths around each evaluation point,
+    doubling the Gauss-Legendre order until two refinements agree to 1e-8
+    relative.
     """
     if tau < 0.0:
         raise DomainError("tau must be nonnegative")

@@ -105,6 +105,16 @@ class TestProfileCommands:
         assert len(doc["rows"]) == 3
         assert all(row["error"] is None for row in doc["rows"])
 
+    @pytest.mark.parametrize("argv", [
+        ("profile", "--alpha", "1", "--drho", "nan"),
+        ("profile", "--alpha", "1", "--rho-max", "inf"),
+        ("profile", "--alpha", "nan"),
+        ("ell-sweep", "--alpha-min", "0.5", "--alpha-max", "2.0",
+         "--alpha-steps", "-3"),
+    ], ids=["drho-nan", "rho-max-inf", "alpha-nan", "alpha-steps-negative"])
+    def test_invalid_flag_exit_65(self, tmp_path, argv):
+        assert run(tmp_path, *argv, "--d", "5", "--p", "3") == 65
+
 
 class TestSpectrumCommands:
     def test_alpha_star_found(self, tmp_path):

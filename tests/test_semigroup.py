@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from expanderlab.exceptions import DivergentNormError, DomainError
 from expanderlab.exponents import derived_exponents
@@ -9,6 +10,7 @@ from expanderlab.profiles import RadialGrid
 from expanderlab.semigroup import (
     GaussianDatum,
     RadialFunction,
+    _angular_factor,
     apply_S0,
     apply_S0_gaussian,
     growth_rate_gaussian,
@@ -130,8 +132,9 @@ class TestGaussianSemigroup:
 
 
 class TestQuadraturePath:
-    def test_matches_closed_form_on_gaussians(self, grid):
-        params = derived_exponents(5, 3.0)
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_matches_closed_form_on_gaussians(self, grid, d):
+        params = derived_exponents(d, 3.0)
         g = GaussianDatum(1.3, 0.8)
         fin = RadialFunction(grid=grid, values=g.values_on(grid.nodes))
         for tau in [1e-3, 0.1, 0.5, 2.0]:
@@ -139,6 +142,20 @@ class TestQuadraturePath:
             exact = apply_S0_gaussian(tau, g, params).values_on(grid.nodes)
             err = np.max(np.abs(out.values - exact)) / np.max(np.abs(exact))
             assert err <= 1e-6
+
+    def test_angular_factor_against_independent_oracles(self):
+        # elementary and Bessel forms of J in d = 3 and d = 4, and the Beta
+        # integral at beta = 0; none shares code with the Kummer expression
+        beta = np.logspace(-6.0, 9.0, 61)
+        np.testing.assert_allclose(_angular_factor(beta, 3),
+                                   -np.expm1(-2.0 * beta) / beta, rtol=1e-12)
+        np.testing.assert_allclose(_angular_factor(beta, 4),
+                                   math.pi * special.ive(1, beta) / beta,
+                                   rtol=1e-12)
+        for d in range(3, 13):
+            nu = (d - 3) / 2.0
+            assert _angular_factor(0.0, d) == pytest.approx(
+                special.beta(0.5, nu + 1.0), rel=1e-12)
 
     def test_compact_bump_against_heat_euler_oracle(self, grid):
         params = derived_exponents(3, 2.0)
