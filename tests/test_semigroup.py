@@ -1,16 +1,24 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
-from expanderlab.exceptions import DivergentNormError, DomainError
+from expanderlab import semigroup
+from expanderlab.exceptions import (
+    DivergentNormError,
+    DomainError,
+    QuadratureAccuracyError,
+)
 from expanderlab.exponents import derived_exponents
 from expanderlab.profiles import RadialGrid
 from expanderlab.semigroup import (
     GaussianDatum,
     RadialFunction,
     _angular_factor,
+    _gl_cache,
+    _RadialEvaluator,
     apply_S0,
     apply_S0_gaussian,
     growth_rate_gaussian,
@@ -43,6 +51,49 @@ def heat_step_oracle(values, h, steps, dt, d):
         lap[-1] = 0.0
         v += dt * lap
     return v
+
+
+def per_node_S0(tau, f, params):
+    """apply_S0 one node at a time: the same panels, order ladder and
+    convergence test as the library, with no blocks and no padding."""
+    d = params.d
+    a = math.expm1(tau)
+    width = math.sqrt(2.0 * a)
+    evaluate = _RadialEvaluator(f)
+    rho_max = f.grid.rho_max
+    has_tail = f.tail_exponent is not None and f.values[-1] != 0.0
+    unit_total = (4.0 * math.pi * a) ** (d / 2.0) / sphere_area(d - 1)
+    floor = 2e-8 * float(np.max(np.abs(f.values))) * unit_total
+    out = np.empty_like(f.grid.nodes)
+    for i, rho in enumerate(f.grid.nodes):
+        x = math.exp(0.5 * tau) * rho
+        lo, hi = max(0.0, x - 8.0 * width), x + 8.0 * width
+        if not has_tail:
+            hi, lo = min(hi, rho_max), min(lo, rho_max)
+        cuts = list(np.arange(lo, min(hi, rho_max), 0.5))
+        cuts.append(max(lo, min(hi, rho_max)))
+        if cuts[-1] < hi:
+            cuts.append(hi)
+        spans = [(pa, pb) for pa, pb in zip(cuts, cuts[1:]) if pb > pa]
+        prev = None
+        for n in (24, 48, 96, 192, 384):
+            x_gl, w_gl = _gl_cache(n)
+            s = np.concatenate([np.zeros(0)] + [
+                0.5 * (pb - pa) * (x_gl + 1.0) + pa for pa, pb in spans])
+            w = np.concatenate([np.zeros(0)] + [
+                0.5 * (pb - pa) * w_gl for pa, pb in spans])
+            kern = np.exp(-(x - s) ** 2 / (4.0 * a)) * _angular_factor(
+                x * s / (2.0 * a), d)
+            total = float(np.dot(w, evaluate(s) * s ** (d - 1.0) * kern))
+            if prev is not None and abs(total - prev) <= (
+                    1e-8 * abs(total) + floor):
+                break
+            prev = total
+        else:
+            raise AssertionError(f"node {i} did not converge")
+        out[i] = total
+    return (sphere_area(d - 1) * (4.0 * math.pi * a) ** (-d / 2.0)
+            * math.exp(tau / (params.p - 1.0))) * out
 
 
 class TestLqNorm:
@@ -89,6 +140,23 @@ class TestGaussianSemigroup:
         out = apply_S0_gaussian(0.0, g, params)
         assert out.amplitude == g.amplitude
         assert out.variance == g.variance
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, grid, tau):
+        params = derived_exponents(5, 3.0)
+        g = GaussianDatum(1.0, 1.0)
+        with pytest.raises(DomainError):
+            apply_S0_gaussian(tau, g, params)
+        with pytest.raises(DomainError):
+            apply_S0(tau, RadialFunction(grid=grid,
+                                         values=g.values_on(grid.nodes)),
+                     params)
+
+    @pytest.mark.parametrize("amplitude, variance", [
+        (1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_non_finite_datum_rejected(self, amplitude, variance):
+        with pytest.raises(DomainError):
+            GaussianDatum(amplitude, variance)
 
     def test_semigroup_law_random(self):
         params = derived_exponents(5, 3.0)
@@ -156,6 +224,73 @@ class TestQuadraturePath:
             nu = (d - 3) / 2.0
             assert _angular_factor(0.0, d) == pytest.approx(
                 special.beta(0.5, nu + 1.0), rel=1e-12)
+
+    def test_angular_factor_against_mpmath(self):
+        # 40-digit Kummer function, on both sides of the switches between
+        # the Kummer and Bessel forms at beta = 2 and 1e8 and at d = 63;
+        # at d = 103 and 345 the Bessel form would lose or overflow
+        switches = [2.0, 1e8]
+        beta = np.concatenate([
+            [0.0, 1e-300], np.logspace(-12.0, 12.0, 49), switches,
+            [np.nextafter(b, 0.0) for b in switches],
+            [np.nextafter(b, np.inf) for b in switches]])
+        for d in [*range(3, 13), 63, 64, 103, 345]:
+            with mpmath.workdps(40):
+                nu = mpmath.mpf(d - 3) / 2
+                exact = [float(2 ** (2 * nu + 1) * mpmath.beta(nu + 1, nu + 1)
+                               * mpmath.hyp1f1(nu + 1, 2 * nu + 2,
+                                               -2 * mpmath.mpf(b)))
+                         for b in beta]
+            np.testing.assert_allclose(_angular_factor(beta, d), exact,
+                                       rtol=1e-12, err_msg=f"d = {d}")
+
+    def test_blocks_match_per_node_reference(self):
+        # coarse grid; the power-law datum carries a tail, so its panels
+        # run past rho_max into the analytic continuation
+        grid = RadialGrid.uniform(16.0, 0.1)
+        rho = grid.nodes
+        data = [(5, GaussianDatum(1.3, 0.8).values_on(rho), None),
+                (4, np.where(rho < 1.0, (1.0 - rho ** 2) ** 2, 0.0), None),
+                (5, 1.0 / (1.0 + rho ** 2), -2.0)]
+        for d, values, tail in data:
+            params = derived_exponents(d, 3.0)
+            f = RadialFunction(grid=grid, values=values, tail_exponent=tail)
+            for tau in [1e-3, 0.1, 2.0]:
+                out = apply_S0(tau, f, params).values
+                ref = per_node_S0(tau, f, params)
+                err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-12, (d, tail, tau, err)
+
+    def test_window_past_the_grid(self):
+        # at tau = 3 the outer nodes' windows start past rho_max: without a
+        # tail they see no data, with one they integrate the continuation
+        grid = RadialGrid.uniform(16.0, 0.1)
+        params = derived_exponents(5, 3.0)
+        g = GaussianDatum(1.3, 0.8)
+        out = apply_S0(3.0, RadialFunction(grid=grid,
+                                           values=g.values_on(grid.nodes)),
+                       params).values
+        exact = apply_S0_gaussian(3.0, g, params).values_on(grid.nodes)
+        assert np.max(np.abs(out - exact)) <= 1e-6 * np.max(exact)
+        f = RadialFunction(grid=grid, values=1.0 / (1.0 + grid.nodes ** 2),
+                           tail_exponent=-2.0)
+        out = apply_S0(3.0, f, params).values
+        assert np.all(out > 0.0)
+        ref = per_node_S0(3.0, f, params)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(ref)
+
+    def test_unconverged_block_raises(self, monkeypatch):
+        # a kernel proportional to the number of quadrature points doubles
+        # every total along the ladder, so no node can converge
+        monkeypatch.setattr(semigroup, "_angular_factor",
+                            lambda beta, d: np.full(np.shape(beta),
+                                                    float(np.size(beta))))
+        grid = RadialGrid.uniform(16.0, 0.1)
+        f = RadialFunction(grid=grid,
+                           values=GaussianDatum(1.0, 1.0).values_on(grid.nodes))
+        with pytest.raises(QuadratureAccuracyError) as info:
+            apply_S0(0.1, f, derived_exponents(5, 3.0))
+        assert info.value.achieved > 0.0
 
     def test_compact_bump_against_heat_euler_oracle(self, grid):
         params = derived_exponents(3, 2.0)
