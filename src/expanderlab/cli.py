@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+import typing
 from pathlib import Path
 from typing import Optional
 
@@ -71,7 +72,8 @@ class RunConfig:
     seed: int = 2024
     out: str = "."
     format: str = "both"
-    scale: float = 1.0
+    scale: float = dataclasses.field(default=1.0, metadata={
+        "help": "initial-data multiple of the profile (evolve)"})
 
     def as_dict(self) -> dict:
         return {k: v for k, v in dataclasses.asdict(self).items()}
@@ -89,6 +91,14 @@ class RunConfig:
             raise DomainError("format must be csv, json or both")
 
 
+# the type flags and config keys parse each field but command into;
+# Optional[X] parses into X
+_FIELD_TYPES = {
+    name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+    for name, hint in typing.get_type_hints(RunConfig).items()
+    if name != "command"}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -104,29 +114,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", type=str, default=None,
                         help="key=value file; command-line flags override")
-    parser.add_argument("--d", type=int, default=None)
-    parser.add_argument("--p", type=float, default=None)
-    parser.add_argument("--q", type=float, default=None)
-    parser.add_argument("--r", type=float, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--alpha-min", dest="alpha_min", type=float,
-                        default=None)
-    parser.add_argument("--alpha-max", dest="alpha_max", type=float,
-                        default=None)
-    parser.add_argument("--alpha-steps", dest="alpha_steps", type=int,
-                        default=None)
-    parser.add_argument("--rho-max", dest="rho_max", type=float, default=None)
-    parser.add_argument("--drho", type=float, default=None)
-    parser.add_argument("--dtau", type=float, default=None)
-    parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--tau0", type=float, default=None)
-    parser.add_argument("--tau1", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", type=str, default=None)
-    parser.add_argument("--scale", type=float, default=None,
-                        help="initial-data multiple of the profile (evolve)")
+    for f in dataclasses.fields(RunConfig)[1:]:
+        parser.add_argument("--" + f.name.replace("_", "-"),
+                            type=_FIELD_TYPES[f.name], default=None,
+                            help=f.metadata.get("help"))
     parser.add_argument("--eigenfunctions", action="store_true",
                         help="also export eigenfunction CSVs (spectrum)")
     return parser
@@ -145,27 +136,14 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-
-def _coerce(name: str, value: str):
-    if name in ("out", "format", "command"):
-        return value
-    if name in ("d", "alpha_steps", "seed"):
-        return int(value)
-    return float(value)
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if args.config:
         for key, val in _read_config_file(args.config).items():
             if key not in _FIELD_TYPES:
                 raise DomainError(f"unknown config key {key!r}")
-            setattr(cfg, key, _coerce(key, val))
+            setattr(cfg, key, _FIELD_TYPES[key](val))
     for key in _FIELD_TYPES:
-        if key == "command":
-            continue
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
@@ -338,7 +316,7 @@ def _cmd_semigroup_check(cfg: RunConfig, writer: ArtifactWriter) -> int:
     ok = True
     for eta in (1.0, 2.0, params.q_c, 2.0 * params.q_c):
         fitted = growth_rate_gaussian(eta, params)
-        target = 1.0 / (params.p - 1.0) - params.d / (2.0 * eta)
+        target = params.growth_exponent(eta)
         growth[f"eta={eta:g}"] = {"fitted": fitted, "target": target,
                                   "gap": abs(fitted - target)}
         ok = ok and abs(fitted - target) <= 1e-3
@@ -403,9 +381,7 @@ def _cmd_evolve(cfg: RunConfig, writer: ArtifactWriter) -> int:
 
 def _cmd_demo(cfg: RunConfig, writer: ArtifactWriter) -> int:
     params = derived_exponents(cfg.d, cfg.p)
-    q = cfg.q if cfg.q is not None else 0.5 * (1.0 + params.q_c)
-    r = cfg.r if cfg.r is not None else 2.0 * params.q_c
-    report = nonuniqueness_demo(params, q, r, epsilon=cfg.eps,
+    report = nonuniqueness_demo(params, cfg.q, cfg.r, epsilon=cfg.eps,
                                 grid=_grid(cfg), tau0=cfg.tau0,
                                 tau1=cfg.tau1, dtau=cfg.dtau)
     writer.json("demo", report.as_dict())

@@ -33,7 +33,6 @@ from scipy.linalg import solve_banded
 from .exceptions import (
     DomainError,
     FeasibilityError,
-    NoUnstableExpanderError,
     SeedAmplitudeError,
     StepRejectedError,
 )
@@ -43,7 +42,7 @@ from .exponents import (
     check_feasibility,
     odd_power,
 )
-from .profiles import RadialGrid, estimate_ell
+from .profiles import RadialGrid, estimate_ell, log_weight
 from .semigroup import RadialFunction, lq_norm, sphere_area
 from .spectral import (
     PotentialField,
@@ -265,8 +264,8 @@ def step_imex(state: EvolutionState, dtau: float, params: ProblemParams,
     tail condition is used.  Steps beyond the explicit stability cap are
     rejected with a suggestion.
     """
-    if dtau <= 0.0:
-        raise DomainError("dtau must be positive")
+    if not dtau > 1e-12:        # _evolve stops 1e-12 short of its end
+        raise DomainError("dtau must exceed 1e-12")
     pot = frozen_potential.v if frozen_potential is not None else None
     if nonlinear:
         cap = stability_cap(state.v, params)
@@ -274,18 +273,17 @@ def step_imex(state: EvolutionState, dtau: float, params: ProblemParams,
             raise StepRejectedError(
                 f"dtau={dtau} exceeds the stability cap {cap:.3e}",
                 suggested_dtau=0.9 * cap)
-    beta = None
-    if pot is None:
-        beta = calibrated_beta(state.v, state.grid.drho, params,
-                               state.grid.rho_max)
-    stepper = _CrankNicolson(state.grid, params, pot, beta)
-    source = None
-    if nonlinear:
-        source = odd_power(state.v, params.p)
-        if pot is not None:
-            source = source - pot * state.v
-    v_new = stepper.step(state.v, dtau, source)
-    return EvolutionState(tau=state.tau + dtau, grid=state.grid, v=v_new)
+
+    def source(v):
+        n = odd_power(v, params.p)
+        return n if pot is None else n - pot * v
+
+    q, r = _default_exponents(params, None, None)
+    log = _evolve(state.v, state.grid, params, 0.0, dtau, dtau, pot,
+                  source if nonlinear else None, q, r, None,
+                  dirichlet=pot is not None)
+    return EvolutionState(tau=state.tau + dtau, grid=state.grid,
+                          v=log.final.v)
 
 
 @dataclass
@@ -316,25 +314,13 @@ class TrajectoryLog:
 
 
 class _NormKit:
-    """Precomputed quadrature weights for the per-step norms."""
+    """Per-step norms against the grid's Simpson weights."""
 
     def __init__(self, grid: RadialGrid, params: ProblemParams):
-        nodes = grid.nodes
-        n = nodes.size
-        h = grid.drho
-        w = np.ones(n)
-        if n % 2 == 1:           # composite Simpson needs an even interval count
-            w[1:-1:2] = 4.0
-            w[2:-1:2] = 2.0
-            w *= h / 3.0
-        else:                    # trapezoid fallback for odd interval counts
-            w *= h
-            w[0] = w[-1] = 0.5 * h
-        self.w_meas = w * nodes ** (params.d - 1.0)
+        w = grid.weights
+        self.w_meas = w * grid.nodes ** (params.d - 1.0)
         self.sphere = sphere_area(params.d)
-        with np.errstate(divide="ignore"):
-            logw = (params.d - 1.0) * np.log(nodes) + nodes ** 2 / 4.0
-        self.w_l2w = w * np.exp(logw)
+        self.w_l2w = w * np.exp(log_weight(grid.nodes, params.d))
 
     def lebesgue(self, v: np.ndarray, gamma: float) -> float:
         return float((self.sphere * np.dot(
@@ -531,15 +517,15 @@ def ancient_branch(potential: PotentialField, eigmode: np.ndarray,
     good = window & (gap > 1e-13 * np.max(gap))
     slope, r2 = fit_log_slope(taus[good], np.log(gap[good]))
     delta = slope - lambda_bar
+    delta_floor = 0.5 * min(params.p - 1.0, 1.0) * lambda_bar
     log.extras.update({
         "mode_norm_r": mode_r,
         "lower_bound_ok": ok_lower,
         "lower_bound_margin": margin,
         "residual_rate": slope,
         "fitted_delta": delta,
-        "delta_floor": 0.5 * min(params.p - 1.0, 1.0) * lambda_bar,
-        "delta_ok": bool(delta >= 0.5 * min(params.p - 1.0, 1.0)
-                         * lambda_bar),
+        "delta_floor": delta_floor,
+        "delta_ok": bool(delta >= delta_floor),
         "residual_fit_r2": r2,
     })
     return log
@@ -554,8 +540,7 @@ def quadratic_mode_coupling(potential: PotentialField, mode: np.ndarray,
     the linear regime, relative to lambda.  Weighted inner products.
     """
     prof = potential.profile
-    p, d = params.p, params.d
-    nodes = prof.grid.nodes
+    p = params.p
     kit = _NormKit(prof.grid, params)
     u = prof.u
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -576,8 +561,7 @@ def to_physical_norm(similarity_norm: float, tau: float, gamma: float,
     if gamma < 1.0:
         raise DomainError("Lebesgue exponent must be >= 1")
     t = math.exp(tau)
-    expo = -1.0 / (params.p - 1.0) + params.d / (2.0 * gamma)
-    return t, t ** expo * similarity_norm
+    return t, t ** -params.growth_exponent(gamma) * similarity_norm
 
 
 @dataclass
@@ -635,7 +619,8 @@ class DemoReport:
         }
 
 
-def nonuniqueness_demo(params: ProblemParams, q: float, r: float,
+def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
+                       r: Optional[float] = None,
                        epsilon: Optional[float] = None,
                        grid: Optional[RadialGrid] = None,
                        tau0: float = -12.0, tau1: float = -2.0,
@@ -648,19 +633,15 @@ def nonuniqueness_demo(params: ProblemParams, q: float, r: float,
     log ||u1 - u2||_r against log t.  The report carries one boolean per
     sub-check; pass means all of them hold.
     """
+    params.require_unstable_regime()
+    q, r = _default_exponents(params, q, r)
     if not (1.0 <= q < params.q_c < r):
         raise DomainError(
             f"need 1 <= q < q_c < r, got q={q}, r={r}, q_c={params.q_c}")
-    if params.jl_finite and params.p >= params.p_jl:
-        raise NoUnstableExpanderError(
-            f"p={params.p} at or beyond p_jl={params.p_jl}")
-    if params.p <= params.p_fujita:
-        raise NoUnstableExpanderError(
-            f"p={params.p} at or below the Fujita power {params.p_fujita}")
     if grid is None:
         grid = RadialGrid.uniform()
 
-    slack0 = 1.0 / (params.p - 1.0) - params.d / (2.0 * r)
+    slack0 = params.growth_exponent(r)
     if slack0 <= 0.0:
         raise FeasibilityError(
             f"1/(p-1) - d/(2r) = {slack0} <= 0: no eigenvalue can satisfy "
@@ -723,7 +704,7 @@ def nonuniqueness_demo(params: ProblemParams, q: float, r: float,
         to_physical_norm(nrm, tau, r, params)[1]
         for nrm, tau in zip(branch.norms["lr"], taus)])
     slope, r2 = fit_log_slope(log_t, np.log(diff_phys))
-    predicted = -(1.0 / (params.p - 1.0) - params.d / (2.0 * r) - lam)
+    predicted = -feas.slack
     decades = (tau1 - tau0) / math.log(10.0)
     slope_ok = abs(slope - predicted) <= 0.1 * abs(predicted)
     r2_ok = r2 >= 0.99 and decades >= 2.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, NoUnstableExpanderError
 
 
 class Regime(enum.Enum):
@@ -58,6 +58,20 @@ class ProblemParams:
             "p_jl_finite": self.jl_finite,
             "regime": self.regime.value,
         }
+
+    def growth_exponent(self, gamma: float) -> float:
+        """1/(p-1) - d/(2 gamma), the growth rate of the free flow in L^gamma;
+        at gamma = 1 the top of the free spectrum."""
+        return 1.0 / (self.p - 1.0) - self.d / (2.0 * gamma)
+
+    def require_unstable_regime(self) -> None:
+        """Raise NoUnstableExpanderError unless p_fujita < p < p_jl, the only
+        powers with a linearly unstable radial expander."""
+        if self.regime in (Regime.BELOW_FUJITA, Regime.BEYOND_JL):
+            raise NoUnstableExpanderError(
+                f"p={self.p} is in the {self.regime.value} regime (Fujita "
+                f"power {self.p_fujita}, p_jl={self.p_jl}): no unstable "
+                "radial expander exists")
 
 
 @dataclass(frozen=True)
@@ -135,7 +149,7 @@ def check_feasibility(params: ProblemParams, lambda_bar: float,
     if not (r > params.q_c):
         raise DomainError(f"need r > q_c, got r={r} with q_c={params.q_c}")
 
-    limit = 1.0 / (params.p - 1.0) - params.d / (2.0 * r)
+    limit = params.growth_exponent(r)
     slack = limit - lambda_bar
     satisfied = 0.0 < lambda_bar < limit
     return FeasibilityCheck(lambda_bar=lambda_bar, q=q, r=r, limit=limit,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,6 +66,30 @@ class RadialGrid:
         d = np.diff(self.nodes)
         # tolerate linspace roundoff, reject macroscopic nonuniformity
         return bool(np.allclose(d, d[0], rtol=0.0, atol=1e-9 * abs(d[0])))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Composite-Simpson weights, the rule of scipy.integrate.simpson (an
+        odd interval count ends on the parabola through the last three
+        nodes); every radial norm in the package integrates against them."""
+        if not self.is_uniform:
+            raise DomainError("Simpson weights need a uniform grid")
+        n = self.nodes.size
+        m = n if n % 2 == 1 else n - 1      # nodes under plain Simpson
+        w = np.zeros(n)
+        w[:m] = 1.0
+        w[1:m - 1:2] = 4.0
+        w[2:m - 1:2] = 2.0
+        w *= self.drho / 3.0
+        if m < n:
+            w[-3:] += np.array([-1.0, 8.0, 5.0]) * (self.drho / 12.0)
+        return w
+
+
+def log_weight(rho: np.ndarray, d: int) -> np.ndarray:
+    """log of the weight rho^(d-1) e^(rho^2/4) of the similarity space."""
+    with np.errstate(divide="ignore"):
+        return (d - 1.0) * np.log(rho) + rho ** 2 / 4.0
 
 
 @dataclass

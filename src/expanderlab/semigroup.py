@@ -18,13 +18,13 @@ the radius integral is computed numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import special
-from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .exceptions import (
@@ -99,16 +99,15 @@ class RadialFunction:
 def lq_norm(f: RadialFunction, gamma: float, d: int) -> float:
     """L^gamma norm over R^d of a radial profile.
 
-    Composite Simpson against the rho^(d-1) measure plus, when the function
-    carries a tail exponent t, the closed-form continuation of
+    The grid's Simpson weights against the rho^(d-1) measure plus, when the
+    function carries a tail exponent t, the closed-form continuation of
     |f(rho_max)|^gamma (rho/rho_max)^(gamma t) beyond the grid.  Divergent
     continuations (gamma t + d >= 0) are rejected.
     """
     if gamma < 1.0:
         raise DomainError("Lebesgue exponent must be >= 1")
-    nodes = f.grid.nodes
-    integrand = np.abs(f.values) ** gamma * nodes ** (d - 1.0)
-    total = float(simpson(integrand, x=nodes))
+    w_meas = f.grid.weights * f.grid.nodes ** (d - 1.0)
+    total = float(np.dot(w_meas, np.abs(f.values) ** gamma))
     if f.tail_exponent is not None and abs(f.values[-1]) > 1e-100:
         t = f.tail_exponent
         if gamma * t + d >= 0.0:
@@ -129,15 +128,19 @@ def apply_S0_gaussian(tau: float, g: GaussianDatum,
 
     Convolving with the heat kernel adds variances; the similarity
     rescaling then maps v to 1 + (v - 1) e^(-tau), whose fixed point is the
-    self-similar Gaussian v = 1.  Exact to roundoff.
+    self-similar Gaussian v = 1, and the amplitude A to
+    A (v / v_tau)^(d/2) e^((1/(p-1) - d/2) tau).  Exact to roundoff.
     """
     if not math.isfinite(tau) or tau < 0.0:
         raise DomainError("tau must be finite and nonnegative")
-    a = math.expm1(tau)
     v = g.variance
-    amplitude = (g.amplitude * math.exp(tau / (params.p - 1.0))
-                 * (v / (v + a)) ** (params.d / 2.0))
-    variance = (v + a) * math.exp(-tau)
+    variance = v * math.exp(-tau) - math.expm1(-tau)
+    try:
+        amplitude = (g.amplitude * (v / variance) ** (params.d / 2.0)
+                     * math.exp(params.growth_exponent(1.0) * tau))
+    except OverflowError:
+        raise DomainError(
+            f"tau={tau}: the amplitude leaves the double range") from None
     return GaussianDatum(amplitude=amplitude, variance=variance)
 
 
@@ -282,14 +285,18 @@ def apply_S0(tau: float, f: RadialFunction,
         return RadialFunction(grid=f.grid, values=f.values.copy(),
                               tail_exponent=f.tail_exponent)
     d = params.d
-    a = math.expm1(tau)
+    try:
+        a = math.expm1(tau)
+        prefactor = (sphere_area(d - 1) * (4.0 * math.pi * a) ** (-d / 2.0)
+                     * math.exp(tau / (params.p - 1.0)))
+        # a unit input integrates to this; anchors the convergence criterion
+        # to the output scale instead of each node's (possibly tiny) value
+        unit_total = (4.0 * math.pi * a) ** (d / 2.0) / sphere_area(d - 1)
+    except OverflowError:
+        raise DomainError(f"tau={tau} is too large for d={d}: the kernel "
+                          "normalisation leaves the double range") from None
     evaluate = _RadialEvaluator(f)
-    prefactor = (sphere_area(d - 1) * (4.0 * math.pi * a) ** (-d / 2.0)
-                 * math.exp(tau / (params.p - 1.0)))
     has_tail = f.tail_exponent is not None and f.values[-1] != 0.0
-    # a unit input integrates to this; anchors the convergence criterion to
-    # the output scale instead of each node's (possibly tiny) own value
-    unit_total = (4.0 * math.pi * a) ** (d / 2.0) / sphere_area(d - 1)
     floor = 2e-8 * float(np.max(np.abs(f.values))) * unit_total
 
     x = math.exp(0.5 * tau) * f.grid.nodes
@@ -362,15 +369,10 @@ class SmoothingReport:
 
 def _pair_norm(datum, eta, gamma, params) -> float:
     """Intersection-space norm: L^eta plus L^gamma when gamma > eta."""
-    if isinstance(datum, GaussianDatum):
-        n = datum.lq_norm(eta, params.d)
-        if gamma > eta:
-            n += datum.lq_norm(gamma, params.d)
-        return n
-    n = lq_norm(datum, eta, params.d)
-    if gamma > eta:
-        n += lq_norm(datum, gamma, params.d)
-    return n
+    norm = (datum.lq_norm if isinstance(datum, GaussianDatum)
+            else functools.partial(lq_norm, datum))
+    return norm(eta, params.d) + (norm(gamma, params.d) if gamma > eta
+                                  else 0.0)
 
 
 def verify_smoothing(eta: float, eta_prime: float, gamma: float,
@@ -405,13 +407,11 @@ def verify_smoothing(eta: float, eta_prime: float, gamma: float,
         for t in ts:
             A = math.expm1(t) ** (0.5 * params.d
                                   * (1.0 / eta - 1.0 / eta_prime))
-            damp = math.exp(-(1.0 / (params.p - 1.0)
-                              - params.d / (2.0 * eta)) * t)
+            damp = math.exp(-params.growth_exponent(eta) * t)
             for u in samples:
-                if isinstance(u, GaussianDatum):
-                    evolved = apply_S0_gaussian(t, u, params)
-                else:
-                    evolved = apply_S0(t, u, params)
+                flow = (apply_S0_gaussian if isinstance(u, GaussianDatum)
+                        else apply_S0)
+                evolved = flow(t, u, params)
                 num = _pair_norm(evolved, eta_prime, gamma_prime, params)
                 den = _pair_norm(u, eta, gamma, params)
                 out.append(num * A * damp / den)

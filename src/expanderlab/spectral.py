@@ -53,6 +53,7 @@ from .profiles import (
     RadialGrid,
     _start_rho,
     integrate_profile,
+    log_weight,
     profile_on_nodes,
     series_coefficients,
     shoot_profile,
@@ -146,12 +147,6 @@ class _PhaseShooter:
                                                self.rho_max, rho0=self.rho0)
         return self._dense
 
-    def potential(self, rho):
-        if self.alpha == 0.0:
-            return np.zeros_like(np.asarray(rho, dtype=float))
-        u = self._usol.sol(rho)[0]
-        return self.params.p * np.abs(u) ** (self.params.p - 1.0)
-
     def _eigen_series(self, lam: float):
         """Regular-solution Taylor start f = 1 + b2 rho^2 + b4 rho^4."""
         d, p = self.params.d, self.params.p
@@ -225,12 +220,16 @@ class _PhaseShooter:
         neutral solution)."""
         return int(math.floor(self.theta_end(lam) / math.pi))
 
+    def decay_slope(self, lam: float) -> float:
+        """Log-derivative f'/f of the decaying branch at rho_max,
+        -rho/2 + 2(-lam - d/2 + 1/(p-1))/rho, correction O(rho^-3) dropped."""
+        d, p = self.params.d, self.params.p
+        return (-0.5 * self.rho_max
+                + 2.0 * (-lam - d / 2.0 + 1.0 / (p - 1.0)) / self.rho_max)
+
     def theta_target(self, lam: float) -> float:
         """Phase of the decaying branch at rho_max, principal value."""
-        d, p = self.params.d, self.params.p
-        kappa = (-0.5 * self.rho_max
-                 + 2.0 * (-lam - d / 2.0 + 1.0 / (p - 1.0)) / self.rho_max)
-        return math.atan2(1.0, kappa)
+        return math.atan2(1.0, self.decay_slope(lam))
 
     def solve_f(self, lam: float, rho_span, f0, df0):
         """Raw (f, f') integration with the frozen potential."""
@@ -324,8 +323,7 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     """Locate the single eigenvalue inside lambda_bracket by phase matching.
 
     The miss function is the gap between the integrated phase at rho_max
-    and the phase of the decaying asymptotic branch (log-derivative
-    -rho/2 + 2(-lam - d/2 + 1/(p-1))/rho, correction O(rho^-2) dropped).
+    and the phase of the decaying asymptotic branch (see decay_slope).
     Steps are false-position proposals inside the bracket with bisection
     fallback.  At rho_max = 16 the miss function is nearly a step in
     lambda, so the search is in effect bisection: it takes about 40 miss
@@ -380,7 +378,6 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
 def _reconstruct_eigenfunction(sh: _PhaseShooter, lam: float,
                                grid: RadialGrid):
     rho_max = grid.rho_max
-    d, p = sh.params.d, sh.params.p
 
     f0, df0 = sh._eigen_series(lam)
     fwd = sh.solve_f(lam, (sh.rho0, rho_max), f0, df0)
@@ -397,9 +394,7 @@ def _reconstruct_eigenfunction(sh: _PhaseShooter, lam: float,
     clean = np.nonzero(envelope[:i_min + 1] >= 1e4 * envelope[i_min])[0]
     rho_m = float(probe[clean[-1]] if clean.size else probe[i_min])
 
-    kappa = (-0.5 * rho_max
-             + 2.0 * (-lam - d / 2.0 + 1.0 / (p - 1.0)) / rho_max)
-    bwd = sh.solve_f(lam, (rho_max, rho_m), 1.0, kappa)
+    bwd = sh.solve_f(lam, (rho_max, rho_m), 1.0, sh.decay_slope(lam))
 
     fm_f, dfm_f = fwd.sol(rho_m)
     fm_b, dfm_b = bwd.sol(rho_m)
@@ -419,27 +414,14 @@ def _reconstruct_eigenfunction(sh: _PhaseShooter, lam: float,
     sig = sig[sig != 0.0]
     zero_count = int(np.sum(sig[:-1] != sig[1:]))
 
-    logw = _log_weight(grid.nodes, d)
-    integrand = f * f * np.exp(logw)
-    l2w = math.sqrt(_simpson(integrand, grid))
+    w_l2w = grid.weights * np.exp(log_weight(grid.nodes, sh.params.d))
+    l2w = math.sqrt(np.dot(w_l2w, f * f))
     return f, zero_count, l2w, float(defect)
-
-
-def _log_weight(nodes: np.ndarray, d: int) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        logw = (d - 1.0) * np.log(nodes) + nodes ** 2 / 4.0
-    return logw
-
-
-def _simpson(vals: np.ndarray, grid: RadialGrid) -> float:
-    from scipy.integrate import simpson
-    return float(simpson(vals, x=grid.nodes))
 
 
 def lambda_ceiling(sh: _PhaseShooter) -> float:
     """Rigorous Rayleigh upper bound for the top eigenvalue plus margin."""
-    p, d = sh.params.p, sh.params.d
-    return 1.0 / (p - 1.0) - d / 2.0 + sh.sup_v_bound + 1.0
+    return sh.params.growth_exponent(1.0) + sh.sup_v_bound + 1.0
 
 
 def _bracket_top(sh: _PhaseShooter):
@@ -450,7 +432,7 @@ def _bracket_top(sh: _PhaseShooter):
     at rate |Qt|), so the Rayleigh ceiling is used only as a sanity cap,
     not as a probe point.
     """
-    floor = 1.0 / (sh.params.p - 1.0) - sh.params.d / 2.0 - 0.25
+    floor = sh.params.growth_exponent(1.0) - 0.25
     if sh.count_above(floor) < 1:
         raise EmptyBracketError("no eigenvalue above the free-operator floor")
     ceiling = lambda_ceiling(sh)
@@ -474,14 +456,26 @@ def top_eigenpair(alpha: float, params: ProblemParams,
         grid = RadialGrid.uniform()
     sh = shooter if shooter is not None else _PhaseShooter(
         alpha, params, grid.rho_max)
-    lo, hi = _bracket_top(sh)
-    while sh.count_above(lo) != 1:
+    lo, hi = _isolate(sh, *_bracket_top(sh), 1)
+    return eigenvalue_shoot(alpha, params, (lo, hi), grid, shooter=sh)
+
+
+def _isolate(sh: _PhaseShooter, lo: float, hi: float, m: int):
+    """Bisect [lo, hi] on Sturm counts until it holds exactly the m-th
+    eigenvalue from the top: m eigenvalues above lo, m - 1 above hi.
+
+    Needs at least m above lo and at most m - 1 above hi; gives up once the
+    bracket is narrower than 1e-13.
+    """
+    while sh.count_above(lo) != m or sh.count_above(hi) != m - 1:
         mid = 0.5 * (lo + hi)
-        if sh.count_above(mid) >= 1:
+        if sh.count_above(mid) >= m:
             lo = mid
         else:
             hi = mid
-    return eigenvalue_shoot(alpha, params, (lo, hi), grid, shooter=sh)
+        if hi - lo < 1e-13:
+            break
+    return lo, hi
 
 
 def positive_spectrum(alpha: float, params: ProblemParams,
@@ -503,16 +497,7 @@ def positive_spectrum(alpha: float, params: ProblemParams,
     pairs = []
     _, hi_known = _bracket_top(sh)
     for j in range(n):
-        # bracket the (j+1)-th eigenvalue from the top: count j+1 -> j
-        lo, hi = 0.0, hi_known
-        while not (sh.count_above(lo) == j + 1 and sh.count_above(hi) == j):
-            mid = 0.5 * (lo + hi)
-            if sh.count_above(mid) >= j + 1:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13:
-                break
+        lo, hi = _isolate(sh, 0.0, hi_known, j + 1)
         pairs.append(eigenvalue_shoot(alpha, params, (lo, hi), grid,
                                       shooter=sh))
         hi_known = pairs[-1].lam
@@ -544,8 +529,8 @@ def matrix_spectrum(alpha: float, params: ProblemParams, grid: RadialGrid,
         m = int(round(rho_max / step))
         centers = (np.arange(m) + 0.5) * step
         faces = np.arange(m + 1) * step
-        logw_c = _log_weight(centers, params.d)
-        logw_f = _log_weight(faces, params.d)
+        logw_c = log_weight(centers, params.d)
+        logw_f = log_weight(faces, params.d)
         if alpha > 0:
             u = dense.sol(centers)[0]
             v = params.p * np.abs(u) ** (params.p - 1.0)
@@ -597,20 +582,13 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
     by Sturm counts alone: lambda_top > x exactly when count_above(x) >= 1,
     so a step costs at most three phase integrations (at 0, eps_target and
     0.9 eps_target) and the eigenpair is solved once, at the accepted alpha.
-    Rejects powers at or beyond the instability threshold, where no radial
-    profile is unstable.
+    Rejects powers outside (p_fujita, p_jl), where no radial profile is
+    unstable.
     """
+    params.require_unstable_regime()
     if not (math.isfinite(eps_target) and eps_target > 0):
         raise DomainError(
             f"eps_target must be finite and positive, got {eps_target}")
-    if params.jl_finite and params.p >= params.p_jl:
-        raise NoUnstableExpanderError(
-            f"p={params.p} is at or beyond the threshold "
-            f"p_jl={params.p_jl}: no unstable radial expander exists")
-    if params.p <= params.p_fujita:
-        raise NoUnstableExpanderError(
-            f"p={params.p} is at or below the Fujita power "
-            f"{params.p_fujita}; the instability mechanism needs p above it")
     if grid is None:
         grid = RadialGrid.uniform()
 

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from expanderlab.cli import main
+from expanderlab.cli import RunConfig, _build_parser, main, resolve_config
 
 
 def run(tmp_path, *argv):
@@ -68,6 +69,27 @@ class TestConfigFile:
         assert doc["config"]["p"] == 2.5        # flag wins
         assert doc["config"]["rho_max"] == 20.0
         assert doc["exponents"]["d"] == 4
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(RunConfig)[1:]])
+    def test_every_field_by_flag_and_by_key(self, tmp_path, name):
+        kind = {"d": int, "alpha_steps": int, "seed": int,
+                "out": str, "format": str}.get(name, float)
+        text = {int: "7", float: "1.5", str: "csv"}[kind]
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{name} = {text}\n")
+        parser = _build_parser()
+        for argv in (["--" + name.replace("_", "-"), text],
+                     ["--config", str(cfgfile)]):
+            cfg = resolve_config(parser.parse_args(["exponents", *argv]))
+            value = getattr(cfg, name)
+            assert type(value) is kind and value == kind(text)
+
+    def test_command_is_not_a_config_key(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("command = demo\n")
+        assert main(["exponents", "--config", str(cfgfile),
+                     "--out", str(tmp_path)]) == 65
 
     def test_unknown_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -10,10 +10,13 @@ from expanderlab.exceptions import (
     SeedAmplitudeError,
     StepRejectedError,
 )
+from expanderlab.profiles import RadialGrid
+from expanderlab.semigroup import RadialFunction, lq_norm
 from expanderlab.spectral import PotentialField, matrix_spectrum
 from expanderlab.dynamics import (
     EvolutionState,
     _CrankNicolson,
+    _NormKit,
     ancient_branch,
     evolve_perturbation,
     evolve_similarity,
@@ -87,6 +90,13 @@ class TestStepImex:
         # the interior defect of the fourth-order operator bounds this;
         # see the decisions ledger for why 1e-8*dtau is out of reach
         assert drift <= 2e-9
+
+    @pytest.mark.parametrize("dtau", [0.0, 1e-13, math.nan])
+    def test_degenerate_dtau_rejected(self, params53, grid_default, dtau):
+        state = EvolutionState(tau=0.0, grid=grid_default,
+                               v=np.zeros_like(grid_default.nodes))
+        with pytest.raises(DomainError):
+            step_imex(state, dtau, params53)
 
     def test_stability_cap_rejection(self, params53, profile53):
         state = EvolutionState(tau=0.0, grid=profile53.grid,
@@ -314,6 +324,23 @@ class TestDemo:
         with pytest.raises(NoUnstableExpanderError):
             nonuniqueness_demo(params117, q=2.0, r=40.0)
 
+    def test_regime_guard_runs_first(self, params117):
+        # r < q_c and 1/(p-1) - d/(2r) < 0 here too; the regime decides
+        with pytest.raises(NoUnstableExpanderError):
+            nonuniqueness_demo(params117, q=2.0, r=30.0)
+
     def test_critical_q_rejected(self, params53):
         with pytest.raises(DomainError):
             nonuniqueness_demo(params53, q=params53.q_c, r=10.0)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_norm_kit_matches_lq_norm(params53, gamma):
+    # 534 nodes: an odd interval count, where a trapezoid fallback would
+    # disagree with Simpson by ~1e-4
+    grid = RadialGrid.uniform(16.0, 0.03)
+    bump = np.where(grid.nodes < 1.0, (1.0 - grid.nodes ** 2) ** 2, 0.0)
+    expected = lq_norm(RadialFunction(grid=grid, values=bump), gamma,
+                       params53.d)
+    got = _NormKit(grid, params53).lebesgue(bump, gamma)
+    assert got == pytest.approx(expected, rel=1e-14)

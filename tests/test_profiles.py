@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from expanderlab.exceptions import DomainError
 from expanderlab.exponents import derived_exponents
@@ -55,6 +56,21 @@ def rk4_tail_oracle(d, p, alpha, rho_eval, h=0.002):
         du += h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         rho += h
     return rho_eval ** (2.0 / (p - 1.0)) * u
+
+
+class TestGridWeights:
+    @pytest.mark.parametrize("drho, nodes", [(0.01, 1601), (0.03, 534)])
+    def test_match_scipy_simpson(self, drho, nodes):
+        # 534 nodes: an odd interval count, closed by scipy's last parabola
+        grid = RadialGrid.uniform(16.0, drho)
+        assert grid.nodes.size == nodes
+        rho = grid.nodes
+        integrands = np.array([np.where(rho < 1.0, (1.0 - rho ** 2) ** 2, 0.0),
+                               rho ** 4 * np.exp(-rho ** 2 / 4.0),
+                               1.0 / (1.0 + rho ** 2), np.cos(3.0 * rho)])
+        np.testing.assert_allclose(integrands @ grid.weights,
+                                   simpson(integrands, x=rho, axis=1),
+                                   rtol=1e-13)
 
 
 class TestSeriesStart:

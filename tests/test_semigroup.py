@@ -173,6 +173,30 @@ class TestGaussianSemigroup:
                 1.0, abs(once.amplitude))
             assert abs(once.variance - twice.variance) <= 1e-12 * once.variance
 
+    @pytest.mark.parametrize("d", [5, 12])
+    @pytest.mark.parametrize("tau", [300.0, 710.0, 800.0])
+    def test_large_tau(self, grid, d, tau):
+        # the Gaussian decays at the mass rate 1/(p-1) - d/2 and stays
+        # finite; the quadrature path reports a domain error instead of
+        # overflowing in its kernel normalisation
+        params = derived_exponents(d, 3.0)
+        g = GaussianDatum(1.0, 2.0)
+        out = apply_S0_gaussian(tau, g, params)
+        assert out.variance == pytest.approx(1.0, abs=1e-15)
+        mass = math.exp((0.5 - d / 2.0) * tau) * g.lq_norm(1.0, d)
+        assert out.lq_norm(1.0, d) == pytest.approx(mass, rel=1e-12,
+                                                   abs=1e-300)
+        with pytest.raises(DomainError, match=f"tau={tau}"):
+            apply_S0(tau, RadialFunction(grid=grid,
+                                         values=g.values_on(grid.nodes)),
+                     params)
+
+    def test_growing_amplitude_past_double_range(self):
+        # below the Fujita power the free flow grows like e^(2.5 tau)
+        with pytest.raises(DomainError, match="tau=300"):
+            apply_S0_gaussian(300.0, GaussianDatum(1.0, 1.0),
+                              derived_exponents(5, 1.2))
+
     def test_growth_exponents_with_sign_flip(self):
         params = derived_exponents(5, 3.0)
         q_c = params.q_c

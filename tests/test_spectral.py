@@ -11,6 +11,7 @@ from expanderlab.exceptions import (
     NoUnstableExpanderError,
     ResolutionError,
 )
+from expanderlab.exponents import derived_exponents
 from expanderlab.profiles import RadialGrid, series_coefficients
 from expanderlab.spectral import (
     _PhaseShooter,
@@ -251,6 +252,10 @@ class TestSelectUnstableExpander:
     def test_beyond_threshold_raises(self, params117):
         with pytest.raises(NoUnstableExpanderError):
             select_unstable_expander(params117, 0.05)
+
+    def test_below_fujita_raises(self):
+        with pytest.raises(NoUnstableExpanderError):
+            select_unstable_expander(derived_exponents(5, 1.3), 0.05)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.05])
     def test_bad_eps_target_rejected(self, params53, eps):
