@@ -99,6 +99,11 @@ _FIELD_TYPES = {
     if name != "command"}
 
 
+class UsageError(Exception):
+    """A config-file value that does not parse as its field's type; the
+    same value given as a flag is an argparse usage error."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -142,7 +147,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         for key, val in _read_config_file(args.config).items():
             if key not in _FIELD_TYPES:
                 raise DomainError(f"unknown config key {key!r}")
-            setattr(cfg, key, _FIELD_TYPES[key](val))
+            kind = _FIELD_TYPES[key]
+            try:
+                setattr(cfg, key, kind(val))
+            except ValueError:
+                raise UsageError(f"config key {key}: invalid {kind.__name__} "
+                                 f"value {val!r}") from None
     for key in _FIELD_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -418,6 +428,9 @@ def main(argv=None) -> int:
             code = _HANDLERS[args.command](cfg, writer)
         writer.meta()
         return code
+    except UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
     except DomainError as exc:
         sys.stderr.write(f"invalid domain: {exc}\n")
         return DOMAIN_ERROR

@@ -19,7 +19,14 @@ independent routes are implemented:
   e^(rho^2/4), untenable in raw (f, f') form.  Zeros of f are exactly the
   upward crossings of theta through multiples of pi, so
   floor(theta(rho_max)/pi) counts the eigenvalues above the shift lambda
-  (Sturm oscillation).
+  (Sturm oscillation).  The counts isolate each eigenvalue in a bracket;
+  inside it the eigenvalue is the root of an interior matching miss, the
+  forward phase from the axis against the backward phase of the decaying
+  branch, both taken at the last turning point rho_m, where the miss is
+  smooth in lambda.  Safeguarded Newton steps on it, with the
+  lambda-derivatives carried along both integrations, converge in a few
+  evaluations (the matching-point method, Pryce, Numerical Solution of
+  Sturm-Liouville Problems, 1993).
 
 * a symmetric finite-difference matrix.  The substitution g = sqrt(w) f
   turns the conservative discretization of (1/w)(w f')' into a symmetric
@@ -31,6 +38,7 @@ independent routes are implemented:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,6 +64,7 @@ from .profiles import (
     log_weight,
     profile_on_nodes,
     series_coefficients,
+    series_start,
     shoot_profile,
 )
 
@@ -136,6 +145,7 @@ class _PhaseShooter:
             self.rho0 = rho0 if rho0 is not None else RHO0_DEFAULT
             self.sup_v_bound = 0.0
         self._dense = None
+        self._potential = None
         self._theta_cache = {}
 
     @property
@@ -148,7 +158,8 @@ class _PhaseShooter:
         return self._dense
 
     def _eigen_series(self, lam: float):
-        """Regular-solution Taylor start f = 1 + b2 rho^2 + b4 rho^4."""
+        """Regular-solution Taylor start f = 1 + b2 rho^2 + b4 rho^4 at rho0:
+        (f, f') and their lambda-derivatives."""
         d, p = self.params.d, self.params.p
         alpha = self.alpha
         if alpha > 0:
@@ -160,10 +171,14 @@ class _PhaseShooter:
         kappa0 = 1.0 / (p - 1.0) + v0 - lam
         b2 = -kappa0 / (2.0 * d)
         b4 = -(b2 * (1.0 + kappa0) + v2) / (4.0 * d + 8.0)
+        b2_lam = 1.0 / (2.0 * d)
+        b4_lam = -(b2_lam * (1.0 + kappa0) - b2) / (4.0 * d + 8.0)
         r0 = self.rho0
         f = 1.0 + b2 * r0 ** 2 + b4 * r0 ** 4
         df = 2.0 * b2 * r0 + 4.0 * b4 * r0 ** 3
-        return f, df
+        f_lam = b2_lam * r0 ** 2 + b4_lam * r0 ** 4
+        df_lam = 2.0 * b2_lam * r0 + 4.0 * b4_lam * r0 ** 3
+        return f, df, f_lam, df_lam
 
     def theta_end(self, lam: float) -> float:
         """Phase at rho_max for the regular solution of (L - lam) f = 0.
@@ -197,12 +212,11 @@ class _PhaseShooter:
                 return (c * c + qt * s * s + w * s * c,
                         du, -w * du - u * pm1 - nl)
 
-        f0, df0 = self._eigen_series(lam)
+        f0, df0, _, _ = self._eigen_series(lam)
         theta0 = math.atan2(f0, df0)
         if self.alpha == 0.0:
             state0 = (theta0,)
         else:
-            from .profiles import series_start
             u0, du0 = series_start(self.alpha, self.params, self.rho0)
             state0 = (theta0, u0, du0)
         sol = solve_ivp(rhs, (self.rho0, self.rho_max), state0,
@@ -231,17 +245,79 @@ class _PhaseShooter:
         """Phase of the decaying branch at rho_max, principal value."""
         return math.atan2(1.0, self.decay_slope(lam))
 
-    def solve_f(self, lam: float, rho_span, f0, df0):
-        """Raw (f, f') integration with the frozen potential."""
+    @property
+    def potential(self):
+        """V(rho) = p |U(rho)|^(p-1) as a scalar function on [rho0, rho_max],
+        for the right-hand sides that cannot carry the profile along (it
+        cannot be integrated backward); equal to the dense profile's value
+        to rounding (see _step_polynomial_potential)."""
+        if self._potential is None:
+            usol = self._usol
+            if usol is None:
+                self._potential = lambda rho: 0.0
+            else:
+                self._potential = _step_polynomial_potential(
+                    usol, self.params.p)
+        return self._potential
+
+    def match_phases(self, lam: float, rho_m: float):
+        """theta_fwd(rho_m) - theta_bwd(rho_m) and its lambda-derivative.
+
+        theta_fwd is the phase of the regular solution, integrated from rho0
+        with the profile riding along as in theta_end; theta_bwd is the
+        phase of the decaying branch, integrated back from theta_target at
+        rho_max, where going backward is the stable direction.  Both carry
+        eta = dtheta/dlambda, which obeys
+
+            eta' = ((Qt - 1) sin 2 theta + W cos 2 theta) eta - sin^2 theta.
+        """
         d, p = self.params.d, float(self.params.p)
         c0 = 1.0 / (p - 1.0) - lam
-        usol = self._usol
+        pm1 = 1.0 / (p - 1.0)
+        v = self.potential
+
+        def fwd(rho, y):
+            theta, eta, u, du = y
+            w = (d - 1.0) / rho + 0.5 * rho
+            au = abs(u)
+            rates = _phase_rates(theta, eta, c0 + p * au ** (p - 1.0), w)
+            return (*rates, du, -w * du - u * pm1 - math.copysign(au ** p, u))
+
+        def bwd(rho, y):
+            return _phase_rates(y[0], y[1], c0 + v(rho),
+                                (d - 1.0) / rho + 0.5 * rho)
+
+        f0, df0, f_lam, df_lam = self._eigen_series(lam)
+        eta0 = (df0 * f_lam - f0 * df_lam) / (f0 * f0 + df0 * df0)
+        u0, du0 = series_start(self.alpha, self.params, self.rho0)
+        slope = self.decay_slope(lam)
+        eta_max = (2.0 / self.rho_max) / (1.0 + slope * slope)
+        ends = []
+        for rhs, span, state0 in (
+                (fwd, (self.rho0, rho_m),
+                 (math.atan2(f0, df0), eta0, u0, du0)),
+                (bwd, (self.rho_max, rho_m),
+                 (self.theta_target(lam), eta_max))):
+            sol = solve_ivp(rhs, span, state0, method="DOP853",
+                            rtol=RTOL, atol=ATOL)
+            if not sol.success:
+                raise IntegrationError(
+                    f"phase matching failed (alpha={self.alpha}, lam={lam}): "
+                    f"{sol.message}", last_rho=float(sol.t[-1]))
+            ends.append(sol.y[:2, -1])
+        (theta_f, eta_f), (theta_b, eta_b) = ends
+        return float(theta_f - theta_b), float(eta_f - eta_b)
+
+    def solve_f(self, lam: float, rho_span, f0, df0):
+        """Raw (f, f') integration with the frozen potential."""
+        d = self.params.d
+        c0 = 1.0 / (self.params.p - 1.0) - lam
+        v = self.potential
 
         def rhs(rho, y):
             f, df = y
-            qt = c0 if usol is None else c0 + p * abs(usol.sol(rho)[0]) ** (p - 1.0)
             w = (d - 1.0) / rho + 0.5 * rho
-            return (df, -w * df - qt * f)
+            return (df, -w * df - (c0 + v(rho)) * f)
 
         sol = solve_ivp(rhs, rho_span, (f0, df0), method="DOP853",
                         rtol=RTOL, atol=ATOL, dense_output=True)
@@ -250,6 +326,44 @@ class _PhaseShooter:
                 f"eigenfunction integration failed: {sol.message}",
                 last_rho=float(sol.t[-1]))
         return sol
+
+
+def _step_polynomial_potential(usol, p: float):
+    """V = p |U|^(p-1) with U read off the dense profile step by step.
+
+    The dense output of DOP853 (integrate_profile) is a polynomial of
+    degree 7 on each solver step, so its values at 8 Chebyshev points of
+    the step give back its coefficients, in the step's centred variable,
+    to rounding.  One call is then a bisection over the steps and a Horner
+    sum, about 15 times cheaper than a call of the dense output.
+    """
+    n = 8
+    cheb = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    t = usol.t
+    mid, half = 0.5 * (t[1:] + t[:-1]), 0.5 * np.diff(t)
+    u = usol.sol((mid[:, None] + half[:, None] * cheb).ravel())[0]
+    coef = np.linalg.solve(np.vander(cheb, n, increasing=True),
+                           u.reshape(-1, n).T).T
+    knots, centre, inv_half, c = (a.tolist() for a in (
+        t, mid, 1.0 / half, coef.ravel()))
+    last = len(t) - 2
+
+    def v(rho):
+        i = min(max(bisect_right(knots, rho) - 1, 0), last)
+        s = (rho - centre[i]) * inv_half[i]
+        k = n * i
+        u = (((((((c[k + 7] * s + c[k + 6]) * s + c[k + 5]) * s + c[k + 4])
+                * s + c[k + 3]) * s + c[k + 2]) * s + c[k + 1]) * s + c[k])
+        return p * abs(u) ** (p - 1.0)
+
+    return v
+
+
+def _phase_rates(theta, eta, qt, w):
+    """theta' of the Pruefer phase and eta' of its lambda-derivative."""
+    s, c = math.sin(theta), math.cos(theta)
+    return (c * c + qt * s * s + w * s * c,
+            ((qt - 1.0) * 2.0 * s * c + w * (c * c - s * s)) * eta - s * s)
 
 
 def neutral_zero_count(alpha: float, params: ProblemParams,
@@ -320,17 +434,25 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
                      lambda_bracket, grid: Optional[RadialGrid] = None,
                      lambda_tol: float = 1e-11,
                      shooter: Optional[_PhaseShooter] = None) -> EigenPair:
-    """Locate the single eigenvalue inside lambda_bracket by phase matching.
+    """Locate the single eigenvalue inside lambda_bracket by phase matching
+    at an interior point.
 
-    The miss function is the gap between the integrated phase at rho_max
-    and the phase of the decaying asymptotic branch (see decay_slope).
-    Steps are false-position proposals inside the bracket with bisection
-    fallback.  At rho_max = 16 the miss function is nearly a step in
-    lambda, so the search is in effect bisection: it takes about 40 miss
-    evaluations to reach lambda_tol, as many as bisection or brentq.  The
-    eigenfunction is rebuilt by gluing a forward integration to a backward
-    one seeded on the decaying branch; forward-only reconstruction would be
-    polluted by the e^(rho^2/4) growing branch past mid-domain.
+    The bracket must hold exactly one eigenvalue by the Sturm counts (k + 1
+    above lo, k above hi).  The miss
+
+        m(lam) = theta_fwd(rho_m) - theta_bwd(rho_m) - k pi
+
+    (see _PhaseShooter.match_phases) vanishes exactly at the eigenvalue
+    with k interior zeros and is smooth and strictly decreasing in lambda;
+    it has the sign of the end-phase miss theta_end - k pi - theta_target,
+    which at rho_max = 16 is nearly a step in lambda.  rho_m is the turning
+    point of _matching_point at the bracket midpoint.  Newton steps on m
+    stay inside the sign-change bracket, fall back to bisection, and never
+    step less than lambda_tol / 2, so a converged step lands past the root
+    and closes the bracket: the result is the midpoint of a sign change of
+    m no wider than lambda_tol, typically after 7 to 10 matching
+    evaluations, the two bracket ends included.  The eigenfunction is a forward integration glued to a
+    backward one from the decaying branch at the same rho_m.
     """
     if grid is None:
         grid = RadialGrid.uniform()
@@ -349,55 +471,75 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
             f"bracket ({lo}, {hi}) straddles {n_lo - n_hi} eigenvalues")
 
     k = n_hi
+    rho_m = _matching_point(sh, 0.5 * (lo + hi), grid.nodes)
 
     def miss(lam):
-        return sh.theta_end(lam) - (k * math.pi + sh.theta_target(lam))
+        gap, dgap = sh.match_phases(lam, rho_m)
+        return gap - k * math.pi, dgap
 
-    m_lo, m_hi = miss(lo), miss(hi)
+    (m_lo, d_lo), (m_hi, d_hi) = miss(lo), miss(hi)
     if not (m_lo > 0 > m_hi):
         raise EmptyBracketError(
             f"miss function does not change sign on ({lo}, {hi})")
-    a, b, fa, fb = lo, hi, m_lo, m_hi
+    a, b = lo, hi
+    # Newton starts from the end with the smaller miss
+    x, fx, dx = (lo, m_lo, d_lo) if -m_hi > m_lo else (hi, m_hi, d_hi)
     for _ in range(200):
-        if b - a <= max(lambda_tol, 8 * np.finfo(float).eps * max(abs(a), abs(b))):
+        tol = max(lambda_tol, 8 * np.finfo(float).eps * max(abs(a), abs(b)))
+        if b - a <= tol:
             break
-        x = b - fb * (b - a) / (fb - fa)      # secant proposal
-        if not (a < x < b):
+        step = -fx / dx if dx < 0 else math.inf
+        # at least half a tolerance, so that a converged step crosses the
+        # root and closes the bracket
+        x = x + math.copysign(max(abs(step), 0.5 * tol), step)
+        if not a < x < b:
             x = 0.5 * (a + b)                 # bisection fallback
-        fx = miss(x)
-        if fx > 0:
-            a, fa = x, fx
+        fx, dx = miss(x)
+        if fx >= 0:
+            a = x
         else:
-            b, fb = x, fx
+            b = x
     lam = 0.5 * (a + b)
-    f, zero_count, l2w, defect = _reconstruct_eigenfunction(sh, lam, grid)
+    f, zero_count, l2w, defect = _reconstruct_eigenfunction(sh, lam, grid,
+                                                            rho_m)
     return EigenPair(lam=lam, f=f, zero_count=zero_count, method="shooting",
                      l2w_norm=l2w, match_defect=defect)
 
 
+def _matching_point(sh: _PhaseShooter, lam: float, nodes) -> float:
+    """The node where the phases are matched: the outermost + to - sign
+    change of the Liouville normal-form coefficient
+
+        Q_eff = 1/(p-1) + V - lam - W^2/4 - W'/2
+
+    on [max(0.05, 2 rho0), rho_max / 2], or its argmax when it has none.
+    Past the last turning point the regular solution is exponential and
+    its forward phase loses lambda; the backward phase stays clean down to
+    it.
+    """
+    d, p = sh.params.d, sh.params.p
+    r = nodes[(nodes >= max(0.05, 2.0 * sh.rho0))
+              & (nodes <= 0.5 * sh.rho_max)]
+    usol = sh._usol
+    v = 0.0 if usol is None else p * np.abs(usol.sol(r)[0]) ** (p - 1.0)
+    w = (d - 1.0) / r + 0.5 * r
+    dw = 0.5 - (d - 1.0) / r ** 2
+    q_eff = 1.0 / (p - 1.0) + v - lam - 0.25 * w * w - 0.5 * dw
+    down = np.nonzero((q_eff[:-1] > 0) & (q_eff[1:] <= 0))[0]
+    return float(r[down[-1]] if down.size else r[np.argmax(q_eff)])
+
+
 def _reconstruct_eigenfunction(sh: _PhaseShooter, lam: float,
-                               grid: RadialGrid):
-    rho_max = grid.rho_max
+                               grid: RadialGrid, rho_m: float):
+    """Eigenfunction on the grid (f = 1 on the axis), its zero count, its
+    weighted L2 norm and the log-derivative mismatch at the glue point
+    rho_m, where the forward and backward pieces are both clean."""
+    f0, df0, _, _ = sh._eigen_series(lam)
+    fwd = sh.solve_f(lam, (sh.rho0, rho_m), f0, df0)
+    bwd = sh.solve_f(lam, (grid.rho_max, rho_m), 1.0, sh.decay_slope(lam))
 
-    f0, df0 = sh._eigen_series(lam)
-    fwd = sh.solve_f(lam, (sh.rho0, rho_max), f0, df0)
-
-    # The forward solution decays until roundoff excites the e^(rho^2/4)
-    # branch, so its phase-space envelope is V-shaped.  The bottom of the V
-    # is the contamination crossover; gluing where the envelope still sits
-    # 1e4 above it keeps the relative contamination near 1e-4.
-    probe = grid.nodes[(grid.nodes > max(2.0 * sh.rho0, 0.05))
-                       & (grid.nodes <= 0.95 * rho_max)]
-    pf, pdf = fwd.sol(probe)
-    envelope = np.hypot(pf, pdf)
-    i_min = int(np.argmin(envelope))
-    clean = np.nonzero(envelope[:i_min + 1] >= 1e4 * envelope[i_min])[0]
-    rho_m = float(probe[clean[-1]] if clean.size else probe[i_min])
-
-    bwd = sh.solve_f(lam, (rho_max, rho_m), 1.0, sh.decay_slope(lam))
-
-    fm_f, dfm_f = fwd.sol(rho_m)
-    fm_b, dfm_b = bwd.sol(rho_m)
+    fm_f, dfm_f = fwd.y[:, -1]
+    fm_b, dfm_b = bwd.y[:, -1]
     scale = fm_f / fm_b
     defect = abs(dfm_f / fm_f - dfm_b / fm_b) / max(1.0, abs(dfm_f / fm_f))
 

@@ -91,6 +91,15 @@ class TestConfigFile:
         assert main(["exponents", "--config", str(cfgfile),
                      "--out", str(tmp_path)]) == 65
 
+    @pytest.mark.parametrize("line", ["d = 5.5", "d = abc", "p = abc",
+                                      "alpha_steps = 2.0"])
+    def test_unparsable_value_is_usage_error(self, tmp_path, capsys, line):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        assert main(["exponents", "--config", str(cfgfile),
+                     "--out", str(tmp_path)]) == 64
+        assert "config key" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("nope = 1\n")

@@ -14,6 +14,7 @@ from expanderlab.exceptions import (
 from expanderlab.exponents import derived_exponents
 from expanderlab.profiles import RadialGrid, series_coefficients
 from expanderlab.spectral import (
+    _matching_point,
     _PhaseShooter,
     PotentialField,
     eigenvalue_shoot,
@@ -172,15 +173,59 @@ class TestEigenvalueShoot:
         # top eigenvalue is controlled by the potential gap
         assert 0 < selected53.lambda_bar <= selected53.potential_gap_sup
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "glue defect: the forward segment flips sign spuriously at "
-        "rho ~ 10.06-10.12, before the glue point rho_m = 10.55, where "
-        "|f| ~ 1.4e-12 sits at ATOL = 1e-12, just above the 1e-12 max|f| "
-        "counting threshold (zero_count 1, match_defect 0.049)"))
     def test_top_eigenfunction_nodeless_d11_p7(self, params117):
         pair = eigenvalue_shoot(5.023596998906852, params117, (-3.3, -3.1),
                                 RadialGrid.uniform(16.0, 0.01))
         assert pair.zero_count == 0
+
+
+# acceptance criterion 3's (d, p, alpha) cases
+CRITERION3_CASES = [(d, p, alpha) for d, p in ((5, 3.0), (3, 2.0), (11, 7.0))
+                    for alpha in (0.5, 1.0, 2.0, 5.0)]
+
+
+class TestPhaseMatching:
+    @pytest.mark.parametrize("d, p, alpha, lam", [
+        (5, 3.0, 2.0, 0.45), (3, 2.0, 1.0, 0.3), (11, 7.0, 5.0, -3.2)])
+    def test_miss_derivative_matches_central_difference(self, d, p, alpha,
+                                                        lam):
+        sh = _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
+        rho_m = _matching_point(sh, lam, RadialGrid.uniform().nodes)
+        _, dmiss = sh.match_phases(lam, rho_m)
+        h = 1e-4
+        central = (sh.match_phases(lam + h, rho_m)[0]
+                   - sh.match_phases(lam - h, rho_m)[0]) / (2.0 * h)
+        assert dmiss < 0.0
+        assert dmiss == pytest.approx(central, rel=1e-5)
+
+    def test_free_operator_top(self, params53):
+        # alpha = 0: no profile, V = 0; top eigenvalue 1/(p-1) - d/2
+        pair = top_eigenpair(0.0, params53)
+        assert pair.lam == pytest.approx(-2.0, abs=1e-9)
+        assert pair.zero_count == 0 and pair.match_defect <= 1e-6
+
+    @pytest.mark.parametrize("d, p, alpha",
+                             CRITERION3_CASES + [(5, 3.0, 10.0)])
+    def test_glue_clean_and_zero_counts_exact(self, d, p, alpha):
+        params = derived_exponents(d, p)
+        grid = RadialGrid.uniform(16.0, 0.01)
+        top = top_eigenpair(alpha, params, grid)
+        pairs = positive_spectrum(alpha, params, grid)
+        assert top.zero_count == 0
+        assert [e.zero_count for e in pairs] == list(range(len(pairs)))
+        assert all(e.match_defect <= 1e-6 for e in [top] + pairs)
+        if (d, p, alpha) == (5, 3.0, 10.0):
+            assert len(pairs) == 2
+
+    @pytest.mark.parametrize("d, p, alpha",
+                             CRITERION3_CASES + [(5, 3.0, 10.0)])
+    def test_potential_table_matches_dense_profile(self, d, p, alpha):
+        # on the whole profile domain, which holds every matching point
+        sh = _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
+        rho = np.linspace(sh.rho0, 16.0, 20001)
+        exact = p * np.abs(sh._usol.sol(rho)[0]) ** (p - 1.0)
+        table = np.array([sh.potential(r) for r in rho])
+        assert np.max(np.abs(table - exact)) <= 1e-12 * np.max(exact)
 
 
 class TestPositiveSpectrum:
@@ -263,9 +308,11 @@ class TestSelectUnstableExpander:
             select_unstable_expander(params53, eps)
 
     def test_work_budget_d5_p3(self, params53, monkeypatch):
-        # selection decides by Sturm counts and solves one eigenpair
-        shoots, misses = [], []
+        # selection decides by Sturm counts and solves one eigenpair, in a
+        # few phase-matching evaluations
+        shoots, misses, matches = [], [], []
         shoot, theta_end = eigenvalue_shoot, _PhaseShooter.theta_end
+        match_phases = _PhaseShooter.match_phases
 
         def counted_shoot(*args, **kwargs):
             shoots.append(args)
@@ -276,13 +323,20 @@ class TestSelectUnstableExpander:
                 misses.append(lam)
             return theta_end(self, lam)
 
+        def counted_match(self, lam, rho_m):
+            matches.append(lam)
+            return match_phases(self, lam, rho_m)
+
         monkeypatch.setattr(spectral, "eigenvalue_shoot", counted_shoot)
         monkeypatch.setattr(_PhaseShooter, "theta_end", counted_theta_end)
+        monkeypatch.setattr(_PhaseShooter, "match_phases", counted_match)
         sel = select_unstable_expander(params53, eps_target=0.05)
         assert len(shoots) == 1
         assert len(misses) <= 100
+        assert len(matches) <= 12
         assert sel.alpha_bar == 1.7457421387208156
-        assert sel.lambda_bar == pytest.approx(0.048292310134176786,
+        # within 3e-12 of the value at rtol 1e-13, atol 1e-15
+        assert sel.lambda_bar == pytest.approx(0.048292310138074494,
                                                abs=1e-12)
         assert sel.second_lambda is None
 
