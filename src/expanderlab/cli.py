@@ -35,9 +35,9 @@ from .exponents import derived_exponents
 from .profiles import RadialGrid, estimate_ell, shoot_profile, sweep_ell
 from .semigroup import GaussianDatum, growth_rate_gaussian, verify_smoothing
 from .spectral import (
+    _PhaseShooter,
     find_alpha_star,
     matrix_spectrum,
-    neutral_zero_count,
     positive_spectrum,
 )
 from .dynamics import evolve_similarity, nonuniqueness_demo
@@ -178,8 +178,9 @@ def _csv_text(rows, cfg: RunConfig) -> str:
 
 
 class ArtifactWriter:
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, eigenfunctions: bool = False):
         self.cfg = cfg
+        self.eigenfunctions = eigenfunctions     # spectrum's extra CSVs
         self.outdir = Path(cfg.out)
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.written = []
@@ -280,8 +281,7 @@ def _cmd_alpha_star(cfg: RunConfig, writer: ArtifactWriter) -> int:
     return 2
 
 
-def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter,
-                  eigenfunctions: bool = False) -> int:
+def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> int:
     params = derived_exponents(cfg.d, cfg.p)
     grid = _grid(cfg)
     if cfg.alpha is not None:
@@ -295,7 +295,8 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter,
     rows = [("alpha", "lambda", "zero_count", "method")]
     pairs_for_export = []
     for alpha in alphas:
-        pairs = positive_spectrum(alpha, params, grid)
+        sh = _PhaseShooter(alpha, params, grid.rho_max)
+        pairs = positive_spectrum(alpha, params, grid, shooter=sh)
         for pair in pairs:
             rows.append((repr(float(alpha)), repr(pair.lam),
                          str(pair.zero_count), pair.method))
@@ -304,14 +305,14 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter,
         for lam in matrix_spectrum(alpha, params, grid, cutoff=0.0):
             rows.append((repr(float(alpha)), repr(lam), "", "matrix"))
         if not pairs:
-            rows.append((repr(float(alpha)), "", str(neutral_zero_count(
-                alpha, params, grid)), "shooting"))
+            rows.append((repr(float(alpha)), "", str(sh.count_above(0.0)),
+                         "shooting"))
     writer.csv("spectrum", rows)
     writer.json("spectrum", {"rows": [
         {"alpha": a, "lambda": p_.lam, "zero_count": p_.zero_count,
          "method": p_.method, "l2w_norm": p_.l2w_norm}
         for a, _, p_ in pairs_for_export]})
-    if eigenfunctions:
+    if writer.eigenfunctions:
         for alpha, k, pair in pairs_for_export:
             writer.csv(f"eigenfunction_{alpha:g}_{k}",
                        pair.to_csv_rows(grid))
@@ -410,6 +411,7 @@ _HANDLERS = {
     "profile": _cmd_profile,
     "ell-sweep": _cmd_ell_sweep,
     "alpha-star": _cmd_alpha_star,
+    "spectrum": _cmd_spectrum,
     "semigroup-check": _cmd_semigroup_check,
     "evolve": _cmd_evolve,
     "demo": _cmd_demo,
@@ -420,12 +422,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        writer = ArtifactWriter(cfg)
-        if args.command == "spectrum":
-            code = _cmd_spectrum(cfg, writer,
-                                 eigenfunctions=args.eigenfunctions)
-        else:
-            code = _HANDLERS[args.command](cfg, writer)
+        writer = ArtifactWriter(cfg, eigenfunctions=args.eigenfunctions)
+        code = _HANDLERS[args.command](cfg, writer)
         writer.meta()
         return code
     except UsageError as exc:
@@ -436,7 +434,7 @@ def main(argv=None) -> int:
         return DOMAIN_ERROR
     except NoUnstableExpanderError as exc:
         sys.stderr.write(f"no unstable expander: {exc}\n")
-        return DOMAIN_ERROR if args.command == "demo" else 2
+        return DOMAIN_ERROR
     except ExpanderLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

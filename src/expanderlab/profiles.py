@@ -30,6 +30,21 @@ RTOL = 1e-10
 ATOL = 1e-12
 
 
+def require_positive(name: str, value: float) -> float:
+    """value as a float; DomainError unless it is finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+    return float(value)
+
+
+def require_alpha(alpha: float) -> float:
+    """alpha as a float; DomainError unless it is finite and nonnegative."""
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise DomainError(
+            f"shooting value alpha must be finite and nonnegative, got {alpha}")
+    return float(alpha)
+
+
 @dataclass
 class RadialGrid:
     """Discretization of [0, rho_max]; uniform spacing unless stated."""
@@ -50,7 +65,8 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, rho_max: float = 16.0, drho: float = 0.01) -> "RadialGrid":
-        n = int(round(rho_max / drho))
+        n = int(round(require_positive("rho_max", rho_max)
+                      / require_positive("drho", drho)))
         return cls(nodes=np.linspace(0.0, n * drho, n + 1))
 
     @property
@@ -142,8 +158,7 @@ def series_coefficients(alpha: float, params: ProblemParams):
 def series_start(alpha: float, params: ProblemParams,
                  rho0: float = RHO0_DEFAULT):
     """Evaluate the fourth-order Taylor start (U, U') at rho0."""
-    if alpha < 0.0:
-        raise DomainError("shooting value alpha must be nonnegative")
+    require_alpha(alpha)
     if not 0.0 < rho0 < 1.0:
         raise DomainError("rho0 must lie in (0, 1)")
     c2, c4 = series_coefficients(alpha, params)
@@ -178,8 +193,8 @@ def _rhs(params: ProblemParams):
 def integrate_profile(alpha: float, params: ProblemParams, rho_end: float,
                       rho0: Optional[float] = None):
     """Integrate the profile ODE once; returns the dense solution object."""
-    if alpha < 0.0:
-        raise DomainError("shooting value alpha must be nonnegative")
+    require_alpha(alpha)
+    require_positive("rho_end", rho_end)
     r0 = _start_rho(alpha, params) if rho0 is None else rho0
     y0 = series_start(alpha, params, r0)
     sol = solve_ivp(_rhs(params), (r0, rho_end), y0, method="DOP853",
@@ -194,8 +209,6 @@ def integrate_profile(alpha: float, params: ProblemParams, rho_end: float,
 def profile_on_nodes(alpha: float, params: ProblemParams,
                      nodes: np.ndarray) -> np.ndarray:
     """Profile values U_alpha at arbitrary nodes in (0, rho_max]."""
-    if alpha == 0.0:
-        return np.zeros_like(np.asarray(nodes, dtype=float))
     sol, _ = integrate_profile(alpha, params, float(np.max(nodes)))
     return sol.sol(nodes)[0]
 
@@ -225,10 +238,7 @@ def shoot_profile(alpha: float, params: ProblemParams,
     """Shoot the profile for one alpha and sample it on the grid."""
     if grid is None:
         grid = RadialGrid.uniform()
-    if alpha < 0.0:
-        raise DomainError("shooting value alpha must be nonnegative")
-
-    if alpha == 0.0:
+    if require_alpha(alpha) == 0.0:
         z = np.zeros_like(grid.nodes)
         return ExpanderProfile(alpha=0.0, params=params, grid=grid,
                                u=z, du=z.copy(), ell=0.0, ell_uncertainty=0.0,
@@ -287,8 +297,6 @@ def estimate_ell(profile: ExpanderProfile):
     """
     if profile.grid.rho_max < 10.0:
         raise DomainError("profile must be integrated to rho_max >= 10")
-    if profile.alpha == 0.0:
-        return 0.0, 0.0
     ell, unc = _fit_tail(profile.grid, profile.u, profile.params)
     if unc > 0.1 * max(abs(ell), 1e-12):
         raise TailNotResolvedError(
@@ -343,7 +351,7 @@ def sweep_ell(alpha_list: Sequence[float], params: ProblemParams,
     for a in alpha_list:
         try:
             prof = shoot_profile(float(a), params, grid)
-            ell, unc = estimate_ell(prof) if a > 0 else (0.0, 0.0)
+            ell, unc = estimate_ell(prof)
             rows.append(SweepRow(alpha=float(a), ell=ell, uncertainty=unc,
                                  residual=prof.residual_max))
         except Exception as exc:  # row-level isolation by design

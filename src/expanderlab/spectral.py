@@ -56,13 +56,14 @@ from .exceptions import (
 )
 from .exponents import ProblemParams
 from .profiles import (
-    RHO0_DEFAULT,
     ExpanderProfile,
     RadialGrid,
     _start_rho,
     integrate_profile,
     log_weight,
     profile_on_nodes,
+    require_alpha,
+    require_positive,
     series_coefficients,
     series_start,
     shoot_profile,
@@ -122,36 +123,29 @@ class AlphaStarResult:
 
 
 class _PhaseShooter:
-    """Pruefer-phase integration for one frozen alpha.
+    """Pruefer-phase integration for one frozen alpha >= 0.
 
-    Caches the dense profile and the phase endpoint per lambda; all public
-    spectral operations funnel through here.
+    Caches the dense profile (at alpha = 0 the zero solution), the phase
+    endpoint per lambda and the eigenpairs solved so far, from the top
+    down (_descend); all public spectral operations funnel through here.
     """
 
     def __init__(self, alpha: float, params: ProblemParams, rho_max: float,
                  rho0: Optional[float] = None):
-        if not (math.isfinite(alpha) and alpha >= 0):
-            raise DomainError(
-                f"alpha must be finite and nonnegative, got {alpha}")
-        self.alpha = float(alpha)
+        self.alpha = require_alpha(alpha)
         self.params = params
-        self.rho_max = float(rho_max)
-        if alpha > 0:
-            self.rho0 = _start_rho(alpha, params) if rho0 is None else rho0
-            # the profile energy decays along rho and is increasing in |U|,
-            # so |U| <= alpha everywhere and V is capped by its axis value
-            self.sup_v_bound = params.p * alpha ** (params.p - 1.0)
-        else:
-            self.rho0 = rho0 if rho0 is not None else RHO0_DEFAULT
-            self.sup_v_bound = 0.0
+        self.rho_max = require_positive("rho_max", rho_max)
+        self.rho0 = _start_rho(alpha, params) if rho0 is None else rho0
+        # the profile energy decays along rho and is increasing in |U|, so
+        # |U| <= alpha everywhere and V is capped by its axis value
+        self.sup_v_bound = params.p * self.alpha ** (params.p - 1.0)
         self._dense = None
         self._potential = None
         self._theta_cache = {}
+        self._grid, self._pairs = None, []
 
     @property
     def _usol(self):
-        if self.alpha == 0.0:
-            return None
         if self._dense is None:
             self._dense, _ = integrate_profile(self.alpha, self.params,
                                                self.rho_max, rho0=self.rho0)
@@ -194,31 +188,19 @@ class _PhaseShooter:
         c0 = 1.0 / (p - 1.0) - lam
         pm1 = 1.0 / (p - 1.0)
 
-        if self.alpha == 0.0:
-            def rhs(rho, y):
-                s, c = math.sin(y[0]), math.cos(y[0])
-                w = (d - 1.0) / rho + 0.5 * rho
-                return (c * c + c0 * s * s + w * s * c,)
-
-            y0 = ()
-        else:
-            def rhs(rho, y):
-                theta, u, du = y
-                w = (d - 1.0) / rho + 0.5 * rho
-                au = abs(u)
-                qt = c0 + p * au ** (p - 1.0)
-                s, c = math.sin(theta), math.cos(theta)
-                nl = math.copysign(au ** p, u)
-                return (c * c + qt * s * s + w * s * c,
-                        du, -w * du - u * pm1 - nl)
+        def rhs(rho, y):
+            theta, u, du = y
+            w = (d - 1.0) / rho + 0.5 * rho
+            au = abs(u)
+            qt = c0 + p * au ** (p - 1.0)
+            s, c = math.sin(theta), math.cos(theta)
+            nl = math.copysign(au ** p, u)
+            return (c * c + qt * s * s + w * s * c,
+                    du, -w * du - u * pm1 - nl)
 
         f0, df0, _, _ = self._eigen_series(lam)
-        theta0 = math.atan2(f0, df0)
-        if self.alpha == 0.0:
-            state0 = (theta0,)
-        else:
-            u0, du0 = series_start(self.alpha, self.params, self.rho0)
-            state0 = (theta0, u0, du0)
+        state0 = (math.atan2(f0, df0),
+                  *series_start(self.alpha, self.params, self.rho0))
         sol = solve_ivp(rhs, (self.rho0, self.rho_max), state0,
                         method="DOP853", rtol=RTOL, atol=ATOL)
         if not sol.success:
@@ -228,6 +210,25 @@ class _PhaseShooter:
         theta = float(sol.y[0, -1])
         self._theta_cache[key] = theta
         return theta
+
+    def _descend(self, n: int, grid: RadialGrid) -> list:
+        """The n largest eigenpairs on grid, descending.
+
+        The top eigenvalue is isolated inside _bracket_top's bracket, the
+        j-th (j >= 2) between 0 and the (j-1)-th, so j >= 2 needs j positive
+        eigenvalues.  Each is shot once and kept, as theta_end keeps its
+        phases; pairs solved on another grid are dropped.
+        """
+        if grid is not self._grid:
+            self._grid, self._pairs = grid, []
+        while len(self._pairs) < n:
+            j = len(self._pairs) + 1
+            lo, hi = (_bracket_top(self) if j == 1
+                      else (0.0, self._pairs[-1].lam))
+            self._pairs.append(eigenvalue_shoot(
+                self.alpha, self.params, _isolate(self, lo, hi, j), grid,
+                shooter=self))
+        return self._pairs[:n]
 
     def count_above(self, lam: float) -> int:
         """Number of eigenvalues strictly above lam (zeros of the shifted
@@ -252,12 +253,8 @@ class _PhaseShooter:
         cannot be integrated backward); equal to the dense profile's value
         to rounding (see _step_polynomial_potential)."""
         if self._potential is None:
-            usol = self._usol
-            if usol is None:
-                self._potential = lambda rho: 0.0
-            else:
-                self._potential = _step_polynomial_potential(
-                    usol, self.params.p)
+            self._potential = _step_polynomial_potential(self._usol,
+                                                         self.params.p)
         return self._potential
 
     def match_phases(self, lam: float, rho_m: float):
@@ -388,6 +385,7 @@ def find_alpha_star(params: ProblemParams, bracket=(0.1, 50.0),
     error.  Only a single transition is assumed; evaluations are recorded
     and an observed count decrease flips the monotone flag.
     """
+    require_positive("tol", tol)
     lo, hi = float(bracket[0]), float(bracket[1])
     evals = []
 
@@ -435,10 +433,12 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
                      lambda_tol: float = 1e-11,
                      shooter: Optional[_PhaseShooter] = None) -> EigenPair:
     """Locate the single eigenvalue inside lambda_bracket by phase matching
-    at an interior point.
+    at an interior point; the one solver behind top_eigenpair and
+    positive_spectrum (see _PhaseShooter._descend).
 
     The bracket must hold exactly one eigenvalue by the Sturm counts (k + 1
-    above lo, k above hi).  The miss
+    above lo, k above hi).  With a shooter, its cached profile and phases
+    are reused.  The miss
 
         m(lam) = theta_fwd(rho_m) - theta_bwd(rho_m) - k pi
 
@@ -451,8 +451,9 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     step less than lambda_tol / 2, so a converged step lands past the root
     and closes the bracket: the result is the midpoint of a sign change of
     m no wider than lambda_tol, typically after 7 to 10 matching
-    evaluations, the two bracket ends included.  The eigenfunction is a forward integration glued to a
-    backward one from the decaying branch at the same rho_m.
+    evaluations, the two bracket ends included.  The eigenfunction is a
+    forward integration glued to a backward one from the decaying branch at
+    the same rho_m.
     """
     if grid is None:
         grid = RadialGrid.uniform()
@@ -520,8 +521,7 @@ def _matching_point(sh: _PhaseShooter, lam: float, nodes) -> float:
     d, p = sh.params.d, sh.params.p
     r = nodes[(nodes >= max(0.05, 2.0 * sh.rho0))
               & (nodes <= 0.5 * sh.rho_max)]
-    usol = sh._usol
-    v = 0.0 if usol is None else p * np.abs(usol.sol(r)[0]) ** (p - 1.0)
+    v = p * np.abs(sh._usol.sol(r)[0]) ** (p - 1.0)
     w = (d - 1.0) / r + 0.5 * r
     dw = 0.5 - (d - 1.0) / r ** 2
     q_eff = 1.0 / (p - 1.0) + v - lam - 0.25 * w * w - 0.5 * dw
@@ -593,13 +593,17 @@ def _bracket_top(sh: _PhaseShooter):
 def top_eigenpair(alpha: float, params: ProblemParams,
                   grid: Optional[RadialGrid] = None,
                   shooter: Optional[_PhaseShooter] = None) -> EigenPair:
-    """Largest eigenvalue of L_alpha, wherever it sits on the real line."""
+    """Largest eigenvalue of L_alpha, wherever it sits on the real line.
+
+    The first step of the shooter's descending walk (_descend): with the
+    shooter of a positive_spectrum call on the same grid, either call
+    reuses the other's top pair.
+    """
     if grid is None:
         grid = RadialGrid.uniform()
     sh = shooter if shooter is not None else _PhaseShooter(
         alpha, params, grid.rho_max)
-    lo, hi = _isolate(sh, *_bracket_top(sh), 1)
-    return eigenvalue_shoot(alpha, params, (lo, hi), grid, shooter=sh)
+    return sh._descend(1, grid)[0]
 
 
 def _isolate(sh: _PhaseShooter, lo: float, hi: float, m: int):
@@ -621,29 +625,23 @@ def _isolate(sh: _PhaseShooter, lo: float, hi: float, m: int):
 
 
 def positive_spectrum(alpha: float, params: ProblemParams,
-                      grid: Optional[RadialGrid] = None) -> list:
+                      grid: Optional[RadialGrid] = None,
+                      shooter: Optional[_PhaseShooter] = None) -> list:
     """All positive eigenvalues with eigenfunctions, descending.
 
-    The list length always equals the neutral zero count; each eigenvalue
-    is bracketed by bisection on the phase count, then refined by
-    eigenvalue_shoot.
+    The list length always equals the neutral zero count.  The pairs are
+    the shooter's descending walk (_descend), so the first is the very pair
+    top_eigenpair returns; pairs a shared shooter already holds are not
+    solved again.
     """
     if alpha <= 0:
         raise DomainError("positive_spectrum needs alpha > 0")
     if grid is None:
         grid = RadialGrid.uniform()
-    sh = _PhaseShooter(alpha, params, grid.rho_max)
+    sh = shooter if shooter is not None else _PhaseShooter(
+        alpha, params, grid.rho_max)
     n = sh.count_above(0.0)
-    if n == 0:
-        return []
-    pairs = []
-    _, hi_known = _bracket_top(sh)
-    for j in range(n):
-        lo, hi = _isolate(sh, 0.0, hi_known, j + 1)
-        pairs.append(eigenvalue_shoot(alpha, params, (lo, hi), grid,
-                                      shooter=sh))
-        hi_known = pairs[-1].lam
-    return pairs
+    return sh._descend(n, grid) if n else []
 
 
 def matrix_spectrum(alpha: float, params: ProblemParams, grid: RadialGrid,
@@ -662,10 +660,7 @@ def matrix_spectrum(alpha: float, params: ProblemParams, grid: RadialGrid,
         raise ResolutionError(
             f"grid spacing {h} too coarse for the matrix route (max 0.05)")
     rho_max = grid.rho_max
-
-    dense = None
-    if alpha > 0:
-        dense, _ = integrate_profile(alpha, params, rho_max)
+    dense, _ = integrate_profile(alpha, params, rho_max)
 
     def eigs(step):
         m = int(round(rho_max / step))
@@ -673,11 +668,7 @@ def matrix_spectrum(alpha: float, params: ProblemParams, grid: RadialGrid,
         faces = np.arange(m + 1) * step
         logw_c = log_weight(centers, params.d)
         logw_f = log_weight(faces, params.d)
-        if alpha > 0:
-            u = dense.sol(centers)[0]
-            v = params.p * np.abs(u) ** (params.p - 1.0)
-        else:
-            v = np.zeros(m)
+        v = params.p * np.abs(dense.sol(centers)[0]) ** (params.p - 1.0)
         off = np.exp(logw_f[1:-1] - 0.5 * (logw_c[:-1] + logw_c[1:])) / step ** 2
         flux_r = np.exp(logw_f[1:] - logw_c) / step ** 2
         flux_l = np.empty(m)
@@ -728,9 +719,7 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
     unstable.
     """
     params.require_unstable_regime()
-    if not (math.isfinite(eps_target) and eps_target > 0):
-        raise DomainError(
-            f"eps_target must be finite and positive, got {eps_target}")
+    require_positive("eps_target", eps_target)
     if grid is None:
         grid = RadialGrid.uniform()
 
@@ -778,7 +767,8 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
 
     second = None
     if sh_bar.count_above(0.0) > 1:
-        second = positive_spectrum(a_bar, params, grid)[1].lam
+        second = positive_spectrum(a_bar, params, grid,
+                                   shooter=sh_bar)[1].lam
 
     return SelectedExpander(alpha_star=star, alpha_bar=a_bar,
                             lambda_bar=pair.lam, profile=profile,

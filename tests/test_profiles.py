@@ -16,6 +16,7 @@ from expanderlab.profiles import (
     shoot_profile,
     sweep_ell,
 )
+from expanderlab.spectral import _PhaseShooter
 
 # Frozen tail constants from the independent fixed-step RK4 oracle
 # (h = 0.002, evaluation radii 80 and 160, rho^-2 Richardson elimination;
@@ -96,6 +97,33 @@ class TestSeriesStart:
         params = derived_exponents(5, 3.0)
         with pytest.raises(DomainError):
             series_start(-1.0, params)
+
+
+_P53 = derived_exponents(5, 3.0)
+
+
+@pytest.mark.parametrize("call, args", [
+    (integrate_profile, (1.0, _P53, math.nan)),
+    (integrate_profile, (1.0, _P53, math.inf)),
+    (integrate_profile, (1.0, _P53, 0.0)),
+    (integrate_profile, (1.0, _P53, -16.0)),
+    (integrate_profile, (math.nan, _P53, 16.0)),
+    (integrate_profile, (math.inf, _P53, 16.0)),
+    (shoot_profile, (math.nan, _P53)),
+    (shoot_profile, (math.inf, _P53)),
+    (_PhaseShooter, (1.0, _P53, math.nan)),
+    (_PhaseShooter, (1.0, _P53, math.inf)),
+    (_PhaseShooter, (1.0, _P53, 0.0)),
+    (RadialGrid.uniform, (math.nan,)),
+    (RadialGrid.uniform, (math.inf,)),
+    (RadialGrid.uniform, (16.0, 0.0)),
+    (RadialGrid.uniform, (16.0, math.nan)),
+    (RadialGrid.uniform, (16.0, -0.01)),
+])
+def test_bad_domain_end_or_alpha_rejected(call, args):
+    # a non-finite end used to hang the integrator instead of failing
+    with pytest.raises(DomainError):
+        call(*args)
 
 
 @pytest.fixture(scope="module")

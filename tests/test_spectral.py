@@ -139,6 +139,14 @@ class TestAlphaStar:
         with pytest.raises(BadBracketError):
             find_alpha_star(params53, bracket=(10.0, 50.0), tol=1e-3)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_bad_tolerance_rejected(self, params53, tol):
+        # tol <= 0 never ended the bisection; NaN skipped it
+        with pytest.raises(DomainError):
+            find_alpha_star(params53, tol=tol)
+        with pytest.raises(DomainError):
+            select_unstable_expander(params53, 0.05, tol=tol)
+
     def test_domain_truncation_robust(self, params53, alpha_star53):
         # same transition located on a longer domain: oracle-style check
         grid20 = RadialGrid.uniform(rho_max=20.0, drho=0.01)
@@ -214,6 +222,8 @@ class TestPhaseMatching:
         assert top.zero_count == 0
         assert [e.zero_count for e in pairs] == list(range(len(pairs)))
         assert all(e.match_defect <= 1e-6 for e in [top] + pairs)
+        # one descending walk: the first pair is the top pair, bit for bit
+        assert not pairs or pairs[0].lam == top.lam
         if (d, p, alpha) == (5, 3.0, 10.0):
             assert len(pairs) == 2
 
@@ -244,6 +254,23 @@ class TestPositiveSpectrum:
         for alpha in rng.uniform(0.3, 8.0, 20):
             pairs = positive_spectrum(float(alpha), params53)
             assert len(pairs) == neutral_zero_count(float(alpha), params53)
+
+    def test_shared_shooter_solves_each_pair_once(self, params53,
+                                                  monkeypatch):
+        shoots = []
+        shoot = eigenvalue_shoot
+
+        def counted_shoot(*args, **kwargs):
+            shoots.append(args)
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigenvalue_shoot", counted_shoot)
+        grid = RadialGrid.uniform()
+        sh = _PhaseShooter(10.0, params53, grid.rho_max)
+        top = top_eigenpair(10.0, params53, grid, shooter=sh)
+        pairs = positive_spectrum(10.0, params53, grid, shooter=sh)
+        assert len(shoots) == len(pairs) == 2
+        assert pairs[0] is top
 
     def test_single_small_eigenvalue_just_above_star(self, selected53):
         pairs = positive_spectrum(selected53.alpha_bar,
