@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+# solve_banded stays bound here: bench/instrument.py wraps this name
+from scipy.linalg import LinAlgError, solve_banded  # noqa: F401
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .exceptions import (
     DomainError,
@@ -43,7 +45,7 @@ from .exponents import (
     odd_power,
 )
 from .profiles import RadialGrid, estimate_ell, log_weight
-from .semigroup import RadialFunction, lq_norm, sphere_area
+from .semigroup import RadialFunction, lebesgue_norm, lq_norm, sphere_area
 from .spectral import (
     PotentialField,
     matrix_spectrum,
@@ -201,7 +203,7 @@ class _CrankNicolson:
         else:
             self._bc = _EDGE_D1 / h + np.array([0, 0, 0, 0, beta])
         self._dtau = None
-        self._ab = None
+        self._lu = None
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         """A v on the PDE rows; the boundary row is zeroed."""
@@ -215,26 +217,35 @@ class _CrankNicolson:
         return out
 
     def _factorized(self, dtau: float):
+        """LU factors of I - dtau/2 A with its boundary row, refactored
+        only when dtau changes.  The band layout is dgbtrf's: 4 sub- and 2
+        superdiagonals under 4 fill-in rows.  solve_banded runs gbsv, which
+        is dgbtrf then dgbtrs, so step matches it bit for bit."""
         if self._dtau != dtau:
             n1 = self.diag.size
-            ab = np.zeros((7, n1))
-            ab[0, 2:] = -0.5 * dtau * self.up2
-            ab[1, 1:] = -0.5 * dtau * self.up1
-            ab[2, :] = 1.0 - 0.5 * dtau * self.diag
-            ab[3, :-1] = -0.5 * dtau * self.dn1
-            ab[4, :-2] = -0.5 * dtau * self.dn2
+            ab = np.zeros((11, n1))
+            ab[4, 2:] = -0.5 * dtau * self.up2
+            ab[5, 1:] = -0.5 * dtau * self.up1
+            ab[6, :] = 1.0 - 0.5 * dtau * self.diag
+            ab[7, :-1] = -0.5 * dtau * self.dn1
+            ab[8, :-2] = -0.5 * dtau * self.dn2
             # biased fourth-order row n-1 over columns n-4 .. n
             i = n1 - 2
             for k, j in enumerate(range(n1 - 5, n1)):
-                ab[2 + i - j, j] = (1.0 if j == i else 0.0) \
+                ab[6 + i - j, j] = (1.0 if j == i else 0.0) \
                     - 0.5 * dtau * self.edge_row[k]
             # boundary row n
             i = n1 - 1
             for k, j in enumerate(range(n1 - 5, n1)):
-                ab[2 + i - j, j] = self._bc[k]
-            self._ab = ab
+                ab[6 + i - j, j] = self._bc[k]
+            if not np.all(np.isfinite(ab)):
+                raise ValueError("array must not contain infs or NaNs")
+            lu, piv, info = dgbtrf(ab, 4, 2, overwrite_ab=True)
+            if info != 0:
+                raise LinAlgError("singular matrix")
+            self._lu = (lu, piv)
             self._dtau = dtau
-        return self._ab
+        return self._lu
 
     def step(self, v: np.ndarray, dtau: float,
              source: Optional[np.ndarray] = None) -> np.ndarray:
@@ -242,7 +253,11 @@ class _CrankNicolson:
         if source is not None:
             rhs = rhs + dtau * source
         rhs[-1] = 0.0    # boundary row solves its condition exactly
-        return solve_banded((4, 2), self._factorized(dtau), rhs)
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("array must not contain infs or NaNs")
+        lu, piv = self._factorized(dtau)
+        x, _ = dgbtrs(lu, 4, 2, rhs, piv, overwrite_b=True)
+        return x
 
 
 def stability_cap(v: np.ndarray, params: ProblemParams) -> float:
@@ -317,14 +332,12 @@ class _NormKit:
     """Per-step norms against the grid's Simpson weights."""
 
     def __init__(self, grid: RadialGrid, params: ProblemParams):
-        w = grid.weights
-        self.w_meas = w * grid.nodes ** (params.d - 1.0)
+        self.w_meas = grid.measure_weights(params.d)
         self.sphere = sphere_area(params.d)
-        self.w_l2w = w * np.exp(log_weight(grid.nodes, params.d))
+        self.w_l2w = grid.weights * np.exp(log_weight(grid.nodes, params.d))
 
     def lebesgue(self, v: np.ndarray, gamma: float) -> float:
-        return float((self.sphere * np.dot(
-            self.w_meas, np.abs(v) ** gamma)) ** (1.0 / gamma))
+        return lebesgue_norm(self.w_meas, v, gamma, self.sphere)
 
     def weighted_l2(self, v: np.ndarray) -> float:
         return float(math.sqrt(np.dot(self.w_l2w, v * v)))

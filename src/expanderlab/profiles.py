@@ -101,6 +101,14 @@ class RadialGrid:
             w[-3:] += np.array([-1.0, 8.0, 5.0]) * (self.drho / 12.0)
         return w
 
+    def measure_weights(self, d: int) -> np.ndarray:
+        """Simpson weights times rho^(d-1), the radial measure of R^d up to
+        the sphere area; built once per dimension."""
+        cache = self.__dict__.setdefault("_measure_weights", {})
+        if d not in cache:
+            cache[d] = self.weights * self.nodes ** (d - 1.0)
+        return cache[d]
+
 
 def log_weight(rho: np.ndarray, d: int) -> np.ndarray:
     """log of the weight rho^(d-1) e^(rho^2/4) of the similarity space."""

@@ -31,6 +31,7 @@ from expanderlab.semigroup import (
     growth_rate_gaussian,
 )
 from expanderlab.spectral import (
+    _PhaseShooter,
     find_alpha_star,
     matrix_spectrum,
     neutral_zero_count,
@@ -115,7 +116,11 @@ def test_criterion_3_spectral_cross_validation(capsys):
         params = derived_exponents(d, p)
         cutoff = 1.0 / (p - 1.0) - d / 2.0 - 0.6
         for alpha in (0.5, 1.0, 2.0, 5.0):
-            pair = top_eigenpair(alpha, params, grid)
+            # one shooter walks this alpha's spectrum for both calls; the
+            # neutral count below builds its own, so the length check
+            # compares two separately built walks
+            shooter = _PhaseShooter(alpha, params, grid.rho_max)
+            pair = top_eigenpair(alpha, params, grid, shooter=shooter)
             # the matrix grid must resolve the axis potential spike, whose
             # width scales like 1/sqrt(V(0))
             h = min(0.01, 0.5 / math.sqrt(p * alpha ** (p - 1.0)))
@@ -126,7 +131,8 @@ def test_criterion_3_spectral_cross_validation(capsys):
             worst = max(worst, gap)
             # Sturm indexing: k-th positive eigenvalue from the top has
             # exactly k interior zeros, and the count matches the phase
-            spectrum = positive_spectrum(alpha, params, grid)
+            spectrum = positive_spectrum(alpha, params, grid,
+                                         shooter=shooter)
             n = neutral_zero_count(alpha, params, grid)
             sturm = len(spectrum) == n and all(
                 e.zero_count == k for k, e in enumerate(spectrum))

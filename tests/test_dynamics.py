@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded
 
 from expanderlab.exceptions import (
     DomainError,
@@ -11,7 +11,7 @@ from expanderlab.exceptions import (
     StepRejectedError,
 )
 from expanderlab.profiles import RadialGrid
-from expanderlab.semigroup import RadialFunction, lq_norm
+from expanderlab.semigroup import RadialFunction, lq_norm, sphere_area
 from expanderlab.spectral import PotentialField, matrix_spectrum
 from expanderlab.dynamics import (
     EvolutionState,
@@ -24,6 +24,7 @@ from expanderlab.dynamics import (
     linearized_evolve,
     nonuniqueness_demo,
     quadratic_mode_coupling,
+    robin_beta,
     stability_cap,
     step_imex,
     to_physical_norm,
@@ -123,6 +124,55 @@ class TestStepImex:
                         / np.max(np.abs(exact)))
         ratio = errs[0] / errs[1]
         assert 6.0 <= ratio <= 10.0
+
+
+def cn_band(stepper, dtau):
+    """I - dtau/2 A with the boundary row, in solve_banded's (4, 2) layout."""
+    n1 = stepper.diag.size
+    ab = np.zeros((7, n1))
+    ab[0, 2:] = -0.5 * dtau * stepper.up2
+    ab[1, 1:] = -0.5 * dtau * stepper.up1
+    ab[2, :] = 1.0 - 0.5 * dtau * stepper.diag
+    ab[3, :-1] = -0.5 * dtau * stepper.dn1
+    ab[4, :-2] = -0.5 * dtau * stepper.dn2
+    i = n1 - 2      # biased PDE row, then the boundary row i + 1
+    for k, j in enumerate(range(n1 - 5, n1)):
+        ab[2 + i - j, j] = float(j == i) - 0.5 * dtau * stepper.edge_row[k]
+        ab[3 + i - j, j] = stepper._bc[k]
+    return ab
+
+
+class TestCrankNicolsonFactor:
+    @pytest.mark.parametrize("robin", [True, False])
+    def test_step_matches_solve_banded_bitwise(self, params53, grid_default,
+                                               robin):
+        rho = grid_default.nodes
+        beta = robin_beta(params53, grid_default.rho_max) if robin else None
+        potential = None if robin else 0.3 * np.exp(-rho ** 2 / 8.0)
+        stepper = _CrankNicolson(grid_default, params53, potential, beta)
+        v = np.exp(-rho ** 2 / 4.0) * (1.0 + 0.1 * rho)
+        for dtau in (0.01, 0.005, 0.01):
+            source = 0.2 * v ** 3
+            rhs = v + 0.5 * dtau * stepper._apply(v) + dtau * source
+            rhs[-1] = 0.0
+            expected = solve_banded((4, 2), cn_band(stepper, dtau), rhs)
+            v = stepper.step(v, dtau, source)
+            assert stepper._dtau == dtau
+            assert np.array_equal(v, expected)
+
+    def test_non_finite_rhs_raises(self, params53, grid_default):
+        stepper = _CrankNicolson(grid_default, params53, beta=None)
+        v = np.exp(-grid_default.nodes ** 2)
+        stepper.step(v, 0.01)
+        v[10] = math.nan
+        with pytest.raises(ValueError):
+            stepper.step(v, 0.01)
+
+    def test_singular_matrix_raises(self, params53, grid_default):
+        stepper = _CrankNicolson(grid_default, params53, beta=None)
+        stepper._bc = np.zeros(5)      # an empty boundary row
+        with pytest.raises(LinAlgError):
+            stepper.step(np.exp(-grid_default.nodes ** 2), 0.01)
 
 
 class TestEvolveSimilarity:
@@ -344,3 +394,28 @@ def test_norm_kit_matches_lq_norm(params53, gamma):
                        params53.d)
     got = _NormKit(grid, params53).lebesgue(bump, gamma)
     assert got == pytest.approx(expected, rel=1e-14)
+
+
+def test_norm_kit_bitwise_where_tail_powers_underflow(params53,
+                                                      grid_default):
+    # exp(-rho^2)^gamma is subnormal or zero past rho ~ 8.4 at gamma 10
+    # and past rho ~ 4.9 at gamma 30: the nodes dropped there change nothing
+    kit = _NormKit(grid_default, params53)
+    v = np.exp(-grid_default.nodes ** 2) * np.cos(grid_default.nodes)
+    for gamma in (10.0, 30.0):
+        plain = float((kit.sphere * np.dot(
+            kit.w_meas, np.abs(v) ** gamma)) ** (1.0 / gamma))
+        assert kit.lebesgue(v, gamma) == plain
+
+
+def test_tiny_field_norm_is_not_zero(params53, grid_default):
+    # every (1e-11)^30 underflows; the Simpson sum of rho^4 is exact up
+    # to O(h^4), far inside the tolerance after the 30th root
+    c, gamma, d = 1e-11, 30.0, params53.d
+    exact = c * (sphere_area(d) * grid_default.rho_max ** d / d) ** (
+        1.0 / gamma)
+    field = np.full(grid_default.nodes.size, c)
+    got = _NormKit(grid_default, params53).lebesgue(field, gamma)
+    assert got == pytest.approx(exact, rel=1e-14)
+    assert lq_norm(RadialFunction(grid=grid_default, values=field), gamma,
+                   d) == got
