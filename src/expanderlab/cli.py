@@ -34,12 +34,7 @@ from .exceptions import (
 from .exponents import derived_exponents
 from .profiles import RadialGrid, estimate_ell, shoot_profile, sweep_ell
 from .semigroup import GaussianDatum, growth_rate_gaussian, verify_smoothing
-from .spectral import (
-    _PhaseShooter,
-    find_alpha_star,
-    matrix_spectrum,
-    positive_spectrum,
-)
+from .spectral import find_alpha_star, matrix_spectrum, positive_spectrum
 from .dynamics import evolve_similarity, nonuniqueness_demo
 
 USAGE_ERROR = 64
@@ -295,8 +290,7 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> int:
     rows = [("alpha", "lambda", "zero_count", "method")]
     pairs_for_export = []
     for alpha in alphas:
-        sh = _PhaseShooter(alpha, params, grid.rho_max)
-        pairs = positive_spectrum(alpha, params, grid, shooter=sh)
+        pairs = positive_spectrum(alpha, params, grid)
         for pair in pairs:
             rows.append((repr(float(alpha)), repr(pair.lam),
                          str(pair.zero_count), pair.method))
@@ -305,8 +299,7 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> int:
         for lam in matrix_spectrum(alpha, params, grid, cutoff=0.0):
             rows.append((repr(float(alpha)), repr(lam), "", "matrix"))
         if not pairs:
-            rows.append((repr(float(alpha)), "", str(sh.count_above(0.0)),
-                         "shooting"))
+            rows.append((repr(float(alpha)), "", "0", "shooting"))
     writer.csv("spectrum", rows)
     writer.json("spectrum", {"rows": [
         {"alpha": a, "lambda": p_.lam, "zero_count": p_.zero_count,

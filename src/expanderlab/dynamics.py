@@ -131,8 +131,6 @@ def operator_bands(grid: RadialGrid, params: ProblemParams,
     stencils are fourth order; the axis rows use the even extension.  The
     last row is left to the boundary condition, see _CrankNicolson.
     """
-    if not grid.is_uniform:
-        raise DomainError("evolution requires a uniform grid")
     nodes = grid.nodes
     n = nodes.size - 1
     h = grid.drho
@@ -268,35 +266,21 @@ def stability_cap(v: np.ndarray, params: ProblemParams) -> float:
     return STABILITY_C / (params.p * vmax ** (params.p - 1.0))
 
 
-def step_imex(state: EvolutionState, dtau: float, params: ProblemParams,
-              frozen_potential: Optional[PotentialField] = None,
-              nonlinear: bool = True) -> EvolutionState:
-    """One Crank-Nicolson step; the nonlinearity enters explicitly.
+def step_imex(state: EvolutionState, dtau: float,
+              params: ProblemParams) -> EvolutionState:
+    """One evolve_similarity step; the nonlinearity enters explicitly.
 
-    With a frozen potential supplied the implicit operator is the
-    linearized generator and the field belongs to the decaying class, so
-    the outer boundary is Dirichlet; otherwise the self-calibrated Robin
-    tail condition is used.  Steps beyond the explicit stability cap are
-    rejected with a suggestion.
+    Steps beyond the explicit stability cap are rejected with a suggestion
+    instead of being shortened.
     """
     if not dtau > 1e-12:        # _evolve stops 1e-12 short of its end
         raise DomainError("dtau must exceed 1e-12")
-    pot = frozen_potential.v if frozen_potential is not None else None
-    if nonlinear:
-        cap = stability_cap(state.v, params)
-        if dtau > cap:
-            raise StepRejectedError(
-                f"dtau={dtau} exceeds the stability cap {cap:.3e}",
-                suggested_dtau=0.9 * cap)
-
-    def source(v):
-        n = odd_power(v, params.p)
-        return n if pot is None else n - pot * v
-
-    q, r = _default_exponents(params, None, None)
-    log = _evolve(state.v, state.grid, params, 0.0, dtau, dtau, pot,
-                  source if nonlinear else None, q, r, None,
-                  dirichlet=pot is not None)
+    cap = stability_cap(state.v, params)
+    if dtau > cap:
+        raise StepRejectedError(
+            f"dtau={dtau} exceeds the stability cap {cap:.3e}",
+            suggested_dtau=0.9 * cap)
+    log = evolve_similarity(state.v, 0.0, dtau, params, state.grid, dtau=dtau)
     return EvolutionState(tau=state.tau + dtau, grid=state.grid,
                           v=log.final.v)
 
@@ -349,16 +333,18 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
             source_fn: Optional[Callable[[np.ndarray], np.ndarray]],
             q: float, r: float,
             reference: Optional[np.ndarray],
-            blowup_threshold: float = 1e6,
-            extra_norm: Optional[Callable[[np.ndarray, float], float]] = None,
-            dirichlet: bool = False) -> TrajectoryLog:
+            extra_norm: Optional[Callable[[np.ndarray, float], float]] = None
+            ) -> TrajectoryLog:
+    """Step v0 from tau0 to tau1, logging norms after every step.  With a
+    frozen potential the field decays and the outer row is Dirichlet,
+    otherwise the Robin condition calibrated on v0's tail."""
     if not tau1 > tau0:
         raise DomainError("need tau1 > tau0")
     v = np.asarray(v0, dtype=float).copy()
     if v.shape != grid.nodes.shape:
         raise DomainError("initial data must live on the grid")
-    beta = None if dirichlet else calibrated_beta(v, grid.drho, params,
-                                                  grid.rho_max)
+    beta = None if potential is not None else calibrated_beta(
+        v, grid.drho, params, grid.rho_max)
     stepper = _CrankNicolson(grid, params, potential, beta)
     kit = _NormKit(grid, params)
     ref = np.zeros_like(v) if reference is None else reference
@@ -392,7 +378,7 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
         v = stepper.step(v, dt, source)
         tau += dt
         log_state(tau, v, dt)
-        if np.max(np.abs(v)) > blowup_threshold:
+        if np.max(np.abs(v)) > 1e6:
             blown = True
             break
 
@@ -444,7 +430,7 @@ def linearized_evolve(w0: np.ndarray, potential: PotentialField,
     prof = potential.profile
     q, r = _default_exponents(prof.params, q, r)
     return _evolve(w0, prof.grid, prof.params, tau0, tau1, dtau,
-                   potential.v, None, q, r, None, dirichlet=True)
+                   potential.v, None, q, r, None)
 
 
 def evolve_perturbation(psi0: np.ndarray, potential: PotentialField,
@@ -468,8 +454,7 @@ def evolve_perturbation(psi0: np.ndarray, potential: PotentialField,
         return (odd_power(u_bar + psi, params.p) - n_bar - v_pot * psi)
 
     return _evolve(psi0, prof.grid, params, tau0, tau1, dtau, v_pot,
-                   remainder, q, r, None, extra_norm=extra_norm,
-                   dirichlet=True)
+                   remainder, q, r, None, extra_norm=extra_norm)
 
 
 def fit_log_slope(x: np.ndarray, y: np.ndarray):

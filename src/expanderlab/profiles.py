@@ -15,7 +15,7 @@ the origin) and integrates with an adaptive embedded Runge-Kutta method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -45,29 +45,31 @@ def require_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialGrid:
-    """Discretization of [0, rho_max]; uniform spacing unless stated."""
+    """Uniform discretization of [0, n step]; build it with uniform()."""
 
-    nodes: np.ndarray
-    spacing: str = "uniform"
+    n: int
+    step: float
 
     def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        if self.nodes[0] != 0.0:
-            raise DomainError("grid must start at rho = 0")
-        if not np.all(np.diff(self.nodes) > 0):
-            raise DomainError("grid nodes must be strictly increasing")
-        if self.nodes[-1] < 10.0:
+        require_positive("grid step", self.step)
+        if self.n * self.step < 10.0:
             raise DomainError("rho_max must be at least 10")
-        if self.nodes.size < 100:
+        if self.n + 1 < 100:
             raise DomainError("grid needs at least 100 nodes")
 
     @classmethod
     def uniform(cls, rho_max: float = 16.0, drho: float = 0.01) -> "RadialGrid":
-        n = int(round(require_positive("rho_max", rho_max)
-                      / require_positive("drho", drho)))
-        return cls(nodes=np.linspace(0.0, n * drho, n + 1))
+        ratio = (require_positive("rho_max", rho_max)
+                 / require_positive("drho", drho))
+        if not math.isfinite(ratio):
+            raise DomainError(f"rho_max / drho overflows ({rho_max}/{drho})")
+        return cls(n=int(round(ratio)), step=float(drho))
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return np.linspace(0.0, self.n * self.step, self.n + 1)
 
     @property
     def rho_max(self) -> float:
@@ -77,19 +79,11 @@ class RadialGrid:
     def drho(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
 
-    @property
-    def is_uniform(self) -> bool:
-        d = np.diff(self.nodes)
-        # tolerate linspace roundoff, reject macroscopic nonuniformity
-        return bool(np.allclose(d, d[0], rtol=0.0, atol=1e-9 * abs(d[0])))
-
     @cached_property
     def weights(self) -> np.ndarray:
         """Composite-Simpson weights, the rule of scipy.integrate.simpson (an
         odd interval count ends on the parabola through the last three
         nodes); every radial norm in the package integrates against them."""
-        if not self.is_uniform:
-            raise DomainError("Simpson weights need a uniform grid")
         n = self.nodes.size
         m = n if n % 2 == 1 else n - 1      # nodes under plain Simpson
         w = np.zeros(n)
@@ -129,7 +123,6 @@ class ExpanderProfile:
     ell_uncertainty: float
     residual_max: float
     zero_crossings: int
-    dense: object = field(default=None, repr=False, compare=False)
 
     @property
     def max_abs_u(self) -> float:
@@ -138,9 +131,6 @@ class ExpanderProfile:
     @property
     def bounded(self) -> bool:
         return bool(np.all(np.isfinite(self.u)))
-
-    def tail_exponent(self) -> float:
-        return -2.0 / (self.params.p - 1.0)
 
     def to_csv_rows(self):
         yield ("rho", "u", "du")
@@ -228,8 +218,6 @@ def _residual_max(grid: RadialGrid, u: np.ndarray, du: np.ndarray,
     U'' is recovered from du by a sixth-order central stencil, so the
     check is independent of the integrator's own right-hand side.
     """
-    if not grid.is_uniform:
-        return math.nan
     h = grid.drho
     rho = grid.nodes[3:-3]
     d2u = (-du[:-6] + 9 * du[1:-5] - 45 * du[2:-4]
@@ -246,12 +234,6 @@ def shoot_profile(alpha: float, params: ProblemParams,
     """Shoot the profile for one alpha and sample it on the grid."""
     if grid is None:
         grid = RadialGrid.uniform()
-    if require_alpha(alpha) == 0.0:
-        z = np.zeros_like(grid.nodes)
-        return ExpanderProfile(alpha=0.0, params=params, grid=grid,
-                               u=z, du=z.copy(), ell=0.0, ell_uncertainty=0.0,
-                               residual_max=0.0, zero_crossings=0, dense=None)
-
     sol, r0 = integrate_profile(alpha, params, grid.rho_max)
     u = np.empty_like(grid.nodes)
     du = np.empty_like(grid.nodes)
@@ -272,7 +254,7 @@ def shoot_profile(alpha: float, params: ProblemParams,
     ell, unc = _fit_tail(grid, u, params)
     return ExpanderProfile(alpha=alpha, params=params, grid=grid, u=u, du=du,
                            ell=ell, ell_uncertainty=unc, residual_max=res,
-                           zero_crossings=crossings, dense=sol)
+                           zero_crossings=crossings)
 
 
 def _fit_tail(grid: RadialGrid, u: np.ndarray, params: ProblemParams):

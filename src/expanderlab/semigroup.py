@@ -82,8 +82,8 @@ class RadialFunction:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("values must be finite")
 
-    def check_tail(self, tol: float = 0.05) -> bool:
-        """Last-decade log-log slope consistent with tail_exponent."""
+    def check_tail(self) -> bool:
+        """Last-decade log-log slope within 5% of tail_exponent."""
         if self.tail_exponent is None:
             return True
         nodes = self.grid.nodes
@@ -92,7 +92,7 @@ class RadialFunction:
         if np.max(vals) < 1e-100:
             return True  # tail numerically zero; treat metadata as unused
         slope = np.polyfit(np.log(nodes[mask]), np.log(vals + 1e-300), 1)[0]
-        return abs(slope - self.tail_exponent) <= tol * max(
+        return abs(slope - self.tail_exponent) <= 0.05 * max(
             1.0, abs(self.tail_exponent))
 
 
@@ -173,21 +173,20 @@ def apply_S0_gaussian(tau: float, g: GaussianDatum,
 
 
 def growth_rate_gaussian(eta: float, params: ProblemParams,
-                         tau_list: Optional[Sequence[float]] = None,
-                         variance_scale: float = 1e6) -> float:
+                         tau_list: Optional[Sequence[float]] = None) -> float:
     """Fitted growth exponent of the free flow in L^eta.
 
     A fixed datum relaxes onto the heat kernel and decays at the mass rate
     1/(p-1) - d/2 for every eta, so the operator growth rate is probed with
-    the variance-matched family v(tau) = scale * e^tau, which saturates the
-    bound up to O(1/scale).  The fitted slope equals 1/(p-1) - d/(2 eta).
+    the variance-matched family v(tau) = 1e6 e^tau, which saturates the
+    bound up to O(1e-6).  The fitted slope equals 1/(p-1) - d/(2 eta).
     """
     if tau_list is None:
         tau_list = np.linspace(2.0, 6.0, 9)
     taus = np.asarray(tau_list, dtype=float)
     logr = []
     for tau in taus:
-        g = GaussianDatum(amplitude=1.0, variance=variance_scale * math.exp(tau))
+        g = GaussianDatum(amplitude=1.0, variance=1e6 * math.exp(tau))
         out = apply_S0_gaussian(float(tau), g, params)
         logr.append(math.log(out.lq_norm(eta, params.d)
                              / g.lq_norm(eta, params.d)))

@@ -71,6 +71,7 @@ from .profiles import (
 
 RTOL = 1e-10
 ATOL = 1e-12
+LAMBDA_TOL = 1e-11      # eigenvalue_shoot's final bracket width
 
 
 @dataclass
@@ -136,9 +137,6 @@ class _PhaseShooter:
         self.params = params
         self.rho_max = require_positive("rho_max", rho_max)
         self.rho0 = _start_rho(alpha, params) if rho0 is None else rho0
-        # the profile energy decays along rho and is increasing in |U|, so
-        # |U| <= alpha everywhere and V is capped by its axis value
-        self.sup_v_bound = params.p * self.alpha ** (params.p - 1.0)
         self._dense = None
         self._potential = None
         self._theta_cache = {}
@@ -364,14 +362,13 @@ def _phase_rates(theta, eta, qt, w):
 
 
 def neutral_zero_count(alpha: float, params: ProblemParams,
-                       grid: Optional[RadialGrid] = None,
-                       rho0: Optional[float] = None) -> int:
+                       grid: Optional[RadialGrid] = None) -> int:
     """Interior zeros of the neutral solution L f = 0, f(0)=1, f'(0)=0.
 
     By Sturm oscillation this equals the number of positive eigenvalues.
     """
     rho_max = grid.rho_max if grid is not None else 16.0
-    return _PhaseShooter(alpha, params, rho_max, rho0=rho0).count_above(0.0)
+    return _PhaseShooter(alpha, params, rho_max).count_above(0.0)
 
 
 def find_alpha_star(params: ProblemParams, bracket=(0.1, 50.0),
@@ -383,7 +380,9 @@ def find_alpha_star(params: ProblemParams, bracket=(0.1, 50.0),
     the whole bracket, which is the expected outcome beyond the instability
     power threshold.  A nonzero count at the lower endpoint is a caller
     error.  Only a single transition is assumed; evaluations are recorded
-    and an observed count decrease flips the monotone flag.
+    and an observed count decrease flips the monotone flag.  The bisection
+    ends at width tol, or earlier once no float lies strictly between the
+    ends.
     """
     require_positive("tol", tol)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -413,6 +412,8 @@ def find_alpha_star(params: ProblemParams, bracket=(0.1, 50.0),
                                    monotone=monotone)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if count(mid) == 0:
             lo = mid
         else:
@@ -430,7 +431,6 @@ def _counts_monotone(evals) -> bool:
 
 def eigenvalue_shoot(alpha: float, params: ProblemParams,
                      lambda_bracket, grid: Optional[RadialGrid] = None,
-                     lambda_tol: float = 1e-11,
                      shooter: Optional[_PhaseShooter] = None) -> EigenPair:
     """Locate the single eigenvalue inside lambda_bracket by phase matching
     at an interior point; the one solver behind top_eigenpair and
@@ -448,9 +448,9 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     which at rho_max = 16 is nearly a step in lambda.  rho_m is the turning
     point of _matching_point at the bracket midpoint.  Newton steps on m
     stay inside the sign-change bracket, fall back to bisection, and never
-    step less than lambda_tol / 2, so a converged step lands past the root
+    step less than LAMBDA_TOL / 2, so a converged step lands past the root
     and closes the bracket: the result is the midpoint of a sign change of
-    m no wider than lambda_tol, typically after 7 to 10 matching
+    m no wider than LAMBDA_TOL, typically after 7 to 10 matching
     evaluations, the two bracket ends included.  The eigenfunction is a
     forward integration glued to a backward one from the decaying branch at
     the same rho_m.
@@ -486,7 +486,7 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     # Newton starts from the end with the smaller miss
     x, fx, dx = (lo, m_lo, d_lo) if -m_hi > m_lo else (hi, m_hi, d_hi)
     for _ in range(200):
-        tol = max(lambda_tol, 8 * np.finfo(float).eps * max(abs(a), abs(b)))
+        tol = max(LAMBDA_TOL, 8 * np.finfo(float).eps * max(abs(a), abs(b)))
         if b - a <= tol:
             break
         step = -fx / dx if dx < 0 else math.inf
@@ -561,11 +561,6 @@ def _reconstruct_eigenfunction(sh: _PhaseShooter, lam: float,
     return f, zero_count, l2w, float(defect)
 
 
-def lambda_ceiling(sh: _PhaseShooter) -> float:
-    """Rigorous Rayleigh upper bound for the top eigenvalue plus margin."""
-    return sh.params.growth_exponent(1.0) + sh.sup_v_bound + 1.0
-
-
 def _bracket_top(sh: _PhaseShooter):
     """Bracket the largest eigenvalue by doubling up from the floor.
 
@@ -574,10 +569,14 @@ def _bracket_top(sh: _PhaseShooter):
     at rate |Qt|), so the Rayleigh ceiling is used only as a sanity cap,
     not as a probe point.
     """
+    p = sh.params.p
     floor = sh.params.growth_exponent(1.0) - 0.25
     if sh.count_above(floor) < 1:
         raise EmptyBracketError("no eigenvalue above the free-operator floor")
-    ceiling = lambda_ceiling(sh)
+    # Rayleigh bound plus margin: the profile energy decays along rho and
+    # is increasing in |U|, so |U| <= alpha everywhere and V is capped by
+    # its axis value p alpha^(p-1)
+    ceiling = sh.params.growth_exponent(1.0) + p * sh.alpha ** (p - 1.0) + 1.0
     lo, step = floor, 1.0
     hi = lo + step
     while sh.count_above(hi) > 0:
@@ -653,8 +652,6 @@ def matrix_spectrum(alpha: float, params: ProblemParams, grid: RadialGrid,
     structurally real.  Assembled at the grid spacing and at half that
     spacing, then Richardson extrapolated (the scheme error is clean h^2).
     """
-    if not grid.is_uniform:
-        raise DomainError("matrix route requires a uniform grid")
     h = grid.drho
     if h > 0.05:
         raise ResolutionError(
@@ -703,12 +700,12 @@ class SelectedExpander:
 
 
 def select_unstable_expander(params: ProblemParams, eps_target: float,
-                             grid: Optional[RadialGrid] = None,
-                             bracket=(0.1, 50.0),
-                             tol: float = 1e-6) -> SelectedExpander:
+                             grid: Optional[RadialGrid] = None
+                             ) -> SelectedExpander:
     """Find alpha_bar just past alpha_star with top eigenvalue in
     (0, eps_target).
 
+    alpha_star is find_alpha_star's on its default bracket and tolerance.
     Searches (alpha_star, alpha_star + 0.1 alpha_star], taking the largest
     sampled alpha whose top eigenvalue stays below the target and bisecting
     toward 0.9 eps_target when the window overshoots.  Each step is decided
@@ -723,10 +720,10 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
     if grid is None:
         grid = RadialGrid.uniform()
 
-    star = find_alpha_star(params, bracket=bracket, tol=tol, grid=grid)
+    star = find_alpha_star(params, grid=grid)
     if not star.found:
         raise NoUnstableExpanderError(
-            f"no neutral-zero transition found on alpha in {bracket}")
+            f"no neutral-zero transition found on alpha in {star.bracket}")
     a_star = star.alpha_star
     delta = 0.1 * a_star
 
@@ -750,7 +747,8 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
                 lo = mid
             else:
                 a_bar, sh_bar = mid, sh
-                if top_above(sh, 0.9 * eps_target) or hi - lo < tol:
+                if (top_above(sh, 0.9 * eps_target)
+                        or hi - lo < star.tolerance):
                     break
                 lo = mid
         if a_bar is None:

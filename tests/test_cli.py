@@ -142,7 +142,10 @@ class TestProfileCommands:
         ("profile", "--alpha", "nan"),
         ("ell-sweep", "--alpha-min", "0.5", "--alpha-max", "2.0",
          "--alpha-steps", "-3"),
-    ], ids=["drho-nan", "rho-max-inf", "alpha-nan", "alpha-steps-negative"])
+        # rho_max / drho overflows to inf
+        ("profile", "--alpha", "1", "--rho-max", "1e308"),
+    ], ids=["drho-nan", "rho-max-inf", "alpha-nan", "alpha-steps-negative",
+            "rho-max-overflow"])
     def test_invalid_flag_exit_65(self, tmp_path, argv):
         assert run(tmp_path, *argv, "--d", "5", "--p", "3") == 65
 

@@ -10,6 +10,7 @@ from expanderlab.exceptions import (
     SeedAmplitudeError,
     StepRejectedError,
 )
+from expanderlab.exponents import odd_power
 from expanderlab.profiles import RadialGrid
 from expanderlab.semigroup import RadialFunction, lq_norm, sphere_area
 from expanderlab.spectral import PotentialField, matrix_spectrum
@@ -18,6 +19,7 @@ from expanderlab.dynamics import (
     _CrankNicolson,
     _NormKit,
     ancient_branch,
+    calibrated_beta,
     evolve_perturbation,
     evolve_similarity,
     fit_log_slope,
@@ -91,6 +93,20 @@ class TestStepImex:
         # the interior defect of the fourth-order operator bounds this;
         # see the decisions ledger for why 1e-8*dtau is out of reach
         assert drift <= 2e-9
+
+    def test_equals_one_evolve_similarity_step(self, params53, profile53):
+        grid, u = profile53.grid, profile53.u
+        out = step_imex(EvolutionState(tau=0.0, grid=grid, v=u.copy()),
+                        0.01, params53)
+        log = evolve_similarity(u, 0.0, 0.01, params53, grid, dtau=0.01)
+        assert len(log.taus) == 2
+        np.testing.assert_array_equal(out.v, log.final.v)
+        assert out.tau == 0.01
+        # and one explicit-source CN step under the self-calibrated Robin row
+        stepper = _CrankNicolson(grid, params53, beta=calibrated_beta(
+            u, grid.drho, params53, grid.rho_max))
+        np.testing.assert_array_equal(
+            out.v, stepper.step(u, 0.01, odd_power(u, params53.p)))
 
     @pytest.mark.parametrize("dtau", [0.0, 1e-13, math.nan])
     def test_degenerate_dtau_rejected(self, params53, grid_default, dtau):

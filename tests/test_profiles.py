@@ -126,6 +126,18 @@ def test_bad_domain_end_or_alpha_rejected(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize("n, step", [
+    (1600, math.nan), (1600, 0.0), (1600, -0.01),
+    (98, 0.2),          # 99 nodes
+    (999, 0.01),        # rho_max 9.99
+], ids=["step-nan", "step-zero", "step-negative", "few-nodes",
+        "short-domain"])
+def test_direct_grid_rejected(n, step):
+    with pytest.raises(DomainError):
+        RadialGrid(n, step)
+
+
+
 @pytest.fixture(scope="module")
 def grid160():
     return RadialGrid.uniform(rho_max=160.0, drho=0.005)

@@ -144,8 +144,14 @@ class TestAlphaStar:
         # tol <= 0 never ended the bisection; NaN skipped it
         with pytest.raises(DomainError):
             find_alpha_star(params53, tol=tol)
-        with pytest.raises(DomainError):
-            select_unstable_expander(params53, 0.05, tol=tol)
+
+    def test_tolerance_below_float_spacing_ends(self, params53):
+        # the bisection used to loop forever once the midpoint of two
+        # adjacent floats was one of them
+        res = find_alpha_star(params53, bracket=(1.0, 3.0), tol=1e-300)
+        lo, hi = res.bracket
+        assert lo < hi
+        assert hi - lo <= 4 * math.ulp(hi)
 
     def test_domain_truncation_robust(self, params53, alpha_star53):
         # same transition located on a longer domain: oracle-style check
