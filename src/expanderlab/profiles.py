@@ -28,6 +28,7 @@ from .exponents import ProblemParams, odd_power
 RHO0_DEFAULT = 1e-4
 RTOL = 1e-10
 ATOL = 1e-12
+MAX_NODES = 10 ** 8     # 0.8 GB per node array; a larger grid is refused
 
 
 def require_positive(name: str, value: float) -> float:
@@ -53,6 +54,9 @@ class RadialGrid:
     step: float
 
     def __post_init__(self):
+        if self.n + 1 > MAX_NODES:
+            raise DomainError(f"grid exceeds {MAX_NODES} nodes (rho_max / drho "
+                              "too large)")
         require_positive("grid step", self.step)
         if self.n * self.step < 10.0:
             raise DomainError("rho_max must be at least 10")

@@ -172,25 +172,26 @@ def apply_S0_gaussian(tau: float, g: GaussianDatum,
     return GaussianDatum(amplitude=amplitude, variance=variance)
 
 
-def growth_rate_gaussian(eta: float, params: ProblemParams,
-                         tau_list: Optional[Sequence[float]] = None) -> float:
+# fit window of growth_rate_gaussian
+_GROWTH_TAUS = np.linspace(2.0, 6.0, 9)
+
+
+def growth_rate_gaussian(eta: float, params: ProblemParams) -> float:
     """Fitted growth exponent of the free flow in L^eta.
 
     A fixed datum relaxes onto the heat kernel and decays at the mass rate
     1/(p-1) - d/2 for every eta, so the operator growth rate is probed with
     the variance-matched family v(tau) = 1e6 e^tau, which saturates the
-    bound up to O(1e-6).  The fitted slope equals 1/(p-1) - d/(2 eta).
+    bound up to O(1e-6), over tau in [2, 6].  The fitted slope equals
+    1/(p-1) - d/(2 eta).
     """
-    if tau_list is None:
-        tau_list = np.linspace(2.0, 6.0, 9)
-    taus = np.asarray(tau_list, dtype=float)
     logr = []
-    for tau in taus:
+    for tau in _GROWTH_TAUS:
         g = GaussianDatum(amplitude=1.0, variance=1e6 * math.exp(tau))
         out = apply_S0_gaussian(float(tau), g, params)
         logr.append(math.log(out.lq_norm(eta, params.d)
                              / g.lq_norm(eta, params.d)))
-    slope = np.polyfit(taus, np.array(logr), 1)[0]
+    slope = np.polyfit(_GROWTH_TAUS, np.array(logr), 1)[0]
     return float(slope)
 
 

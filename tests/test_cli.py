@@ -144,8 +144,10 @@ class TestProfileCommands:
          "--alpha-steps", "-3"),
         # rho_max / drho overflows to inf
         ("profile", "--alpha", "1", "--rho-max", "1e308"),
+        # finite node count far past the grid's node ceiling
+        ("profile", "--alpha", "1", "--rho-max", "1e300", "--drho", "1"),
     ], ids=["drho-nan", "rho-max-inf", "alpha-nan", "alpha-steps-negative",
-            "rho-max-overflow"])
+            "rho-max-overflow", "rho-max-huge"])
     def test_invalid_flag_exit_65(self, tmp_path, argv):
         assert run(tmp_path, *argv, "--d", "5", "--p", "3") == 65
 

@@ -1,18 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from expanderlab import spectral
 from expanderlab.exceptions import (
     BadBracketError,
     DomainError,
     EmptyBracketError,
+    IntegrationError,
     NoUnstableExpanderError,
     ResolutionError,
 )
 from expanderlab.exponents import derived_exponents
-from expanderlab.profiles import RadialGrid, series_coefficients
+from expanderlab.profiles import RadialGrid, series_coefficients, series_start
 from expanderlab.spectral import (
     _matching_point,
     _PhaseShooter,
@@ -160,6 +164,81 @@ class TestAlphaStar:
                               grid=grid20)
         assert res.alpha_star == pytest.approx(alpha_star53.alpha_star,
                                                abs=1e-6)
+
+
+def reference_theta_end(sh, lam):
+    """End phase of the regular solution by solve_ivp's DOP853, with the
+    profile riding along, at the shooter's tolerances."""
+    d, p = sh.params.d, float(sh.params.p)
+
+    def rhs(rho, y):
+        theta, u, du = y
+        w = (d - 1.0) / rho + 0.5 * rho
+        au = abs(u)
+        qt = 1.0 / (p - 1.0) - lam + p * au ** (p - 1.0)
+        s, c = math.sin(theta), math.cos(theta)
+        return (c * c + qt * s * s + w * s * c,
+                du, -w * du - u / (p - 1.0) - math.copysign(au ** p, u))
+
+    f0, df0, _, _ = sh._eigen_series(lam)
+    state0 = (math.atan2(f0, df0), *series_start(sh.alpha, sh.params, sh.rho0))
+    sol = solve_ivp(rhs, (sh.rho0, sh.rho_max), state0, method="DOP853",
+                    rtol=spectral.RTOL, atol=spectral.ATOL)
+    assert sol.success
+    return float(sol.y[0, -1])
+
+
+# find_alpha_star on (5,3) at its default bracket and tol, with every count
+# taken by reference_theta_end (solve_ivp's DOP853)
+ALPHA_STAR_53_BRACKET = (1.7162438198924064, 1.7162445634603498)
+ALPHA_STAR_53_EVALUATIONS = [
+    (0.1, 0), (50.0, 3), (25.05, 2), (12.575000000000001, 2), (6.3375, 1),
+    (3.21875, 1), (1.659375, 0), (2.4390625, 1), (2.04921875, 1),
+    (1.8542968750000002, 1), (1.7568359375, 1), (1.70810546875, 0),
+    (1.732470703125, 1), (1.7202880859374998, 1), (1.7141967773437499, 0),
+    (1.7172424316406247, 1), (1.7157196044921874, 0), (1.716481018066406, 1),
+    (1.7161003112792967, 0), (1.7162906646728513, 1), (1.7161954879760741, 0),
+    (1.7162430763244627, 0), (1.716266870498657, 1), (1.71625497341156, 1),
+    (1.7162490248680113, 1), (1.716246050596237, 1), (1.7162445634603498, 1),
+    (1.7162438198924064, 0)]
+
+
+class TestCountKernel:
+    @pytest.mark.parametrize("d, p, alpha", [
+        (5, 3.0, 0.5), (5, 3.0, ALPHA_STAR_53), (5, 3.0, 5.0),
+        (3, 2.0, 0.5), (3, 2.0, 5.0), (11, 7.0, 0.5), (11, 7.0, 5.0)])
+    def test_theta_end_matches_solve_ivp(self, d, p, alpha):
+        sh = _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
+        for lam in (-1.0, 0.0, 0.3):
+            ref = reference_theta_end(sh, lam)
+            assert abs(sh.theta_end(lam) - ref) <= 1e-8
+            assert sh.count_above(lam) == math.floor(ref / math.pi)
+
+    def test_alpha_star_counts_unchanged(self, alpha_star53):
+        assert alpha_star53.bracket == ALPHA_STAR_53_BRACKET
+        assert alpha_star53.evaluations == ALPHA_STAR_53_EVALUATIONS
+
+    def test_failed_run_raises_without_warning(self):
+        def nan_rhs(rho, y):
+            return [math.nan, 0.0]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as info:
+                spectral._integrate_to_end(nan_rhs, (1.0, 16.0), (0.0, 1.0),
+                                           "NaN probe")
+        assert info.value.last_rho == 1.0
+        assert "NaN probe" in str(info.value)
+
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(family=st.sampled_from([(5, 3.0), (3, 2.0), (11, 7.0)]),
+           alpha=st.floats(0.1, 10.0),
+           lams=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2,
+                         unique=True).map(sorted))
+    def test_count_non_increasing_in_lambda(self, family, alpha, lams):
+        sh = _PhaseShooter(alpha, derived_exponents(*family), 16.0)
+        lam1, lam2 = lams
+        assert sh.count_above(lam1) >= sh.count_above(lam2)
 
 
 class TestEigenvalueShoot:
