@@ -34,7 +34,12 @@ from .exceptions import (
 from .exponents import derived_exponents
 from .profiles import RadialGrid, estimate_ell, shoot_profile, sweep_ell
 from .semigroup import GaussianDatum, growth_rate_gaussian, verify_smoothing
-from .spectral import find_alpha_star, matrix_spectrum, positive_spectrum
+from .spectral import (
+    ALPHA_STAR_BRACKET,
+    find_alpha_star,
+    matrix_spectrum,
+    positive_spectrum,
+)
 from .dynamics import evolve_similarity, nonuniqueness_demo
 
 USAGE_ERROR = 64
@@ -250,8 +255,8 @@ def _cmd_ell_sweep(cfg: RunConfig, writer: ArtifactWriter) -> int:
 
 def _cmd_alpha_star(cfg: RunConfig, writer: ArtifactWriter) -> int:
     params = derived_exponents(cfg.d, cfg.p)
-    lo = cfg.alpha_min if cfg.alpha_min is not None else 0.1
-    hi = cfg.alpha_max if cfg.alpha_max is not None else 50.0
+    lo = cfg.alpha_min if cfg.alpha_min is not None else ALPHA_STAR_BRACKET[0]
+    hi = cfg.alpha_max if cfg.alpha_max is not None else ALPHA_STAR_BRACKET[1]
     res = find_alpha_star(params, bracket=(lo, hi), tol=cfg.tol,
                           grid=_grid(cfg))
     payload = {
@@ -356,17 +361,14 @@ def _cmd_evolve(cfg: RunConfig, writer: ArtifactWriter) -> int:
     params = derived_exponents(cfg.d, cfg.p)
     grid = _grid(cfg)
     prof = shoot_profile(cfg.alpha, params, grid)
-    tau0, tau1 = cfg.tau0, cfg.tau1
-    if not tau1 > tau0:
-        raise DomainError("need tau1 > tau0")
-    log = evolve_similarity(cfg.scale * prof.u, tau0, tau1, params, grid,
-                            dtau=cfg.dtau, q=cfg.q, r=cfg.r,
+    log = evolve_similarity(cfg.scale * prof.u, cfg.tau0, cfg.tau1, params,
+                            grid, dtau=cfg.dtau, q=cfg.q, r=cfg.r,
                             reference=prof.u)
     writer.csv("trajectory", log.to_csv_rows())
     drift = float(np.max(np.abs(log.final.v - prof.u)))
     payload = {
         "alpha": cfg.alpha, "scale": cfg.scale,
-        "tau0": tau0, "tau1": float(log.taus[-1]),
+        "tau0": cfg.tau0, "tau1": float(log.taus[-1]),
         "blown_up": log.blown_up, "final_drift_to_profile": drift,
         "steps": int(log.taus.size - 1),
     }

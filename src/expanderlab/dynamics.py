@@ -45,7 +45,7 @@ from .exponents import (
     odd_power,
 )
 from .profiles import RadialGrid, estimate_ell, log_weight
-from .semigroup import RadialFunction, lebesgue_norm, lq_norm, sphere_area
+from .semigroup import lebesgue_norm, sphere_area
 from .spectral import (
     PotentialField,
     matrix_spectrum,
@@ -293,9 +293,6 @@ class TrajectoryLog:
     norms: dict                  # keys l1, lq, lr, lpr, l2w
     dist_ref: np.ndarray
     dtaus: np.ndarray
-    q: float
-    r: float
-    scheme: dict
     blown_up: bool
     final: EvolutionState
     extras: dict = field(default_factory=dict)
@@ -385,11 +382,7 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
     return TrajectoryLog(
         taus=np.array(taus),
         norms={k: np.array(a) for k, a in norms.items()},
-        dist_ref=np.array(dist), dtaus=np.array(dtaus), q=q, r=r,
-        scheme={"method": "crank-nicolson-imex", "dtau": dtau,
-                "spatial_order": 4, "drho": grid.drho,
-                "rho_max": grid.rho_max},
-        blown_up=blown,
+        dist_ref=np.array(dist), dtaus=np.array(dtaus), blown_up=blown,
         final=EvolutionState(tau=tau, grid=grid, v=v),
         extras={"extra_norm": np.array(extra)} if extra else {})
 
@@ -678,10 +671,9 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
     kit = _NormKit(grid, params)
     if epsilon is None:
         # profile-relative cap: the branch endpoint stays at 5% of the
-        # profile in the strong norm
-        u_bar_pr = lq_norm(RadialFunction(
-            grid=grid, values=sel.profile.u,
-            tail_exponent=-2.0 / (params.p - 1.0)), params.p * r, params.d)
+        # profile in the strong norm, taken on the grid: the tail beyond
+        # rho_max would add a few parts in 1e15
+        u_bar_pr = kit.lebesgue(sel.profile.u, params.p * r)
         mode_pr = kit.lebesgue(mode, params.p * r)
         eps_cap = 0.05 * u_bar_pr / (math.exp(lam * tau1) * mode_pr)
         # mode-feedback cap: the quadratic self-coupling g2 distorts the

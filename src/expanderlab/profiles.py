@@ -238,7 +238,15 @@ def shoot_profile(alpha: float, params: ProblemParams,
     """Shoot the profile for one alpha and sample it on the grid."""
     if grid is None:
         grid = RadialGrid.uniform()
-    sol, r0 = integrate_profile(alpha, params, grid.rho_max)
+    sol, _ = integrate_profile(alpha, params, grid.rho_max)
+    return sample_profile(sol, alpha, params, grid)
+
+
+def sample_profile(sol, alpha: float, params: ProblemParams,
+                   grid: RadialGrid) -> ExpanderProfile:
+    """Sample integrate_profile's dense solution sol, run to grid.rho_max,
+    on the grid."""
+    r0 = sol.t[0]
     u = np.empty_like(grid.nodes)
     du = np.empty_like(grid.nodes)
     u[0], du[0] = alpha, 0.0

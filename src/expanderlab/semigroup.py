@@ -104,15 +104,16 @@ def lebesgue_norm(w_meas: np.ndarray, values: np.ndarray, gamma: float,
     Nodes with |f| < 2^(-1000/gamma) are left out of the sum: their terms
     lie below 2^-1000, and pow takes a slow path, some 50x slower, whenever
     its result is subnormal.  A field whose largest power would fall below
-    2^-500 is first scaled by the exact power of two of its maximum, so a
-    tiny nonzero field keeps its relative precision instead of summing to
-    zero.  Larger fields are summed unscaled, so their norms equal the plain
-    formula's to the last bit.
+    2^-500 or rise above 2^900 is first scaled by the exact power of two of
+    its maximum, so a tiny nonzero field keeps its relative precision
+    instead of summing to zero, and a large one does not overflow (2^900
+    leaves room for the weights and the sum).  Other fields are summed
+    unscaled, so their norms equal the plain formula's to the last bit.
     """
     a = np.abs(values)
     top = float(a.max())
     e = 0
-    if 0.0 < top and gamma * math.log2(top) < -500.0:
+    if 0.0 < top and not -500.0 <= gamma * math.log2(top) <= 900.0:
         e = math.frexp(top)[1]
         a = np.ldexp(a, -e)
     a[a < 2.0 ** (-1000.0 / gamma)] = 0.0
@@ -447,9 +448,9 @@ def verify_smoothing(eta: float, eta_prime: float, gamma: float,
 
     ratios = ratios_for(taus)
     fitted = max(ratios)
-    refined_taus = sorted(set(taus + [0.5 * (a + b) for a, b
-                                      in zip(taus, taus[1:])]))
-    refined_max = max(ratios_for(refined_taus))
+    # the refined grid adds the midpoints; the original taus are in ratios
+    refined_max = max([fitted, *ratios_for(
+        [0.5 * (a + b) for a, b in zip(taus, taus[1:])])])
     return SmoothingReport(eta=eta, eta_prime=eta_prime, gamma=gamma,
                            gamma_prime=gamma_prime, tau_list=taus,
                            ratios=ratios, fitted_M=fitted,

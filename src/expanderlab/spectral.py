@@ -62,17 +62,17 @@ from .profiles import (
     _start_rho,
     integrate_profile,
     log_weight,
-    profile_on_nodes,
     require_alpha,
     require_positive,
+    sample_profile,
     series_coefficients,
     series_start,
-    shoot_profile,
 )
 
 RTOL = 1e-10
 ATOL = 1e-12
 LAMBDA_TOL = 1e-11      # eigenvalue_shoot's final bracket width
+ALPHA_STAR_BRACKET = (0.1, 50.0)     # find_alpha_star's default
 # step cap of the Fortran DOP853; its default of 500 is in reach (a (11,7)
 # count at alpha = 50 takes about 490 steps), and solve_ivp has none
 MAX_STEPS = 10 ** 6
@@ -84,13 +84,11 @@ class PotentialField:
 
     profile: ExpanderProfile
     v: np.ndarray
-    sup_norm: float
 
     @classmethod
     def from_profile(cls, profile: ExpanderProfile) -> "PotentialField":
         p = profile.params.p
-        v = p * np.abs(profile.u) ** (p - 1.0)
-        return cls(profile=profile, v=v, sup_norm=float(np.max(v)))
+        return cls(profile=profile, v=p * np.abs(profile.u) ** (p - 1.0))
 
 
 @dataclass
@@ -396,7 +394,7 @@ def neutral_zero_count(alpha: float, params: ProblemParams,
     return _PhaseShooter(alpha, params, rho_max).count_above(0.0)
 
 
-def find_alpha_star(params: ProblemParams, bracket=(0.1, 50.0),
+def find_alpha_star(params: ProblemParams, bracket=ALPHA_STAR_BRACKET,
                     tol: float = 1e-6,
                     grid: Optional[RadialGrid] = None) -> AlphaStarResult:
     """Bisect the first 0 -> >=1 transition of the neutral zero count.
@@ -720,8 +718,6 @@ class SelectedExpander:
     lambda_bar: float
     profile: ExpanderProfile
     eigenpair: EigenPair
-    potential_gap_sup: float      # sup |V_alpha_bar - V_alpha_star|
-    second_lambda: Optional[float] = None
 
 
 def select_unstable_expander(params: ProblemParams, eps_target: float,
@@ -736,9 +732,9 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
     toward 0.9 eps_target when the window overshoots.  Each step is decided
     by Sturm counts alone: lambda_top > x exactly when count_above(x) >= 1,
     so a step costs at most three phase integrations (at 0, eps_target and
-    0.9 eps_target) and the eigenpair is solved once, at the accepted alpha.
-    Rejects powers outside (p_fujita, p_jl), where no radial profile is
-    unstable.
+    0.9 eps_target) and the eigenpair is solved once, at the accepted alpha,
+    whose dense profile the returned profile samples.  Rejects powers
+    outside (p_fujita, p_jl), where no radial profile is unstable.
     """
     params.require_unstable_regime()
     require_positive("eps_target", eps_target)
@@ -781,19 +777,7 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
                 f"could not isolate lambda_top in (0, {eps_target}) above "
                 f"alpha_star={a_star}")
     pair = top_eigenpair(a_bar, params, grid, shooter=sh_bar)
-
-    profile = shoot_profile(a_bar, params, grid)
-    v_bar = PotentialField.from_profile(profile).v
-    v_star = params.p * np.abs(
-        profile_on_nodes(a_star, params, grid.nodes)) ** (params.p - 1.0)
-    gap = float(np.max(np.abs(v_bar - v_star)))
-
-    second = None
-    if sh_bar.count_above(0.0) > 1:
-        second = positive_spectrum(a_bar, params, grid,
-                                   shooter=sh_bar)[1].lam
-
+    profile = sample_profile(sh_bar._usol, a_bar, params, grid)
     return SelectedExpander(alpha_star=star, alpha_bar=a_bar,
                             lambda_bar=pair.lam, profile=profile,
-                            eigenpair=pair, potential_gap_sup=gap,
-                            second_lambda=second)
+                            eigenpair=pair)

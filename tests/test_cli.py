@@ -229,3 +229,15 @@ class TestDynamicsCommands:
     def test_demo_beyond_threshold_exit_65(self, tmp_path):
         assert run(tmp_path, "demo", "--d", "11", "--p", "7",
                    "--q", "2", "--r", "40") == 65
+
+    # the demo across the unstable regime at its default grid; (5,3) is
+    # test_demo_end_to_end.  At (3,3) and (4,2) the profile has not yet
+    # reached its rho^(-2/(p-1)) tail on the last decade [1.6, 16].
+    @pytest.mark.parametrize("d, p", [
+        ("3", "3"), ("4", "2"),
+        *(pytest.param(d, p, marks=pytest.mark.slow) for d, p in (
+            ("3", "7"), ("4", "4"), ("5", "2"), ("5", "5"), ("6", "2"),
+            ("6", "3"), ("8", "2"), ("10", "2")))])
+    def test_demo_passes_across_regime(self, tmp_path, capsys, d, p):
+        assert run(tmp_path, "demo", "--d", d, "--p", p) == 0
+        assert capsys.readouterr().out.startswith("demo PASS")

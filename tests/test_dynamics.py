@@ -12,7 +12,12 @@ from expanderlab.exceptions import (
 )
 from expanderlab.exponents import odd_power
 from expanderlab.profiles import RadialGrid
-from expanderlab.semigroup import RadialFunction, lq_norm, sphere_area
+from expanderlab.semigroup import (
+    RadialFunction,
+    lebesgue_norm,
+    lq_norm,
+    sphere_area,
+)
 from expanderlab.spectral import PotentialField, matrix_spectrum
 from expanderlab.dynamics import (
     EvolutionState,
@@ -435,3 +440,16 @@ def test_tiny_field_norm_is_not_zero(params53, grid_default):
     assert got == pytest.approx(exact, rel=1e-14)
     assert lq_norm(RadialFunction(grid=grid_default, values=field), gamma,
                    d) == got
+
+
+def test_large_field_norm_is_finite(grid_default):
+    # 30^220 overflows, and the axis weight 0 times inf made the sum NaN;
+    # the Simpson sum of rho^10 is exact up to O(h^4), shrunk by the 220th
+    # root
+    c, gamma, d = 30.0, 220.0, 11
+    exact = c * (sphere_area(d) * grid_default.rho_max ** d / d) ** (
+        1.0 / gamma)
+    field = np.full(grid_default.nodes.size, c)
+    got = lebesgue_norm(grid_default.measure_weights(d), field, gamma,
+                        sphere_area(d))
+    assert got == pytest.approx(exact, rel=1e-12)

@@ -375,13 +375,22 @@ class TestSmoothing:
         d = rep.as_dict()
         assert d["pass"] and len(d["ratios"]) == 30
 
-    def test_bump_family_bounded(self, grid):
+    def test_bump_family_bounded(self, grid, monkeypatch):
         params = derived_exponents(5, 3.0)
         bump = np.where(grid.nodes < 1.0, (1.0 - grid.nodes ** 2) ** 2, 0.0)
         samples = [RadialFunction(grid=grid, values=bump)]
+        taus, apply = [], semigroup.apply_S0
+
+        def counted(tau, f, params):
+            taus.append(tau)
+            return apply(tau, f, params)
+
+        monkeypatch.setattr(semigroup, "apply_S0", counted)
         rep = verify_smoothing(1.0, 2.0, 1.0, 2.0, samples, params,
                                tau_list=[0.5, 0.25, 0.125])
         assert rep.passed
+        # the refined pass evaluates only the two midpoints
+        assert taus == [0.5, 0.25, 0.125, 0.375, 0.1875]
 
     def test_exponent_relation_enforced(self):
         params = derived_exponents(5, 3.0)

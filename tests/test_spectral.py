@@ -16,7 +16,13 @@ from expanderlab.exceptions import (
     ResolutionError,
 )
 from expanderlab.exponents import derived_exponents
-from expanderlab.profiles import RadialGrid, series_coefficients, series_start
+from expanderlab.profiles import (
+    RadialGrid,
+    profile_on_nodes,
+    series_coefficients,
+    series_start,
+    shoot_profile,
+)
 from expanderlab.spectral import (
     _matching_point,
     _PhaseShooter,
@@ -263,8 +269,15 @@ class TestEigenvalueShoot:
             eigenvalue_shoot(alpha, params53, (2.0, 3.0))
 
     def test_perturbation_bound_near_alpha_star(self, selected53):
-        # top eigenvalue is controlled by the potential gap
-        assert 0 < selected53.lambda_bar <= selected53.potential_gap_sup
+        # Weyl: the top eigenvalue, 0 at alpha*, moves by at most
+        # sup |V_alpha_bar - V_alpha*|
+        p, nodes = selected53.profile.params.p, selected53.profile.grid.nodes
+        v_star = p * np.abs(profile_on_nodes(
+            selected53.alpha_star.alpha_star, selected53.profile.params,
+            nodes)) ** (p - 1.0)
+        gap = np.max(np.abs(
+            PotentialField.from_profile(selected53.profile).v - v_star))
+        assert 0 < selected53.lambda_bar <= gap
 
     def test_top_eigenfunction_nodeless_d11_p7(self, params117):
         pair = eigenvalue_shoot(5.023596998906852, params117, (-3.3, -3.1),
@@ -421,10 +434,11 @@ class TestSelectUnstableExpander:
 
     def test_work_budget_d5_p3(self, params53, monkeypatch):
         # selection decides by Sturm counts and solves one eigenpair, in a
-        # few phase-matching evaluations
-        shoots, misses, matches = [], [], []
+        # few phase-matching evaluations, on the one profile it integrates
+        shoots, misses, matches, integrations = [], [], [], []
         shoot, theta_end = eigenvalue_shoot, _PhaseShooter.theta_end
         match_phases = _PhaseShooter.match_phases
+        integrate_profile = spectral.integrate_profile
 
         def counted_shoot(*args, **kwargs):
             shoots.append(args)
@@ -439,18 +453,31 @@ class TestSelectUnstableExpander:
             matches.append(lam)
             return match_phases(self, lam, rho_m)
 
+        def counted_profile(*args, **kwargs):
+            integrations.append(args)
+            return integrate_profile(*args, **kwargs)
+
         monkeypatch.setattr(spectral, "eigenvalue_shoot", counted_shoot)
         monkeypatch.setattr(_PhaseShooter, "theta_end", counted_theta_end)
         monkeypatch.setattr(_PhaseShooter, "match_phases", counted_match)
+        monkeypatch.setattr(spectral, "integrate_profile", counted_profile)
         sel = select_unstable_expander(params53, eps_target=0.05)
         assert len(shoots) == 1
+        assert len(integrations) == 1
         assert len(misses) <= 100
         assert len(matches) <= 12
         assert sel.alpha_bar == 1.7457421387208156
         # within 3e-12 of the value at rtol 1e-13, atol 1e-15
         assert sel.lambda_bar == pytest.approx(0.048292310138074494,
                                                abs=1e-12)
-        assert sel.second_lambda is None
+
+    def test_profile_is_a_fresh_shot(self, selected53):
+        # the profile sampled off the selection's shooter is the one a
+        # separate shot at alpha_bar gives, bit for bit
+        prof = selected53.profile
+        shot = shoot_profile(selected53.alpha_bar, prof.params, prof.grid)
+        assert np.array_equal(prof.u, shot.u)
+        assert np.array_equal(prof.du, shot.du)
 
     def test_potential_field_consistency(self, selected53):
         pf = PotentialField.from_profile(selected53.profile)
@@ -458,4 +485,3 @@ class TestSelectUnstableExpander:
         assert np.all(pf.v >= 0)
         expected = p * np.abs(selected53.profile.u) ** (p - 1.0)
         assert np.allclose(pf.v, expected, rtol=0, atol=0)
-        assert pf.sup_norm == np.max(pf.v)
