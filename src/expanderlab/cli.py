@@ -398,7 +398,11 @@ def _cmd_demo(cfg: RunConfig, writer: ArtifactWriter) -> int:
           f"slope={report.measured_slope:.4f} "
           f"(predicted {report.predicted_slope:.4f}, "
           f"R^2={report.slope_r2:.4f})")
-    return 0 if report.passed else 2
+    if report.passed:
+        return 0
+    print("failed checks: "
+          + ", ".join(k for k, ok in report.checks.items() if not ok))
+    return 2
 
 
 _HANDLERS = {

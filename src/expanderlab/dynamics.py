@@ -44,7 +44,7 @@ from .exponents import (
     check_feasibility,
     odd_power,
 )
-from .profiles import RadialGrid, estimate_ell, log_weight
+from .profiles import RadialGrid, estimate_ell, log_weight, require_positive
 from .semigroup import lebesgue_norm, sphere_area
 from .spectral import (
     PotentialField,
@@ -53,6 +53,7 @@ from .spectral import (
 )
 
 STABILITY_C = 0.5
+MAX_STEPS = 10 ** 7     # a run of more nominal steps is refused up front
 
 
 @dataclass
@@ -71,17 +72,18 @@ class EvolutionState:
         return float(abs(dv + beta * self.v[-1]))
 
 
-def robin_beta(params: ProblemParams, rho_max: float,
-               tail_ell: float = 0.0) -> float:
+def robin_beta(params: ProblemParams, rho_max: float) -> float:
     """Log-derivative the profile tail satisfies at rho_max, with the
     curvature correction of the rho^-2 term.
 
     The plain first-order law v'/v = -2/((p-1) rho) leaves an O(rho^-3)
     model error that a static profile feels as a spurious boundary source;
-    the correction coefficient m(m+2-d) + |ell|^(p-1) removes most of it.
+    the correction coefficient c = m(m+2-d), m = 2/(p-1), removes most of
+    it.  c is the linear part of the rho^-2 coefficient; the nonlinear
+    part |ell|^(p-1) is left out.
     """
     m = 2.0 / (params.p - 1.0)
-    c = m * (m + 2.0 - params.d) + abs(tail_ell) ** (params.p - 1.0)
+    c = m * (m + 2.0 - params.d)
     return (m / rho_max
             + 2.0 * c / rho_max ** 3 / (1.0 + c / rho_max ** 2))
 
@@ -292,7 +294,6 @@ class TrajectoryLog:
     taus: np.ndarray
     norms: dict                  # keys l1, lq, lr, lpr, l2w
     dist_ref: np.ndarray
-    dtaus: np.ndarray
     blown_up: bool
     final: EvolutionState
     extras: dict = field(default_factory=dict)
@@ -337,6 +338,10 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
     otherwise the Robin condition calibrated on v0's tail."""
     if not tau1 > tau0:
         raise DomainError("need tau1 > tau0")
+    dtau = require_positive("dtau", dtau)
+    if tau1 - tau0 > MAX_STEPS * dtau:
+        raise DomainError(f"dtau={dtau} takes more than {MAX_STEPS} steps "
+                          f"from tau0={tau0} to tau1={tau1}")
     v = np.asarray(v0, dtype=float).copy()
     if v.shape != grid.nodes.shape:
         raise DomainError("initial data must live on the grid")
@@ -346,13 +351,12 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
     kit = _NormKit(grid, params)
     ref = np.zeros_like(v) if reference is None else reference
 
-    taus, dtaus, dist = [], [], []
+    taus, dist = [], []
     norms = {k: [] for k in ("l1", "lq", "lr", "lpr", "l2w")}
     extra = []
 
-    def log_state(tau, v, dt):
+    def log_state(tau, v):
         taus.append(tau)
-        dtaus.append(dt)
         norms["l1"].append(kit.lebesgue(v, 1.0))
         norms["lq"].append(kit.lebesgue(v, q))
         norms["lr"].append(kit.lebesgue(v, r))
@@ -363,7 +367,7 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
             extra.append(extra_norm(v, tau))
 
     tau = tau0
-    log_state(tau, v, 0.0)
+    log_state(tau, v)
     blown = False
     while tau < tau1 - 1e-12:
         dt = min(dtau, tau1 - tau)
@@ -374,7 +378,7 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
         source = source_fn(v) if source_fn is not None else None
         v = stepper.step(v, dt, source)
         tau += dt
-        log_state(tau, v, dt)
+        log_state(tau, v)
         if np.max(np.abs(v)) > 1e6:
             blown = True
             break
@@ -382,7 +386,7 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
     return TrajectoryLog(
         taus=np.array(taus),
         norms={k: np.array(a) for k, a in norms.items()},
-        dist_ref=np.array(dist), dtaus=np.array(dtaus), blown_up=blown,
+        dist_ref=np.array(dist), blown_up=blown,
         final=EvolutionState(tau=tau, grid=grid, v=v),
         extras={"extra_norm": np.array(extra)} if extra else {})
 

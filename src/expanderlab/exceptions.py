@@ -49,10 +49,6 @@ class SeedAmplitudeError(ExpanderLabError, RuntimeError):
         self.suggested_epsilon = suggested_epsilon
 
 
-class DivergentNormError(ExpanderLabError, ValueError):
-    """Requested Lebesgue norm diverges for the given tail exponent."""
-
-
 class QuadratureAccuracyError(ExpanderLabError, RuntimeError):
     """Quadrature failed to converge to the requested accuracy."""
 

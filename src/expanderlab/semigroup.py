@@ -21,17 +21,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import special
 from scipy.interpolate import CubicSpline
 
-from .exceptions import (
-    DivergentNormError,
-    DomainError,
-    QuadratureAccuracyError,
-)
+from .exceptions import DomainError, QuadratureAccuracyError
 from .exponents import ProblemParams
 from .profiles import RadialGrid
 
@@ -69,11 +65,10 @@ class GaussianDatum:
 
 @dataclass
 class RadialFunction:
-    """Radial profile on a grid, with optional power-law tail metadata."""
+    """Radial profile given by its values on a grid, and zero past rho_max."""
 
     grid: RadialGrid
     values: np.ndarray
-    tail_exponent: Optional[float] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -82,24 +77,10 @@ class RadialFunction:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("values must be finite")
 
-    def check_tail(self) -> bool:
-        """Last-decade log-log slope within 5% of tail_exponent."""
-        if self.tail_exponent is None:
-            return True
-        nodes = self.grid.nodes
-        mask = nodes >= self.grid.rho_max / 10.0
-        vals = np.abs(self.values[mask])
-        if np.max(vals) < 1e-100:
-            return True  # tail numerically zero; treat metadata as unused
-        slope = np.polyfit(np.log(nodes[mask]), np.log(vals + 1e-300), 1)[0]
-        return abs(slope - self.tail_exponent) <= 0.05 * max(
-            1.0, abs(self.tail_exponent))
-
 
 def lebesgue_norm(w_meas: np.ndarray, values: np.ndarray, gamma: float,
-                  sphere: float,
-                  tail: Optional[Callable[[float], float]] = None) -> float:
-    """(sphere (sum_i w_meas_i |f_i|^gamma + tail(|f_N|^gamma)))^(1/gamma).
+                  sphere: float) -> float:
+    """(sphere sum_i w_meas_i |f_i|^gamma)^(1/gamma).
 
     Nodes with |f| < 2^(-1000/gamma) are left out of the sum: their terms
     lie below 2^-1000, and pow takes a slow path, some 50x slower, whenever
@@ -118,37 +99,16 @@ def lebesgue_norm(w_meas: np.ndarray, values: np.ndarray, gamma: float,
         a = np.ldexp(a, -e)
     a[a < 2.0 ** (-1000.0 / gamma)] = 0.0
     total = float(np.dot(w_meas, a ** gamma))
-    if tail is not None:
-        total += tail(a[-1] ** gamma)
     return math.ldexp((sphere * total) ** (1.0 / gamma), e)
 
 
 def lq_norm(f: RadialFunction, gamma: float, d: int) -> float:
-    """L^gamma norm over R^d of a radial profile.
-
-    The grid's Simpson weights against the rho^(d-1) measure plus, when the
-    function carries a tail exponent t, the closed-form continuation of
-    |f(rho_max)|^gamma (rho/rho_max)^(gamma t) beyond the grid.  Divergent
-    continuations (gamma t + d >= 0) are rejected.
-    """
+    """L^gamma norm over R^d of a radial profile: the grid's Simpson
+    weights against the rho^(d-1) measure, with f zero past rho_max."""
     if gamma < 1.0:
         raise DomainError("Lebesgue exponent must be >= 1")
-    tail = None
-    if f.tail_exponent is not None and abs(f.values[-1]) > 1e-100:
-        t = f.tail_exponent
-        if gamma * t + d >= 0.0:
-            raise DivergentNormError(
-                f"tail exponent {t} makes the L^{gamma} integral diverge "
-                f"(gamma*t + d = {gamma * t + d} >= 0)")
-        if not f.check_tail():
-            raise DomainError(
-                "tail_exponent inconsistent with the sampled last decade")
-        rho_max = f.grid.rho_max
-
-        def tail(end_power):
-            return end_power * rho_max ** d / (-(gamma * t + d))
     return lebesgue_norm(f.grid.measure_weights(d), f.values, gamma,
-                         sphere_area(d), tail)
+                         sphere_area(d))
 
 
 def apply_S0_gaussian(tau: float, g: GaussianDatum,
@@ -246,8 +206,8 @@ def _angular_factor(beta: np.ndarray, d: int) -> np.ndarray:
 
 
 class _RadialEvaluator:
-    """Cubic-spline evaluation with even symmetry at the axis and an
-    optional power-law continuation past the grid."""
+    """Cubic-spline evaluation with even symmetry at the axis, zero past
+    the grid."""
 
     def __init__(self, f: RadialFunction):
         nodes = f.grid.nodes
@@ -255,43 +215,30 @@ class _RadialEvaluator:
         ext_vals = np.concatenate([f.values[:0:-1], f.values])
         self._spline = CubicSpline(ext_nodes, ext_vals)
         self._rho_max = f.grid.rho_max
-        self._edge = float(f.values[-1])
-        self._tail = f.tail_exponent
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         inside = s <= self._rho_max
         out[inside] = self._spline(s[inside])
-        if self._tail is not None and self._edge != 0.0:
-            far = ~inside
-            out[far] = self._edge * (s[far] / self._rho_max) ** self._tail
         return out
 
 
-def _panels(x: np.ndarray, width: float, rho_max: float, has_tail: bool):
+def _panels(x: np.ndarray, width: float, rho_max: float):
     """Radial integration panels for the evaluation points x, one row each.
 
-    Row i covers [x_i - 8 width, x_i + 8 width], clipped at 0 and, without
-    a tail, at rho_max.  The spline is only piecewise smooth, so the stretch
-    below rho_max is cut into 0.5-wide chunks; the analytic tail past
-    rho_max is one panel, which is the whole row once the window has left
-    the grid.  Shorter rows are padded with zero-width panels, which carry
-    zero weight.  Returns (left, right, panel count per row).
+    Row i covers [x_i - 8 width, x_i + 8 width] clipped to [0, rho_max],
+    where the data live.  The spline is only piecewise smooth, so the row
+    is cut into 0.5-wide chunks; shorter rows are padded with zero-width
+    panels, which carry zero weight.  Returns (left, right, panel count
+    per row).
     """
-    lo = np.maximum(0.0, x - 8.0 * width)
-    hi = x + 8.0 * width
-    if not has_tail:
-        hi = np.minimum(hi, rho_max)
-        lo = np.minimum(lo, rho_max)
-    top = np.minimum(hi, rho_max)
-    start = np.maximum(lo, top)[:, None]    # left end of the tail panel
-    chunks = np.maximum(np.ceil((top - lo) / 0.5), 0.0).astype(int)[:, None]
-    tail = start < hi[:, None]
-    k = np.arange(int(np.max(chunks + tail)) + 1)
-    cuts = np.where(k < chunks, lo[:, None] + 0.5 * k,
-                    np.where((k > chunks) & tail, hi[:, None], start))
-    return cuts[:, :-1], cuts[:, 1:], (chunks + tail)[:, 0]
+    lo = np.minimum(np.maximum(0.0, x - 8.0 * width), rho_max)
+    hi = np.minimum(x + 8.0 * width, rho_max)
+    chunks = np.maximum(np.ceil((hi - lo) / 0.5), 0.0).astype(int)[:, None]
+    k = np.arange(int(np.max(chunks)) + 1)
+    cuts = np.where(k < chunks, lo[:, None] + 0.5 * k, hi[:, None])
+    return cuts[:, :-1], cuts[:, 1:], chunks[:, 0]
 
 
 def apply_S0(tau: float, f: RadialFunction,
@@ -311,8 +258,7 @@ def apply_S0(tau: float, f: RadialFunction,
     if not math.isfinite(tau) or tau < 0.0:
         raise DomainError("tau must be finite and nonnegative")
     if tau == 0.0:
-        return RadialFunction(grid=f.grid, values=f.values.copy(),
-                              tail_exponent=f.tail_exponent)
+        return RadialFunction(grid=f.grid, values=f.values.copy())
     d = params.d
     try:
         a = math.expm1(tau)
@@ -325,12 +271,10 @@ def apply_S0(tau: float, f: RadialFunction,
         raise DomainError(f"tau={tau} is too large for d={d}: the kernel "
                           "normalisation leaves the double range") from None
     evaluate = _RadialEvaluator(f)
-    has_tail = f.tail_exponent is not None and f.values[-1] != 0.0
     floor = 2e-8 * float(np.max(np.abs(f.values))) * unit_total
 
     x = math.exp(0.5 * tau) * f.grid.nodes
-    left, right, counts = _panels(x, math.sqrt(2.0 * a), f.grid.rho_max,
-                                  has_tail)
+    left, right, counts = _panels(x, math.sqrt(2.0 * a), f.grid.rho_max)
     rows = max(1, _BLOCK_ELEMENTS // (48 * max(1, left.shape[1])))
     out = np.empty_like(x)
     for start in range(0, x.size, rows):
@@ -363,8 +307,7 @@ def apply_S0(tau: float, f: RadialFunction,
                 "radial quadrature did not converge",
                 achieved=float(np.max(miss[~done])))
 
-    return RadialFunction(grid=f.grid, values=out,
-                          tail_exponent=f.tail_exponent)
+    return RadialFunction(grid=f.grid, values=out)
 
 
 @dataclass

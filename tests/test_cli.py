@@ -146,8 +146,13 @@ class TestProfileCommands:
         ("profile", "--alpha", "1", "--rho-max", "1e308"),
         # finite node count far past the grid's node ceiling
         ("profile", "--alpha", "1", "--rho-max", "1e300", "--drho", "1"),
+        # dtau > 0 but (tau1 - tau0) / dtau far past the step ceiling
+        ("evolve", "--alpha", "1", "--tau0", "0", "--tau1", "1",
+         "--dtau", "1e-300"),
+        ("demo", "--dtau", "1e-300"),
     ], ids=["drho-nan", "rho-max-inf", "alpha-nan", "alpha-steps-negative",
-            "rho-max-overflow", "rho-max-huge"])
+            "rho-max-overflow", "rho-max-huge", "evolve-dtau-tiny",
+            "demo-dtau-tiny"])
     def test_invalid_flag_exit_65(self, tmp_path, argv):
         assert run(tmp_path, *argv, "--d", "5", "--p", "3") == 65
 
@@ -225,6 +230,15 @@ class TestDynamicsCommands:
         doc = json.loads((tmp_path / "demo.json").read_text())
         assert doc["pass"] is True
         assert (tmp_path / "demo_trajectory.csv").exists()
+
+    def test_demo_failure_names_its_checks(self, tmp_path, capsys):
+        # tau in [-12, -8] spans 4 / ln 10 = 1.74 decades, too few for the
+        # blow-up fit, which needs 2; every other check holds
+        assert run(tmp_path, "demo", "--d", "5", "--p", "3",
+                   "--tau1", "-8") == 2
+        out = capsys.readouterr().out
+        assert out.startswith("demo FAIL")
+        assert "failed checks: blowup_fit_quality\n" in out
 
     def test_demo_beyond_threshold_exit_65(self, tmp_path):
         assert run(tmp_path, "demo", "--d", "11", "--p", "7",

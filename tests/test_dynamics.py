@@ -233,6 +233,14 @@ class TestEvolveSimilarity:
         assert len(rows) == log.taus.size + 1
         assert float(rows[1][1]) == pytest.approx(1.0)  # t = e^0
 
+    @pytest.mark.parametrize("dtau", [0.0, -0.01, math.nan, 1e-300])
+    def test_bad_dtau_rejected_before_stepping(self, params53, grid_default,
+                                               dtau):
+        # 1e-300 is positive but would take far more than MAX_STEPS steps
+        with pytest.raises(DomainError):
+            evolve_similarity(np.zeros_like(grid_default.nodes), 0.0, 1.0,
+                              params53, grid_default, dtau=dtau)
+
     def test_robin_residual_diagnostic(self, params53, profile53):
         state = EvolutionState(tau=0.0, grid=profile53.grid,
                                v=profile53.u.copy())

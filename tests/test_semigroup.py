@@ -6,11 +6,7 @@ import pytest
 from scipy import special
 
 from expanderlab import semigroup
-from expanderlab.exceptions import (
-    DivergentNormError,
-    DomainError,
-    QuadratureAccuracyError,
-)
+from expanderlab.exceptions import DomainError, QuadratureAccuracyError
 from expanderlab.exponents import derived_exponents
 from expanderlab.profiles import RadialGrid
 from expanderlab.semigroup import (
@@ -61,19 +57,14 @@ def per_node_S0(tau, f, params):
     width = math.sqrt(2.0 * a)
     evaluate = _RadialEvaluator(f)
     rho_max = f.grid.rho_max
-    has_tail = f.tail_exponent is not None and f.values[-1] != 0.0
     unit_total = (4.0 * math.pi * a) ** (d / 2.0) / sphere_area(d - 1)
     floor = 2e-8 * float(np.max(np.abs(f.values))) * unit_total
     out = np.empty_like(f.grid.nodes)
     for i, rho in enumerate(f.grid.nodes):
         x = math.exp(0.5 * tau) * rho
-        lo, hi = max(0.0, x - 8.0 * width), x + 8.0 * width
-        if not has_tail:
-            hi, lo = min(hi, rho_max), min(lo, rho_max)
-        cuts = list(np.arange(lo, min(hi, rho_max), 0.5))
-        cuts.append(max(lo, min(hi, rho_max)))
-        if cuts[-1] < hi:
-            cuts.append(hi)
+        lo = min(max(0.0, x - 8.0 * width), rho_max)
+        hi = min(x + 8.0 * width, rho_max)
+        cuts = [*np.arange(lo, hi, 0.5), hi]
         spans = [(pa, pb) for pa, pb in zip(cuts, cuts[1:]) if pb > pa]
         prev = None
         for n in (24, 48, 96, 192, 384):
@@ -114,23 +105,6 @@ class TestLqNorm:
     def test_zero_function(self, grid):
         f = RadialFunction(grid=grid, values=np.zeros_like(grid.nodes))
         assert lq_norm(f, 2.0, 5) == 0.0
-
-    def test_tail_extrapolation_matches_closed_form(self, grid):
-        # pure power rho^-2 from rho=1 on, L2 in d=5: finite, computable
-        t = -2.0
-        vals = np.maximum(grid.nodes, 1.0) ** t
-        f = RadialFunction(grid=grid, values=vals, tail_exponent=t)
-        # integral: int_0^1 rho^4 + int_1^inf rho^(-4) rho^4 = 1/5 + inf...
-        # gamma=2: |f|^2 rho^4: int_0^1 rho^4 = 1/5; int_1^inf rho^-4 rho^4
-        # diverges, so use gamma=4 instead: int_1^inf rho^(-8+4) = 1/3
-        exact = (sphere_area(5) * (1.0 / 5.0 + 1.0 / 3.0)) ** 0.25
-        assert lq_norm(f, 4.0, 5) == pytest.approx(exact, rel=1e-6)
-
-    def test_divergent_tail_rejected(self, grid):
-        f = RadialFunction(grid=grid, values=np.maximum(grid.nodes, 1.0) ** -2.0,
-                           tail_exponent=-2.0)
-        with pytest.raises(DivergentNormError):
-            lq_norm(f, 2.0, 5)   # 2*(-2) + 5 = 1 >= 0
 
 
 class TestGaussianSemigroup:
@@ -269,25 +243,25 @@ class TestQuadraturePath:
                                        rtol=1e-12, err_msg=f"d = {d}")
 
     def test_blocks_match_per_node_reference(self):
-        # coarse grid; the power-law datum carries a tail, so its panels
-        # run past rho_max into the analytic continuation
+        # coarse grid; the algebraic datum is nonzero at rho_max, so the
+        # panels of the outer nodes are clipped there
         grid = RadialGrid.uniform(16.0, 0.1)
         rho = grid.nodes
-        data = [(5, GaussianDatum(1.3, 0.8).values_on(rho), None),
-                (4, np.where(rho < 1.0, (1.0 - rho ** 2) ** 2, 0.0), None),
-                (5, 1.0 / (1.0 + rho ** 2), -2.0)]
-        for d, values, tail in data:
+        data = [(5, GaussianDatum(1.3, 0.8).values_on(rho)),
+                (4, np.where(rho < 1.0, (1.0 - rho ** 2) ** 2, 0.0)),
+                (5, 1.0 / (1.0 + rho ** 2))]
+        for d, values in data:
             params = derived_exponents(d, 3.0)
-            f = RadialFunction(grid=grid, values=values, tail_exponent=tail)
+            f = RadialFunction(grid=grid, values=values)
             for tau in [1e-3, 0.1, 2.0]:
                 out = apply_S0(tau, f, params).values
                 ref = per_node_S0(tau, f, params)
                 err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
-                assert err <= 1e-12, (d, tail, tau, err)
+                assert err <= 1e-12, (d, tau, err)
 
     def test_window_past_the_grid(self):
-        # at tau = 3 the outer nodes' windows start past rho_max: without a
-        # tail they see no data, with one they integrate the continuation
+        # at tau = 3 the outer nodes' windows start past rho_max, where
+        # the data are zero
         grid = RadialGrid.uniform(16.0, 0.1)
         params = derived_exponents(5, 3.0)
         g = GaussianDatum(1.3, 0.8)
@@ -296,12 +270,6 @@ class TestQuadraturePath:
                        params).values
         exact = apply_S0_gaussian(3.0, g, params).values_on(grid.nodes)
         assert np.max(np.abs(out - exact)) <= 1e-6 * np.max(exact)
-        f = RadialFunction(grid=grid, values=1.0 / (1.0 + grid.nodes ** 2),
-                           tail_exponent=-2.0)
-        out = apply_S0(3.0, f, params).values
-        assert np.all(out > 0.0)
-        ref = per_node_S0(3.0, f, params)
-        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(ref)
 
     def test_unconverged_block_raises(self, monkeypatch):
         # a kernel proportional to the number of quadrature points doubles
