@@ -84,6 +84,8 @@ class RunConfig:
                 raise DomainError(f"{name} must be finite, got {value}")
         if self.alpha_steps < 1:
             raise DomainError("alpha_steps must be at least 1")
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
         for name in ("rho_max", "drho", "dtau", "tol"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")

@@ -32,12 +32,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, solve_banded  # noqa: F401
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .exceptions import (
-    DomainError,
-    FeasibilityError,
-    SeedAmplitudeError,
-    StepRejectedError,
-)
+from .exceptions import DomainError, FeasibilityError, SeedAmplitudeError
 from .exponents import (
     FeasibilityCheck,
     ProblemParams,
@@ -54,6 +49,8 @@ from .spectral import (
 
 STABILITY_C = 0.5
 MAX_STEPS = 10 ** 7     # a run of more nominal steps is refused up front
+BLOWUP = 1e6            # a run stops once max|v| passes this
+NORMS = ("l1", "lq", "lr", "lpr", "l2w")    # logged after every step
 
 
 @dataclass
@@ -63,13 +60,6 @@ class EvolutionState:
     tau: float
     grid: RadialGrid
     v: np.ndarray
-
-    def robin_residual(self, params: ProblemParams) -> float:
-        """Defect of the outer tail condition v' + 2 v / ((p-1) rho) = 0."""
-        h = self.grid.drho
-        beta = 2.0 / ((params.p - 1.0) * self.grid.rho_max)
-        dv = (3.0 * self.v[-1] - 4.0 * self.v[-2] + self.v[-3]) / (2.0 * h)
-        return float(abs(dv + beta * self.v[-1]))
 
 
 def robin_beta(params: ProblemParams, rho_max: float) -> float:
@@ -91,6 +81,9 @@ def robin_beta(params: ProblemParams, rho_max: float) -> float:
 # fourth-order one-sided first-derivative weights at the last node,
 # offsets -4..0 in units of h
 _EDGE_D1 = np.array([3.0, -16.0, 36.0, -48.0, 25.0]) / 12.0
+# band-storage slots of row n-1's entries in columns n-4 .. n; row n's
+# are one band row lower
+_EDGE = (np.arange(5, 0, -1), np.arange(-5, 0))
 
 
 def _fd_weights(offsets, order: int) -> np.ndarray:
@@ -124,14 +117,13 @@ def calibrated_beta(v: np.ndarray, h: float, params: ProblemParams,
 
 
 def operator_bands(grid: RadialGrid, params: ProblemParams,
-                   potential: Optional[np.ndarray] = None):
-    """Banded representation of the linear generator on the grid.
+                   potential: Optional[np.ndarray] = None) -> np.ndarray:
+    """The linear generator A on the grid in LAPACK (4, 2) band storage,
+    ab[2 + i - j, j] = A[i, j].
 
-    Returns (diag, up1, up2, dn1, dn2, edge_row): pentadiagonal arrays for
-    rows 0..n-2 (dn1[i] couples row i+1 to node i, dn2[i] row i+2 to node
-    i) plus the biased fourth-order row n-1 over the last five nodes.  All
-    stencils are fourth order; the axis rows use the even extension.  The
-    last row is left to the boundary condition, see _CrankNicolson.
+    All stencils are fourth order; the axis rows use the even extension.
+    Row n-1 is the biased fourth-order row over the last five nodes; row n
+    is left to the boundary condition, see _CrankNicolson.
     """
     nodes = grid.nodes
     n = nodes.size - 1
@@ -140,12 +132,8 @@ def operator_bands(grid: RadialGrid, params: ProblemParams,
     c = np.full(n + 1, 1.0 / (p - 1.0))
     if potential is not None:
         c = c + np.asarray(potential, dtype=float)
-
-    diag = np.zeros(n + 1)
-    up1 = np.zeros(n)
-    up2 = np.zeros(n - 1)
-    dn1 = np.zeros(n)
-    dn2 = np.zeros(n - 1)
+    ab = np.zeros((7, n + 1))
+    up2, up1, diag, dn1, dn2 = ab[0, 2:], ab[1, 1:], ab[2], ab[3], ab[4]
 
     # axis row: L0 v(0) = d v''(0) + v(0)/(p-1), fourth-order even stencil
     diag[0] = -15.0 * d / (6.0 * h * h) + c[0]
@@ -172,10 +160,10 @@ def operator_bands(grid: RadialGrid, params: ProblemParams,
     # any defect here is amplified by the slow tail quasi-mode
     wm = (d - 1.0) / nodes[n - 1] + 0.5 * nodes[n - 1]
     offs = np.array([-3.0, -2.0, -1.0, 0.0, 1.0])
-    edge_row = (_fd_weights(offs, 2) / (h * h)
-                + wm * _fd_weights(offs, 1) / h)
-    edge_row[3] += c[n - 1]
-    return diag, up1, up2, dn1, dn2, edge_row
+    edge = _fd_weights(offs, 2) / (h * h) + wm * _fd_weights(offs, 1) / h
+    edge[3] += c[n - 1]
+    ab[_EDGE] = edge
+    return ab
 
 
 class _CrankNicolson:
@@ -193,51 +181,36 @@ class _CrankNicolson:
                  potential: Optional[np.ndarray] = None,
                  beta: Optional[float] = None):
         """beta is the Robin coefficient; None selects Dirichlet."""
-        self.grid = grid
-        self.params = params
-        (self.diag, self.up1, self.up2, self.dn1, self.dn2,
-         self.edge_row) = operator_bands(grid, params, potential)
-        h = grid.drho
+        self.ab = operator_bands(grid, params, potential)
         if beta is None:
             self._bc = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
         else:
-            self._bc = _EDGE_D1 / h + np.array([0, 0, 0, 0, beta])
+            self._bc = _EDGE_D1 / grid.drho + np.array([0, 0, 0, 0, beta])
         self._dtau = None
         self._lu = None
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         """A v on the PDE rows; the boundary row is zeroed."""
-        out = self.diag * v
-        out[:-1] += self.up1 * v[1:]
-        out[:-2] += self.up2 * v[2:]
-        out[1:] += self.dn1 * v[:-1]
-        out[2:] += self.dn2 * v[:-2]
-        out[-2] = np.dot(self.edge_row, v[-5:])
+        ab = self.ab
+        out = ab[2] * v
+        out[:-1] += ab[1, 1:] * v[1:]
+        out[:-2] += ab[0, 2:] * v[2:]
+        out[1:] += ab[3, :-1] * v[:-1]
+        out[2:] += ab[4, :-2] * v[:-2]
+        out[-2] = np.dot(ab[_EDGE], v[-5:])
         out[-1] = 0.0
         return out
 
     def _factorized(self, dtau: float):
         """LU factors of I - dtau/2 A with its boundary row, refactored
-        only when dtau changes.  The band layout is dgbtrf's: 4 sub- and 2
-        superdiagonals under 4 fill-in rows.  solve_banded runs gbsv, which
-        is dgbtrf then dgbtrs, so step matches it bit for bit."""
+        only when dtau changes.  The band layout is dgbtrf's: the (4, 2)
+        band under 4 fill-in rows.  solve_banded runs gbsv, which is
+        dgbtrf then dgbtrs, so step matches it bit for bit."""
         if self._dtau != dtau:
-            n1 = self.diag.size
-            ab = np.zeros((11, n1))
-            ab[4, 2:] = -0.5 * dtau * self.up2
-            ab[5, 1:] = -0.5 * dtau * self.up1
-            ab[6, :] = 1.0 - 0.5 * dtau * self.diag
-            ab[7, :-1] = -0.5 * dtau * self.dn1
-            ab[8, :-2] = -0.5 * dtau * self.dn2
-            # biased fourth-order row n-1 over columns n-4 .. n
-            i = n1 - 2
-            for k, j in enumerate(range(n1 - 5, n1)):
-                ab[6 + i - j, j] = (1.0 if j == i else 0.0) \
-                    - 0.5 * dtau * self.edge_row[k]
-            # boundary row n
-            i = n1 - 1
-            for k, j in enumerate(range(n1 - 5, n1)):
-                ab[6 + i - j, j] = self._bc[k]
+            ab = np.zeros((11, self.ab.shape[1]))
+            ab[4:] = -0.5 * dtau * self.ab
+            ab[6] += 1.0
+            ab[5 + _EDGE[0], _EDGE[1]] = self._bc    # boundary row n
             if not np.all(np.isfinite(ab)):
                 raise ValueError("array must not contain infs or NaNs")
             lu, piv, info = dgbtrf(ab, 4, 2, overwrite_ab=True)
@@ -268,45 +241,22 @@ def stability_cap(v: np.ndarray, params: ProblemParams) -> float:
     return STABILITY_C / (params.p * vmax ** (params.p - 1.0))
 
 
-def step_imex(state: EvolutionState, dtau: float,
-              params: ProblemParams) -> EvolutionState:
-    """One evolve_similarity step; the nonlinearity enters explicitly.
-
-    Steps beyond the explicit stability cap are rejected with a suggestion
-    instead of being shortened.
-    """
-    if not dtau > 1e-12:        # _evolve stops 1e-12 short of its end
-        raise DomainError("dtau must exceed 1e-12")
-    cap = stability_cap(state.v, params)
-    if dtau > cap:
-        raise StepRejectedError(
-            f"dtau={dtau} exceeds the stability cap {cap:.3e}",
-            suggested_dtau=0.9 * cap)
-    log = evolve_similarity(state.v, 0.0, dtau, params, state.grid, dtau=dtau)
-    return EvolutionState(tau=state.tau + dtau, grid=state.grid,
-                          v=log.final.v)
-
-
 @dataclass
 class TrajectoryLog:
     """Per-step norm record of one similarity-variable trajectory."""
 
     taus: np.ndarray
-    norms: dict                  # keys l1, lq, lr, lpr, l2w
+    norms: dict                  # keys NORMS
     dist_ref: np.ndarray
     blown_up: bool
     final: EvolutionState
     extras: dict = field(default_factory=dict)
 
     def to_csv_rows(self):
-        yield ("tau", "t", "l1", "lq", "lr", "lpr", "l2w", "dist_ref")
+        yield ("tau", "t", *NORMS, "dist_ref")
         for i, tau in enumerate(self.taus):
             yield (repr(float(tau)), repr(float(math.exp(tau))),
-                   repr(float(self.norms["l1"][i])),
-                   repr(float(self.norms["lq"][i])),
-                   repr(float(self.norms["lr"][i])),
-                   repr(float(self.norms["lpr"][i])),
-                   repr(float(self.norms["l2w"][i])),
+                   *(repr(float(self.norms[k][i])) for k in NORMS),
                    repr(float(self.dist_ref[i])))
 
 
@@ -342,27 +292,33 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
     if tau1 - tau0 > MAX_STEPS * dtau:
         raise DomainError(f"dtau={dtau} takes more than {MAX_STEPS} steps "
                           f"from tau0={tau0} to tau1={tau1}")
+    t = max(abs(tau0), abs(tau1))
+    if not dtau > 0.5 * math.ulp(t):     # else tau += dtau leaves tau as is
+        raise DomainError(f"dtau={dtau} is below half the float spacing "
+                          f"at tau={t}")
     v = np.asarray(v0, dtype=float).copy()
     if v.shape != grid.nodes.shape:
         raise DomainError("initial data must live on the grid")
+    if not np.max(np.abs(v)) <= BLOWUP:
+        raise DomainError(f"initial data must be finite with max|v| <= "
+                          f"{BLOWUP:g}, the blow-up threshold")
     beta = None if potential is not None else calibrated_beta(
         v, grid.drho, params, grid.rho_max)
     stepper = _CrankNicolson(grid, params, potential, beta)
     kit = _NormKit(grid, params)
-    ref = np.zeros_like(v) if reference is None else reference
 
     taus, dist = [], []
-    norms = {k: [] for k in ("l1", "lq", "lr", "lpr", "l2w")}
+    norms = {k: [] for k in NORMS}
     extra = []
 
     def log_state(tau, v):
         taus.append(tau)
-        norms["l1"].append(kit.lebesgue(v, 1.0))
-        norms["lq"].append(kit.lebesgue(v, q))
-        norms["lr"].append(kit.lebesgue(v, r))
-        norms["lpr"].append(kit.lebesgue(v, params.p * r))
+        # the NORMS before l2w are L^gamma norms
+        for k, gamma in zip(NORMS, (1.0, q, r, params.p * r)):
+            norms[k].append(kit.lebesgue(v, gamma))
         norms["l2w"].append(kit.weighted_l2(v))
-        dist.append(kit.lebesgue(v - ref, r))
+        dist.append(norms["lr"][-1] if reference is None
+                    else kit.lebesgue(v - reference, r))
         if extra_norm is not None:
             extra.append(extra_norm(v, tau))
 
@@ -379,7 +335,7 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
         v = stepper.step(v, dt, source)
         tau += dt
         log_state(tau, v)
-        if np.max(np.abs(v)) > 1e6:
+        if np.max(np.abs(v)) > BLOWUP:
             blown = True
             break
 
@@ -396,6 +352,9 @@ def _default_exponents(params: ProblemParams, q, r):
         q = 0.5 * (1.0 + params.q_c)
     if r is None:
         r = 2.0 * params.q_c
+    if not (q >= 1.0 and r >= 1.0):
+        raise DomainError(f"Lebesgue exponents must be >= 1, got q={q}, "
+                          f"r={r}")
     return float(q), float(r)
 
 
@@ -630,7 +589,9 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
     """
     params.require_unstable_regime()
     q, r = _default_exponents(params, q, r)
-    if not (1.0 <= q < params.q_c < r):
+    if epsilon is not None:
+        epsilon = require_positive("epsilon", epsilon)
+    if not (q < params.q_c < r):
         raise DomainError(
             f"need 1 <= q < q_c < r, got q={q}, r={r}, q_c={params.q_c}")
     if grid is None:

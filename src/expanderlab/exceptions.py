@@ -56,10 +56,3 @@ class QuadratureAccuracyError(ExpanderLabError, RuntimeError):
         super().__init__(message)
         self.achieved = achieved
 
-
-class StepRejectedError(ExpanderLabError, RuntimeError):
-    """Time step exceeds the explicit-nonlinearity stability cap."""
-
-    def __init__(self, message, suggested_dtau=None):
-        super().__init__(message)
-        self.suggested_dtau = suggested_dtau

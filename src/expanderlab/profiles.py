@@ -150,10 +150,14 @@ def series_coefficients(alpha: float, params: ProblemParams):
     and c4 comes from the next order, including the linearized nonlinearity.
     """
     d, p = params.d, params.p
-    n_alpha = float(odd_power(alpha, p))
+    with np.errstate(over="ignore"):
+        n_alpha = float(odd_power(alpha, p))
+        np_prime = p * float(np.abs(alpha) ** (p - 1.0))
     c2 = -(alpha / (p - 1.0) + n_alpha) / (2.0 * d)
-    np_prime = p * abs(alpha) ** (p - 1.0)
     c4 = -c2 * (1.0 + 1.0 / (p - 1.0) + np_prime) / (4.0 * d + 8.0)
+    if not math.isfinite(c4):     # c4 ~ alpha^(2p-1) overflows first
+        raise DomainError(f"shooting value alpha={alpha} overflows the "
+                          "Taylor start")
     return c2, c4
 
 

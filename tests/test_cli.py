@@ -150,9 +150,24 @@ class TestProfileCommands:
         ("evolve", "--alpha", "1", "--tau0", "0", "--tau1", "1",
          "--dtau", "1e-300"),
         ("demo", "--dtau", "1e-300"),
+        # 2e6 steps, but 1e10 + 5e-7 == 1e10: tau would never move
+        ("evolve", "--alpha", "1", "--tau0", "1e10", "--tau1", "10000000001",
+         "--dtau", "5e-7"),
+        ("semigroup-check", "--seed", "-1"),
+        # alpha^(2p-1) in the Taylor start overflows
+        ("profile", "--alpha", "1e200"),
+        # initial data past the blow-up threshold
+        ("evolve", "--alpha", "1", "--scale", "1e300"),
+        ("demo", "--eps", "0"),
+        ("demo", "--eps", "-1"),
+        # L^0.5 is a quasi-norm
+        ("evolve", "--alpha", "1", "--q", "0.5"),
+        ("evolve", "--alpha", "1", "--r", "0.5"),
     ], ids=["drho-nan", "rho-max-inf", "alpha-nan", "alpha-steps-negative",
             "rho-max-overflow", "rho-max-huge", "evolve-dtau-tiny",
-            "demo-dtau-tiny"])
+            "demo-dtau-tiny", "evolve-dtau-below-spacing", "seed-negative",
+            "alpha-overflow", "scale-overflow", "demo-eps-zero",
+            "demo-eps-negative", "evolve-q-below-one", "evolve-r-below-one"])
     def test_invalid_flag_exit_65(self, tmp_path, argv):
         assert run(tmp_path, *argv, "--d", "5", "--p", "3") == 65
 

@@ -8,7 +8,6 @@ from expanderlab.exceptions import (
     DomainError,
     NoUnstableExpanderError,
     SeedAmplitudeError,
-    StepRejectedError,
 )
 from expanderlab.exponents import odd_power
 from expanderlab.profiles import RadialGrid
@@ -20,7 +19,6 @@ from expanderlab.semigroup import (
 )
 from expanderlab.spectral import PotentialField, matrix_spectrum
 from expanderlab.dynamics import (
-    EvolutionState,
     _CrankNicolson,
     _NormKit,
     ancient_branch,
@@ -32,8 +30,6 @@ from expanderlab.dynamics import (
     nonuniqueness_demo,
     quadratic_mode_coupling,
     robin_beta,
-    stability_cap,
-    step_imex,
     to_physical_norm,
 )
 
@@ -56,22 +52,9 @@ def mode53(selected53):
 def discrete_top_mode(stepper, ref_mode, shift):
     """Top eigenpair of the banded discrete operator by shift-inverse
     iteration, seeded with the shooting eigenfunction."""
-    diag = stepper.diag
-    n1 = diag.size
-    ab = np.zeros((7, n1))
-    ab[0, 2:] = stepper.up2
-    ab[1, 1:] = stepper.up1
-    ab[2, :] = diag - shift
-    ab[3, :-1] = stepper.dn1
-    ab[4, :-2] = stepper.dn2
-    i = n1 - 2
-    for k, j in enumerate(range(n1 - 5, n1)):
-        ab[2 + i - j, j] = stepper.edge_row[k] - (shift if j == i else 0.0)
-    ab[2, n1 - 1] = 1.0    # Dirichlet row
-    ab[3, n1 - 2] = 0.0
-    ab[4, n1 - 3] = 0.0
-    ab[5, n1 - 4] = 0.0
-    ab[6, n1 - 5] = 0.0
+    ab = stepper.ab.copy()
+    ab[2] -= shift
+    ab[2, -1] = 1.0    # Dirichlet row
     v = ref_mode.copy()
     for _ in range(40):
         v = solve_banded((4, 2), ab, v)
@@ -83,50 +66,38 @@ def discrete_top_mode(stepper, ref_mode, shift):
 
 
 class TestStepImex:
+    """A single 0.01 step of evolve_similarity."""
+
     def test_zero_stays_zero(self, params53, grid_default):
-        state = EvolutionState(tau=0.0, grid=grid_default,
-                               v=np.zeros_like(grid_default.nodes))
-        out = step_imex(state, 0.01, params53)
-        assert np.all(out.v == 0.0)
-        assert out.tau == 0.01
+        log = evolve_similarity(np.zeros_like(grid_default.nodes), 0.0, 0.01,
+                                params53, grid_default, dtau=0.01)
+        assert np.all(log.final.v == 0.0)
+        assert log.final.tau == 0.01
 
     def test_static_profile_single_step(self, params53, profile53):
-        state = EvolutionState(tau=0.0, grid=profile53.grid,
-                               v=profile53.u.copy())
-        out = step_imex(state, 0.01, params53)
-        drift = np.max(np.abs(out.v - profile53.u))
+        log = evolve_similarity(profile53.u, 0.0, 0.01, params53,
+                                profile53.grid, dtau=0.01)
+        drift = np.max(np.abs(log.final.v - profile53.u))
         # the interior defect of the fourth-order operator bounds this;
         # see the decisions ledger for why 1e-8*dtau is out of reach
         assert drift <= 2e-9
 
-    def test_equals_one_evolve_similarity_step(self, params53, profile53):
+    def test_equals_one_explicit_source_cn_step(self, params53, profile53):
         grid, u = profile53.grid, profile53.u
-        out = step_imex(EvolutionState(tau=0.0, grid=grid, v=u.copy()),
-                        0.01, params53)
         log = evolve_similarity(u, 0.0, 0.01, params53, grid, dtau=0.01)
         assert len(log.taus) == 2
-        np.testing.assert_array_equal(out.v, log.final.v)
-        assert out.tau == 0.01
-        # and one explicit-source CN step under the self-calibrated Robin row
+        assert log.final.tau == 0.01
+        # the self-calibrated Robin row, the nonlinearity as the source
         stepper = _CrankNicolson(grid, params53, beta=calibrated_beta(
             u, grid.drho, params53, grid.rho_max))
         np.testing.assert_array_equal(
-            out.v, stepper.step(u, 0.01, odd_power(u, params53.p)))
+            log.final.v, stepper.step(u, 0.01, odd_power(u, params53.p)))
 
     @pytest.mark.parametrize("dtau", [0.0, 1e-13, math.nan])
     def test_degenerate_dtau_rejected(self, params53, grid_default, dtau):
-        state = EvolutionState(tau=0.0, grid=grid_default,
-                               v=np.zeros_like(grid_default.nodes))
         with pytest.raises(DomainError):
-            step_imex(state, dtau, params53)
-
-    def test_stability_cap_rejection(self, params53, profile53):
-        state = EvolutionState(tau=0.0, grid=profile53.grid,
-                               v=profile53.u.copy())
-        cap = stability_cap(profile53.u, params53)
-        with pytest.raises(StepRejectedError) as err:
-            step_imex(state, 2.0 * cap, params53)
-        assert err.value.suggested_dtau < cap
+            evolve_similarity(np.zeros_like(grid_default.nodes), 0.0, 0.01,
+                              params53, grid_default, dtau=dtau)
 
     def test_linear_mode_step_third_order_local(self, params53, potential53,
                                                 mode53, selected53):
@@ -149,21 +120,30 @@ class TestStepImex:
 
 def cn_band(stepper, dtau):
     """I - dtau/2 A with the boundary row, in solve_banded's (4, 2) layout."""
-    n1 = stepper.diag.size
-    ab = np.zeros((7, n1))
-    ab[0, 2:] = -0.5 * dtau * stepper.up2
-    ab[1, 1:] = -0.5 * dtau * stepper.up1
-    ab[2, :] = 1.0 - 0.5 * dtau * stepper.diag
-    ab[3, :-1] = -0.5 * dtau * stepper.dn1
-    ab[4, :-2] = -0.5 * dtau * stepper.dn2
-    i = n1 - 2      # biased PDE row, then the boundary row i + 1
-    for k, j in enumerate(range(n1 - 5, n1)):
-        ab[2 + i - j, j] = float(j == i) - 0.5 * dtau * stepper.edge_row[k]
-        ab[3 + i - j, j] = stepper._bc[k]
+    ab = -0.5 * dtau * stepper.ab
+    ab[2] += 1.0
+    for k in range(5):      # boundary row n over columns n-4 .. n
+        ab[6 - k, k - 5] = stepper._bc[k]
     return ab
 
 
 class TestCrankNicolsonFactor:
+    def test_apply_is_the_band_matrix(self, params53):
+        # ab[2 + i - j, j] = A[i, j], with row n left to the boundary
+        grid = RadialGrid.uniform(10.0, 0.1)
+        stepper = _CrankNicolson(grid, params53, beta=None)
+        ab = stepper.ab
+        n1 = ab.shape[1]
+        dense = np.zeros((n1, n1))
+        for j in range(n1):
+            for k in range(7):
+                if 0 <= j + k - 2 < n1:
+                    dense[j + k - 2, j] = ab[k, j]
+        assert not np.any(dense[-1])
+        v = np.cos(grid.nodes) * np.exp(-grid.nodes ** 2 / 8.0)
+        np.testing.assert_allclose(stepper._apply(v), dense @ v,
+                                   rtol=1e-13, atol=1e-13)
+
     @pytest.mark.parametrize("robin", [True, False])
     def test_step_matches_solve_banded_bitwise(self, params53, grid_default,
                                                robin):
@@ -241,10 +221,16 @@ class TestEvolveSimilarity:
             evolve_similarity(np.zeros_like(grid_default.nodes), 0.0, 1.0,
                               params53, grid_default, dtau=dtau)
 
-    def test_robin_residual_diagnostic(self, params53, profile53):
-        state = EvolutionState(tau=0.0, grid=profile53.grid,
-                               v=profile53.u.copy())
-        assert state.robin_residual(params53) < 1e-4
+    def test_dist_ref_without_reference_is_the_lr_norm(self, params53,
+                                                       profile53):
+        log = evolve_similarity(1.2 * profile53.u, 0.0, 0.1, params53,
+                                profile53.grid, dtau=0.01)
+        assert np.array_equal(log.dist_ref, log.norms["lr"])
+        # the same bits as the distance to an explicit zero reference
+        v = log.final.v
+        kit = _NormKit(profile53.grid, params53)
+        assert log.dist_ref[-1] == kit.lebesgue(v - np.zeros_like(v),
+                                                2.0 * params53.q_c)
 
 
 class TestLinearizedEvolve:
