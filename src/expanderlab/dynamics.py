@@ -40,7 +40,7 @@ from .exponents import (
     odd_power,
 )
 from .profiles import RadialGrid, estimate_ell, log_weight, require_positive
-from .semigroup import lebesgue_norm, sphere_area
+from .semigroup import lebesgue_norms, sphere_area
 from .spectral import (
     PotentialField,
     matrix_spectrum,
@@ -49,7 +49,8 @@ from .spectral import (
 
 STABILITY_C = 0.5
 MAX_STEPS = 10 ** 7     # a run of more nominal steps is refused up front
-BLOWUP = 1e6            # a run stops once max|v| passes this
+BLOWUP = 1e6            # a run stops once max|v| passes this, or
+                        # 2^(1000/p) where |v|^p would near overflow first
 NORMS = ("l1", "lq", "lr", "lpr", "l2w")    # logged after every step
 
 
@@ -189,18 +190,6 @@ class _CrankNicolson:
         self._dtau = None
         self._lu = None
 
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        """A v on the PDE rows; the boundary row is zeroed."""
-        ab = self.ab
-        out = ab[2] * v
-        out[:-1] += ab[1, 1:] * v[1:]
-        out[:-2] += ab[0, 2:] * v[2:]
-        out[1:] += ab[3, :-1] * v[:-1]
-        out[2:] += ab[4, :-2] * v[:-2]
-        out[-2] = np.dot(ab[_EDGE], v[-5:])
-        out[-1] = 0.0
-        return out
-
     def _factorized(self, dtau: float):
         """LU factors of I - dtau/2 A with its boundary row, refactored
         only when dtau changes.  The band layout is dgbtrf's: the (4, 2)
@@ -222,20 +211,25 @@ class _CrankNicolson:
 
     def step(self, v: np.ndarray, dtau: float,
              source: Optional[np.ndarray] = None) -> np.ndarray:
-        rhs = v + 0.5 * dtau * self._apply(v)
+        """x solving (I - dtau/2 A) x = (I + dtau/2 A) v + dtau source with
+        the boundary row's condition.  That is the same system as
+        (I - dtau/2 A)(x + v) = 2 v + dtau source, so the step solves for
+        x + v, with bc . v on the boundary row, and applies no band
+        product; bc . x = 0 then holds to roundoff."""
+        rhs = 2.0 * v
         if source is not None:
-            rhs = rhs + dtau * source
-        rhs[-1] = 0.0    # boundary row solves its condition exactly
+            rhs += dtau * source
+        rhs[-1] = np.dot(self._bc, v[-5:])
         if not np.all(np.isfinite(rhs)):
             raise ValueError("array must not contain infs or NaNs")
         lu, piv = self._factorized(dtau)
         x, _ = dgbtrs(lu, 4, 2, rhs, piv, overwrite_b=True)
+        x -= v
         return x
 
 
-def stability_cap(v: np.ndarray, params: ProblemParams) -> float:
-    """Largest stable step for the explicit nonlinearity."""
-    vmax = float(np.max(np.abs(v)))
+def stability_cap(vmax: float, params: ProblemParams) -> float:
+    """Largest stable step for the explicit nonlinearity at max|v| = vmax."""
     if vmax == 0.0:
         return math.inf
     return STABILITY_C / (params.p * vmax ** (params.p - 1.0))
@@ -268,8 +262,10 @@ class _NormKit:
         self.sphere = sphere_area(params.d)
         self.w_l2w = grid.weights * np.exp(log_weight(grid.nodes, params.d))
 
-    def lebesgue(self, v: np.ndarray, gamma: float) -> float:
-        return lebesgue_norm(self.w_meas, v, gamma, self.sphere)
+    def lebesgue(self, v: np.ndarray,
+                 gammas: tuple) -> tuple[list[float], float]:
+        """The L^gamma norms of v for each gamma in gammas, and max|v|."""
+        return lebesgue_norms(self.w_meas, v, gammas, self.sphere)
 
     def weighted_l2(self, v: np.ndarray) -> float:
         return float(math.sqrt(np.dot(self.w_l2w, v * v)))
@@ -299,9 +295,10 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
     v = np.asarray(v0, dtype=float).copy()
     if v.shape != grid.nodes.shape:
         raise DomainError("initial data must live on the grid")
-    if not np.max(np.abs(v)) <= BLOWUP:
+    blowup = min(BLOWUP, 2.0 ** (1000.0 / params.p))
+    if not np.max(np.abs(v)) <= blowup:
         raise DomainError(f"initial data must be finite with max|v| <= "
-                          f"{BLOWUP:g}, the blow-up threshold")
+                          f"{blowup:g}, the blow-up threshold")
     beta = None if potential is not None else calibrated_beta(
         v, grid.drho, params, grid.rho_max)
     stepper = _CrankNicolson(grid, params, potential, beta)
@@ -311,31 +308,36 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
     norms = {k: [] for k in NORMS}
     extra = []
 
+    gammas = (1.0, q, r, params.p * r)
+
     def log_state(tau, v):
+        """Log v's norms at tau and return max|v|."""
         taus.append(tau)
-        # the NORMS before l2w are L^gamma norms
-        for k, gamma in zip(NORMS, (1.0, q, r, params.p * r)):
-            norms[k].append(kit.lebesgue(v, gamma))
+        # the NORMS before l2w are the L^gamma norms
+        gamma_norms, vmax = kit.lebesgue(v, gammas)
+        for k, nrm in zip(NORMS, gamma_norms):
+            norms[k].append(nrm)
         norms["l2w"].append(kit.weighted_l2(v))
         dist.append(norms["lr"][-1] if reference is None
-                    else kit.lebesgue(v - reference, r))
+                    else kit.lebesgue(v - reference, (r,))[0][0])
         if extra_norm is not None:
             extra.append(extra_norm(v, tau))
+        return vmax
 
     tau = tau0
-    log_state(tau, v)
+    vmax = log_state(tau, v)
     blown = False
     while tau < tau1 - 1e-12:
         dt = min(dtau, tau1 - tau)
         if source_fn is not None:
-            cap = stability_cap(v, params)
+            cap = stability_cap(vmax, params)
             if dt > cap:
                 dt = 0.9 * cap
         source = source_fn(v) if source_fn is not None else None
         v = stepper.step(v, dt, source)
         tau += dt
-        log_state(tau, v)
-        if np.max(np.abs(v)) > BLOWUP:
+        vmax = log_state(tau, v)
+        if vmax > blowup:
             blown = True
             break
 
@@ -368,7 +370,8 @@ def evolve_similarity(v0: np.ndarray, tau0: float, tau1: float,
 
     The outer Robin coefficient is calibrated on the initial data's own
     tail.  Steps shrink automatically under the explicit-nonlinearity cap;
-    the run terminates early with a flag when max|v| passes 1e6.
+    the run terminates early with a flag when max|v| passes
+    min(1e6, 2^(1000/p)), before |v|^p can overflow.
     """
     if grid is None:
         grid = RadialGrid.uniform()
@@ -446,11 +449,11 @@ def ancient_branch(potential: PotentialField, eigmode: np.ndarray,
         params = prof.params
     q, r = _default_exponents(params, q, r)
     kit = _NormKit(prof.grid, params)
-    mode_r = kit.lebesgue(eigmode, r)
+    (mode_r,), _ = kit.lebesgue(eigmode, (r,))
 
     def mode_gap(v, tau):
         return kit.lebesgue(
-            v - epsilon * math.exp(lambda_bar * tau) * eigmode, r)
+            v - epsilon * math.exp(lambda_bar * tau) * eigmode, (r,))[0][0]
 
     psi0 = epsilon * math.exp(lambda_bar * tau0) * eigmode
     log = evolve_perturbation(psi0, potential, tau0, tau1, params,
@@ -638,8 +641,8 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
         # profile-relative cap: the branch endpoint stays at 5% of the
         # profile in the strong norm, taken on the grid: the tail beyond
         # rho_max would add a few parts in 1e15
-        u_bar_pr = kit.lebesgue(sel.profile.u, params.p * r)
-        mode_pr = kit.lebesgue(mode, params.p * r)
+        (u_bar_pr,), _ = kit.lebesgue(sel.profile.u, (params.p * r,))
+        (mode_pr,), _ = kit.lebesgue(mode, (params.p * r,))
         eps_cap = 0.05 * u_bar_pr / (math.exp(lam * tau1) * mode_pr)
         # mode-feedback cap: the quadratic self-coupling g2 distorts the
         # growth rate by g2 a / lambda, so the endpoint amplitude must

@@ -78,9 +78,11 @@ class RadialFunction:
             raise DomainError("values must be finite")
 
 
-def lebesgue_norm(w_meas: np.ndarray, values: np.ndarray, gamma: float,
-                  sphere: float) -> float:
-    """(sphere sum_i w_meas_i |f_i|^gamma)^(1/gamma).
+def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
+                   gammas: Sequence[float],
+                   sphere: float) -> tuple[list[float], float]:
+    """(sphere sum_i w_meas_i |f_i|^gamma)^(1/gamma) for each gamma in
+    gammas, and max|f|: |f| and its maximum are taken once for all of them.
 
     Nodes with |f| < 2^(-1000/gamma) are left out of the sum: their terms
     lie below 2^-1000, and pow takes a slow path, some 50x slower, whenever
@@ -90,16 +92,29 @@ def lebesgue_norm(w_meas: np.ndarray, values: np.ndarray, gamma: float,
     instead of summing to zero, and a large one does not overflow (2^900
     leaves room for the weights and the sum).  Other fields are summed
     unscaled, so their norms equal the plain formula's to the last bit.
+    A NaN node makes every norm NaN.
     """
     a = np.abs(values)
     top = float(a.max())
-    e = 0
-    if 0.0 < top and not -500.0 <= gamma * math.log2(top) <= 900.0:
-        e = math.frexp(top)[1]
-        a = np.ldexp(a, -e)
-    a[a < 2.0 ** (-1000.0 / gamma)] = 0.0
-    total = float(np.dot(w_meas, a ** gamma))
-    return math.ldexp((sphere * total) ** (1.0 / gamma), e)
+    power = np.empty_like(a)
+    norms = []
+    for gamma in gammas:
+        scaled, e = a, 0
+        if 0.0 < top and not -500.0 <= gamma * math.log2(top) <= 900.0:
+            e = math.frexp(top)[1]
+            scaled = np.ldexp(a, -e)
+        power.fill(0.0)
+        np.power(scaled, gamma, out=power,
+                 where=~(scaled < 2.0 ** (-1000.0 / gamma)))
+        total = float(np.dot(w_meas, power))
+        norms.append(math.ldexp((sphere * total) ** (1.0 / gamma), e))
+    return norms, top
+
+
+def lebesgue_norm(w_meas: np.ndarray, values: np.ndarray, gamma: float,
+                  sphere: float) -> float:
+    """The L^gamma norm of lebesgue_norms for one exponent."""
+    return lebesgue_norms(w_meas, values, (gamma,), sphere)[0][0]
 
 
 def lq_norm(f: RadialFunction, gamma: float, d: int) -> float:

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expanderlab.cli import RunConfig, _build_parser, main, resolve_config
 
@@ -237,6 +239,25 @@ class TestDynamicsCommands:
         lines = [ln for ln in (tmp_path / "trajectory.csv").read_text()
                  .splitlines() if not ln.startswith("#")]
         assert lines[0] == "tau,t,l1,lq,lr,lpr,l2w,dist_ref"
+
+    def test_evolve_large_p_stops_before_overflow(self, tmp_path):
+        # |v|^60 overflows once max|v| > 1.4e5, below the 1e6 threshold;
+        # the run stops at 2^(1000/60) instead
+        code = run(tmp_path, "evolve", "--d", "5", "--p", "60",
+                   "--alpha", "1", "--tau0", "0", "--tau1", "1",
+                   "--scale", "1.5")
+        assert code == 0
+        doc = json.loads((tmp_path / "evolve.json").read_text())
+        assert doc["blown_up"] is True
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(p=st.floats(1.5, 80.0), scale=st.floats(0.5, 1e3))
+    def test_evolve_exit_code_is_documented(self, p, scale):
+        with tempfile.TemporaryDirectory() as out:
+            code = main(["evolve", "--d", "5", "--p", repr(p),
+                         "--alpha", "1", "--tau0", "0", "--tau1", "0.05",
+                         "--scale", repr(scale), "--out", out])
+        assert code in (0, 64, 65)
 
     def test_demo_end_to_end(self, tmp_path):
         code = run(tmp_path, "demo", "--d", "5", "--p", "3",

@@ -49,6 +49,18 @@ def mode53(selected53):
     return selected53.eigenpair.f
 
 
+def band_matvec(ab, v):
+    """A v for A in (4, 2) band storage, ab[2 + i - j, j] = A[i, j]."""
+    out = np.zeros_like(v)
+    for k in range(ab.shape[0]):
+        off = k - 2                 # row i = column j + off
+        if off >= 0:
+            out[off:] += ab[k, :v.size - off] * v[:v.size - off]
+        else:
+            out[:off] += ab[k, -off:] * v[-off:]
+    return out
+
+
 def discrete_top_mode(stepper, ref_mode, shift):
     """Top eigenpair of the banded discrete operator by shift-inverse
     iteration, seeded with the shooting eigenfunction."""
@@ -59,7 +71,7 @@ def discrete_top_mode(stepper, ref_mode, shift):
     for _ in range(40):
         v = solve_banded((4, 2), ab, v)
         v /= np.max(np.abs(v))
-    av = stepper._apply(v)
+    av = band_matvec(stepper.ab, v)
     mask = np.abs(v) > 1e-3
     lam = float(np.median(av[mask] / v[mask]))
     return lam, v
@@ -128,10 +140,12 @@ def cn_band(stepper, dtau):
 
 
 class TestCrankNicolsonFactor:
-    def test_apply_is_the_band_matrix(self, params53):
+    @pytest.mark.parametrize("robin", [True, False])
+    def test_step_solves_the_dense_cn_system(self, params53, robin):
         # ab[2 + i - j, j] = A[i, j], with row n left to the boundary
         grid = RadialGrid.uniform(10.0, 0.1)
-        stepper = _CrankNicolson(grid, params53, beta=None)
+        beta = robin_beta(params53, grid.rho_max) if robin else None
+        stepper = _CrankNicolson(grid, params53, beta=beta)
         ab = stepper.ab
         n1 = ab.shape[1]
         dense = np.zeros((n1, n1))
@@ -140,8 +154,20 @@ class TestCrankNicolsonFactor:
                 if 0 <= j + k - 2 < n1:
                     dense[j + k - 2, j] = ab[k, j]
         assert not np.any(dense[-1])
+        # the biased edge row n-1 is exact on quadratics:
+        # A rho^2 = 2 d + (1 + 1/(p-1)) rho^2
+        rho, d, p = grid.nodes, params53.d, params53.p
+        assert dense[-2] @ rho ** 2 == pytest.approx(
+            2.0 * d + (1.0 + 1.0 / (p - 1.0)) * rho[-2] ** 2, rel=1e-12)
+        dtau = 0.01
         v = np.cos(grid.nodes) * np.exp(-grid.nodes ** 2 / 8.0)
-        np.testing.assert_allclose(stepper._apply(v), dense @ v,
+        source = 0.2 * v ** 3
+        lhs = np.eye(n1) - 0.5 * dtau * dense
+        lhs[-1, -5:] = stepper._bc     # boundary row n over n-4 .. n
+        rhs = v + 0.5 * dtau * (dense @ v) + dtau * source
+        rhs[-1] = 0.0
+        np.testing.assert_allclose(stepper.step(v, dtau, source),
+                                   np.linalg.solve(lhs, rhs),
                                    rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("robin", [True, False])
@@ -154,12 +180,22 @@ class TestCrankNicolsonFactor:
         v = np.exp(-rho ** 2 / 4.0) * (1.0 + 0.1 * rho)
         for dtau in (0.01, 0.005, 0.01):
             source = 0.2 * v ** 3
-            rhs = v + 0.5 * dtau * stepper._apply(v) + dtau * source
-            rhs[-1] = 0.0
-            expected = solve_banded((4, 2), cn_band(stepper, dtau), rhs)
-            v = stepper.step(v, dtau, source)
+            band = cn_band(stepper, dtau)
+            # (I - B)(x + v) = 2 v + dtau s, B = dtau/2 A, with bc . v on
+            # the boundary row
+            rhs = 2.0 * v + dtau * source
+            rhs[-1] = np.dot(stepper._bc, v[-5:])
+            expected = solve_banded((4, 2), band, rhs) - v
+            # the same x from (I - B) x = (I + B) v + dtau s
+            rhs_plus = (v + 0.5 * dtau * band_matvec(stepper.ab, v)
+                        + dtau * source)
+            rhs_plus[-1] = 0.0
+            two_term = solve_banded((4, 2), band, rhs_plus)
+            x = stepper.step(v, dtau, source)
             assert stepper._dtau == dtau
-            assert np.array_equal(v, expected)
+            assert np.array_equal(x, expected)
+            np.testing.assert_allclose(x, two_term, rtol=1e-13)
+            v = x
 
     def test_non_finite_rhs_raises(self, params53, grid_default):
         stepper = _CrankNicolson(grid_default, params53, beta=None)
@@ -229,8 +265,8 @@ class TestEvolveSimilarity:
         # the same bits as the distance to an explicit zero reference
         v = log.final.v
         kit = _NormKit(profile53.grid, params53)
-        assert log.dist_ref[-1] == kit.lebesgue(v - np.zeros_like(v),
-                                                2.0 * params53.q_c)
+        (dist,), _ = kit.lebesgue(v - np.zeros_like(v), (2.0 * params53.q_c,))
+        assert log.dist_ref[-1] == dist
 
 
 class TestLinearizedEvolve:
@@ -407,7 +443,7 @@ def test_norm_kit_matches_lq_norm(params53, gamma):
     bump = np.where(grid.nodes < 1.0, (1.0 - grid.nodes ** 2) ** 2, 0.0)
     expected = lq_norm(RadialFunction(grid=grid, values=bump), gamma,
                        params53.d)
-    got = _NormKit(grid, params53).lebesgue(bump, gamma)
+    (got,), _ = _NormKit(grid, params53).lebesgue(bump, (gamma,))
     assert got == pytest.approx(expected, rel=1e-14)
 
 
@@ -417,10 +453,12 @@ def test_norm_kit_bitwise_where_tail_powers_underflow(params53,
     # and past rho ~ 4.9 at gamma 30: the nodes dropped there change nothing
     kit = _NormKit(grid_default, params53)
     v = np.exp(-grid_default.nodes ** 2) * np.cos(grid_default.nodes)
-    for gamma in (10.0, 30.0):
+    gammas = (10.0, 30.0)
+    norms, _ = kit.lebesgue(v, gammas)
+    for gamma, nrm in zip(gammas, norms):
         plain = float((kit.sphere * np.dot(
             kit.w_meas, np.abs(v) ** gamma)) ** (1.0 / gamma))
-        assert kit.lebesgue(v, gamma) == plain
+        assert nrm == plain
 
 
 def test_tiny_field_norm_is_not_zero(params53, grid_default):
@@ -430,7 +468,7 @@ def test_tiny_field_norm_is_not_zero(params53, grid_default):
     exact = c * (sphere_area(d) * grid_default.rho_max ** d / d) ** (
         1.0 / gamma)
     field = np.full(grid_default.nodes.size, c)
-    got = _NormKit(grid_default, params53).lebesgue(field, gamma)
+    (got,), _ = _NormKit(grid_default, params53).lebesgue(field, (gamma,))
     assert got == pytest.approx(exact, rel=1e-14)
     assert lq_norm(RadialFunction(grid=grid_default, values=field), gamma,
                    d) == got

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from expanderlab import semigroup
@@ -105,6 +106,22 @@ class TestLqNorm:
     def test_zero_function(self, grid):
         f = RadialFunction(grid=grid, values=np.zeros_like(grid.nodes))
         assert lq_norm(f, 2.0, 5) == 0.0
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(k=st.integers(-1100, 1000),
+           gammas=st.lists(st.floats(1.0, 220.0), min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_shared_pass_is_each_single_norm(self, grid, k, gammas, seed):
+        # fields scaled by 2^k reach both rescale branches and the
+        # subnormal cut
+        rng = np.random.default_rng(seed)
+        v = np.ldexp(rng.standard_normal(grid.nodes.size)
+                     * np.exp(-grid.nodes ** 2 / 8.0), k)
+        w, sphere = grid.measure_weights(5), sphere_area(5)
+        norms, top = semigroup.lebesgue_norms(w, v, gammas, sphere)
+        assert top == np.max(np.abs(v))
+        assert norms == [semigroup.lebesgue_norm(w, v, g, sphere)
+                         for g in gammas]
 
 
 class TestGaussianSemigroup:
