@@ -193,26 +193,69 @@ def _angular_factor(beta: np.ndarray, d: int) -> np.ndarray:
 
         J = 2^(2 nu + 1) B(nu + 1, nu + 1) M(nu + 1, 2 nu + 2, -2 beta),
 
-    nu = (d - 3)/2, exact for every d >= 3 and beta >= 0.  For 2 <= beta
-    <= 1e8 and d <= 63 the same function is evaluated in its Bessel form
-    (DLMF 13.6.9 after Kummer's transformation, and the duplication formula),
+    nu = (d - 3)/2, exact for every d >= 3 and beta >= 0.  Three forms of
+    this one function are evaluated:
 
-        J = sqrt(pi) Gamma(nu + 1) (2 / beta)^(nu + 1/2) ive(nu + 1/2, beta),
+    - for 2 <= beta <= 1e8 and odd d <= 9 (nu = m an integer), the Bessel
+      function of half-integer order is elementary (DLMF 10.49(ii)):
 
-    because there scipy's hyp1f1 costs 3-7 us per element (beta in [8, 20)
-    for d = 5..7), several times the Bessel form.  The Kummer form covers
-    the rest: the Bessel form is 0 * inf at beta = 0 and for tiny beta when
-    d >= 5, ive is NaN past beta ~ 1e9, and for larger d its factors leave
-    the double range (at d <= 63 they keep 70 decades of margin).  Both
-    forms agree with a 40-digit reference to 3e-14 relative for d = 3..64.
+          J = m! 2^m beta^-(m+1) [S-(beta) + (-1)^(m+1) e^(-2 beta) S+(beta)],
+          S-(beta) = sum_{k=0..m} (-1)^k a_k beta^-k,
+          S+(beta) = sum_{k=0..m} a_k beta^-k,
+          a_k = (m + k)! / (2^k k! (m - k)!);
+
+    - for 2 <= beta <= 1e8 and any other d <= 63, the Bessel form (DLMF
+      13.6.9 after Kummer's transformation, and the duplication formula)
+
+          J = sqrt(pi) Gamma(nu + 1) (2 / beta)^(nu + 1/2) ive(nu + 1/2, beta);
+
+    - everywhere else, the Kummer form above.
+
+    On the semigroup workload's beta (d = 5, a 2-vCPU box, scipy 1.17) the
+    elementary branch costs about 25 ns per element, scipy's ive alone
+    about 375 ns and hyp1f1 about 1 us.  The sum alternates, so it cancels
+    near beta = 2 as m grows: against a 40-digit reference its worst
+    relative error on [2, 1e8] is 7e-16 for d <= 7 and 6e-15 at d = 9, but
+    1e-13 at d = 11 and 2e-12 at d = 13, hence the cap.  The Kummer form
+    covers the rest: the Bessel form is 0 * inf at beta = 0 and for tiny
+    beta when d >= 5, ive is NaN past beta ~ 1e9, and for larger d its
+    factors leave the double range (at d <= 63 they keep 70 decades of
+    margin).  The three forms agree with a 40-digit reference to 3e-14
+    relative for d = 3..64.
     """
     nu = (d - 3) / 2.0
     beta = np.asarray(beta, dtype=float)
     out = np.empty_like(beta)
     bessel = (beta >= 2.0) & (beta <= 1e8) & (nu <= 30.0)
     x = beta[bessel]
-    out[bessel] = (math.sqrt(math.pi) * special.gamma(nu + 1.0)
-                   * (2.0 / x) ** (nu + 0.5) * special.ive(nu + 0.5, x))
+    if d % 2 == 1 and d <= 9:
+        m = (d - 3) // 2
+        coef = [math.factorial(m + k)
+                / (2 ** k * math.factorial(k) * math.factorial(m - k))
+                for k in range(m + 1)]
+        # Horner in 1/beta on three buffers: x turns into e^(-2 beta) once
+        # 1/beta is taken, then into S-; plus carries the sign (-1)^(m+1)
+        sign = (-1) ** (m + 1)
+        inv = np.reciprocal(x)
+        plus = np.full_like(x, sign * coef[m])
+        for k in range(m - 1, -1, -1):
+            plus *= inv
+            plus += sign * coef[k]
+        x *= -2.0
+        np.exp(x, out=x)
+        plus *= x
+        x.fill((-1) ** m * coef[m])
+        for k in range(m - 1, -1, -1):
+            x *= inv
+            x += (-1) ** k * coef[k]
+        x += plus
+        np.power(inv, m + 1, out=inv)
+        x *= inv
+        x *= math.factorial(m) * 2.0 ** m
+        out[bessel] = x
+    else:
+        out[bessel] = (math.sqrt(math.pi) * special.gamma(nu + 1.0)
+                       * (2.0 / x) ** (nu + 0.5) * special.ive(nu + 0.5, x))
     kummer = ~bessel
     out[kummer] = (2.0 ** (2.0 * nu + 1.0) * special.beta(nu + 1.0, nu + 1.0)
                    * special.hyp1f1(nu + 1.0, 2.0 * nu + 2.0,
@@ -220,23 +263,13 @@ def _angular_factor(beta: np.ndarray, d: int) -> np.ndarray:
     return out[()]
 
 
-class _RadialEvaluator:
-    """Cubic-spline evaluation with even symmetry at the axis, zero past
-    the grid."""
-
-    def __init__(self, f: RadialFunction):
-        nodes = f.grid.nodes
-        ext_nodes = np.concatenate([-nodes[:0:-1], nodes])
-        ext_vals = np.concatenate([f.values[:0:-1], f.values])
-        self._spline = CubicSpline(ext_nodes, ext_vals)
-        self._rho_max = f.grid.rho_max
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        inside = s <= self._rho_max
-        out[inside] = self._spline(s[inside])
-        return out
+def _even_spline(f: RadialFunction) -> CubicSpline:
+    """Cubic spline of f mirrored through the axis, so it is even there.
+    It is only evaluated on [0, rho_max]: _panels clips every window to
+    the grid, past which f is zero."""
+    nodes = f.grid.nodes
+    return CubicSpline(np.concatenate([-nodes[:0:-1], nodes]),
+                       np.concatenate([f.values[:0:-1], f.values]))
 
 
 def _panels(x: np.ndarray, width: float, rho_max: float):
@@ -275,8 +308,19 @@ def apply_S0(tau: float, f: RadialFunction,
     if tau == 0.0:
         return RadialFunction(grid=f.grid, values=f.values.copy())
     d = params.d
+    rho_max = f.grid.rho_max
     try:
         a = math.expm1(tau)
+        width = math.sqrt(2.0 * a)
+        # a quadrature point is rounded by up to a float spacing of rho_max,
+        # which moves the kernel exponent (x - s)^2 / (4a) within 8 widths
+        # of x by up to 8 spacings / width: past 1e-6 that rounding alone
+        # could break the accuracy contract (tau < 4e-16 at rho_max = 16)
+        if 8.0 * float(np.spacing(rho_max)) > 1e-6 * width:
+            raise DomainError(
+                f"tau={tau} is too small for rho_max={rho_max}: the kernel "
+                f"width {width:.3g} is under 8e6 float spacings of rho_max, "
+                "so rounding alone could exceed the 1e-6 accuracy")
         prefactor = (sphere_area(d - 1) * (4.0 * math.pi * a) ** (-d / 2.0)
                      * math.exp(tau / (params.p - 1.0)))
         # a unit input integrates to this; anchors the convergence criterion
@@ -285,11 +329,11 @@ def apply_S0(tau: float, f: RadialFunction,
     except OverflowError:
         raise DomainError(f"tau={tau} is too large for d={d}: the kernel "
                           "normalisation leaves the double range") from None
-    evaluate = _RadialEvaluator(f)
+    evaluate = _even_spline(f)
     floor = 2e-8 * float(np.max(np.abs(f.values))) * unit_total
 
     x = math.exp(0.5 * tau) * f.grid.nodes
-    left, right, counts = _panels(x, math.sqrt(2.0 * a), f.grid.rho_max)
+    left, right, counts = _panels(x, width, rho_max)
     rows = max(1, _BLOCK_ELEMENTS // (48 * max(1, left.shape[1])))
     out = np.empty_like(x)
     for start in range(0, x.size, rows):

@@ -14,8 +14,8 @@ from expanderlab.semigroup import (
     GaussianDatum,
     RadialFunction,
     _angular_factor,
+    _even_spline,
     _gl_cache,
-    _RadialEvaluator,
     apply_S0,
     apply_S0_gaussian,
     growth_rate_gaussian,
@@ -56,7 +56,7 @@ def per_node_S0(tau, f, params):
     d = params.d
     a = math.expm1(tau)
     width = math.sqrt(2.0 * a)
-    evaluate = _RadialEvaluator(f)
+    evaluate = _even_spline(f)
     rho_max = f.grid.rho_max
     unit_total = (4.0 * math.pi * a) ** (d / 2.0) / sphere_area(d - 1)
     floor = 2e-8 * float(np.max(np.abs(f.values))) * unit_total
@@ -259,6 +259,30 @@ class TestQuadraturePath:
             np.testing.assert_allclose(_angular_factor(beta, d), exact,
                                        rtol=1e-12, err_msg=f"d = {d}")
 
+    def test_elementary_branch_against_mpmath(self):
+        # 40-digit Kummer function on the Bessel branch for odd d: the
+        # elementary sum (d <= 9) and scipy's ive past the cap (d = 11, 13).
+        # Just above beta = 2 the sum cancels as d grows: there the
+        # docstring's 3e-14 holds for the sum up to d = 9 only (1e-13 at
+        # d = 11, 2e-12 at d = 13), so a higher cap fails one of the checks
+        near = np.linspace(2.0, 2.1, 101)
+        beta = np.concatenate([
+            near, np.geomspace(2.1, 64.0, 201), np.geomspace(64.0, 1e8, 41),
+            [np.nextafter(2.0, 0.0), np.nextafter(2.0, np.inf)]])
+        for d in range(3, 14, 2):
+            with mpmath.workdps(40):
+                nu = mpmath.mpf(d - 3) / 2
+                scale = 2 ** (2 * nu + 1) * mpmath.beta(nu + 1, nu + 1)
+                exact = np.array([
+                    float(scale * mpmath.hyp1f1(nu + 1, 2 * nu + 2,
+                                                -2 * mpmath.mpf(b)))
+                    for b in beta])
+            got = _angular_factor(beta, d)
+            np.testing.assert_allclose(got, exact, rtol=1e-13,
+                                       err_msg=f"d = {d}")
+            np.testing.assert_allclose(got[:near.size], exact[:near.size],
+                                       rtol=3e-14, err_msg=f"d = {d}")
+
     def test_blocks_match_per_node_reference(self):
         # coarse grid; the algebraic datum is nonzero at rho_max, so the
         # panels of the outer nodes are clipped there
@@ -326,6 +350,21 @@ class TestQuadraturePath:
         mask = xi <= 8.0
         err = np.max(np.abs(out.values[mask] - expected[mask])) / scale
         assert err <= 1e-4
+
+    def test_tau_below_float_resolution_rejected(self):
+        # below ~4e-16 the kernel is too narrow for the float spacing of
+        # rho_max = 16: the windows would collapse and return a wrong field
+        # (1e-38, 1e-120), or the normalisation would overflow (1e-300)
+        grid = RadialGrid.uniform(16.0, 0.1)
+        params = derived_exponents(5, 3.0)
+        g = GaussianDatum(1.3, 0.8)
+        fin = RadialFunction(grid=grid, values=g.values_on(grid.nodes))
+        for tau in [1e-38, 1e-120, 1e-300]:
+            with pytest.raises(DomainError, match=f"tau={tau} is too small"):
+                apply_S0(tau, fin, params)
+        out = apply_S0(1e-12, fin, params).values
+        exact = apply_S0_gaussian(1e-12, g, params).values_on(grid.nodes)
+        assert np.max(np.abs(out - exact)) <= 1e-6 * np.max(exact)
 
     def test_strong_continuity_at_zero(self, grid):
         # the O(tau) drift of a curved bump is a |Delta f| ~ 20 tau, so the
