@@ -37,6 +37,7 @@ independent routes are implemented:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from bisect import bisect_right
@@ -131,6 +132,9 @@ class _PhaseShooter:
     Caches the dense profile (at alpha = 0 the zero solution), the phase
     endpoint per lambda and the eigenpairs solved so far, from the top
     down (_descend); all public spectral operations funnel through here.
+    A public call handed no shooter takes the one _shooter holds for its
+    (alpha, params, rho_max), so separate calls at one alpha, and
+    matrix_spectrum's profile, share one integration and one set of pairs.
     """
 
     def __init__(self, alpha: float, params: ProblemParams, rho_max: float,
@@ -220,9 +224,10 @@ class _PhaseShooter:
         The top eigenvalue is isolated inside _bracket_top's bracket, the
         j-th (j >= 2) between 0 and the (j-1)-th, so j >= 2 needs j positive
         eigenvalues.  Each is shot once and kept, as theta_end keeps its
-        phases; pairs solved on another grid are dropped.
+        phases; pairs solved on another grid are dropped.  Grids compare by
+        value: equal grids have the same nodes.
         """
-        if grid is not self._grid:
+        if grid != self._grid:
             self._grid, self._pairs = grid, []
         while len(self._pairs) < n:
             j = len(self._pairs) + 1
@@ -277,14 +282,17 @@ class _PhaseShooter:
         v = self.potential
 
         def fwd(rho, y):
-            theta, eta, u, du = y
+            theta, eta, u, du = y.tolist()
+            rho = float(rho)
             w = (d - 1.0) / rho + 0.5 * rho
             au = abs(u)
             rates = _phase_rates(theta, eta, c0 + p * au ** (p - 1.0), w)
             return (*rates, du, -w * du - u * pm1 - math.copysign(au ** p, u))
 
         def bwd(rho, y):
-            return _phase_rates(y[0], y[1], c0 + v(rho),
+            theta, eta = y.tolist()
+            rho = float(rho)
+            return _phase_rates(theta, eta, c0 + v(rho),
                                 (d - 1.0) / rho + 0.5 * rho)
 
         f0, df0, f_lam, df_lam = self._eigen_series(lam)
@@ -315,7 +323,8 @@ class _PhaseShooter:
         v = self.potential
 
         def rhs(rho, y):
-            f, df = y
+            f, df = y.tolist()
+            rho = float(rho)
             w = (d - 1.0) / rho + 0.5 * rho
             return (df, -w * df - (c0 + v(rho)) * f)
 
@@ -326,6 +335,21 @@ class _PhaseShooter:
                 f"eigenfunction integration failed: {sol.message}",
                 last_rho=float(sol.t[-1]))
         return sol
+
+
+@functools.lru_cache(maxsize=1)
+def _shooter(alpha: float, params: ProblemParams,
+             rho_max: float) -> _PhaseShooter:
+    """The shooter of the last (alpha, params, rho_max) asked for.
+
+    One slot: calls at one alpha in a row (a Sturm count, the top pair, the
+    positive spectrum, the matrix check's profile) integrate the profile
+    and solve each pair once, and a sweep over alpha keeps one shooter
+    alive.  A shooter's results do not depend on what it cached before, so
+    the slot changes no result.  An invalid alpha or rho_max raises in
+    _PhaseShooter and is not cached.
+    """
+    return _PhaseShooter(alpha, params, rho_max)
 
 
 def _step_polynomial_potential(usol, p: float):
@@ -391,7 +415,7 @@ def neutral_zero_count(alpha: float, params: ProblemParams,
     By Sturm oscillation this equals the number of positive eigenvalues.
     """
     rho_max = grid.rho_max if grid is not None else 16.0
-    return _PhaseShooter(alpha, params, rho_max).count_above(0.0)
+    return _shooter(alpha, params, rho_max).count_above(0.0)
 
 
 def find_alpha_star(params: ProblemParams, bracket=ALPHA_STAR_BRACKET,
@@ -480,7 +504,7 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     """
     if grid is None:
         grid = RadialGrid.uniform()
-    sh = shooter if shooter is not None else _PhaseShooter(
+    sh = shooter if shooter is not None else _shooter(
         alpha, params, grid.rho_max)
 
     lo, hi = float(lambda_bracket[0]), float(lambda_bracket[1])
@@ -617,13 +641,14 @@ def top_eigenpair(alpha: float, params: ProblemParams,
                   shooter: Optional[_PhaseShooter] = None) -> EigenPair:
     """Largest eigenvalue of L_alpha, wherever it sits on the real line.
 
-    The first step of the shooter's descending walk (_descend): with the
-    shooter of a positive_spectrum call on the same grid, either call
-    reuses the other's top pair.
+    The first step of the shooter's descending walk (_descend).  Without
+    a shooter it takes _shooter's for (alpha, params, grid.rho_max), the
+    one a positive_spectrum call at the same alpha also takes, so on equal
+    grids either call reuses the other's top pair.
     """
     if grid is None:
         grid = RadialGrid.uniform()
-    sh = shooter if shooter is not None else _PhaseShooter(
+    sh = shooter if shooter is not None else _shooter(
         alpha, params, grid.rho_max)
     return sh._descend(1, grid)[0]
 
@@ -653,14 +678,15 @@ def positive_spectrum(alpha: float, params: ProblemParams,
 
     The list length always equals the neutral zero count.  The pairs are
     the shooter's descending walk (_descend), so the first is the very pair
-    top_eigenpair returns; pairs a shared shooter already holds are not
-    solved again.
+    top_eigenpair returns; pairs the shooter already holds are not solved
+    again.  Without a shooter it takes _shooter's for (alpha, params,
+    grid.rho_max), shared with top_eigenpair and neutral_zero_count.
     """
     if alpha <= 0:
         raise DomainError("positive_spectrum needs alpha > 0")
     if grid is None:
         grid = RadialGrid.uniform()
-    sh = shooter if shooter is not None else _PhaseShooter(
+    sh = shooter if shooter is not None else _shooter(
         alpha, params, grid.rho_max)
     n = sh.count_above(0.0)
     return sh._descend(n, grid) if n else []
@@ -674,13 +700,15 @@ def matrix_spectrum(alpha: float, params: ProblemParams, grid: RadialGrid,
     g = sqrt(w) f gives a symmetric tridiagonal matrix, so the spectrum is
     structurally real.  Assembled at the grid spacing and at half that
     spacing, then Richardson extrapolated (the scheme error is clean h^2).
+    The profile is _shooter's for (alpha, params, grid.rho_max): a
+    shooting call at the same alpha and rho_max has integrated it already.
     """
     h = grid.drho
     if h > 0.05:
         raise ResolutionError(
             f"grid spacing {h} too coarse for the matrix route (max 0.05)")
     rho_max = grid.rho_max
-    dense, _ = integrate_profile(alpha, params, rho_max)
+    dense = _shooter(alpha, params, rho_max)._usol
 
     def eigs(step):
         m = int(round(rho_max / step))
@@ -752,7 +780,7 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
         return sh.count_above(lam) >= 1
 
     a_hi = a_star + delta
-    sh_hi = _PhaseShooter(a_hi, params, grid.rho_max)
+    sh_hi = _shooter(a_hi, params, grid.rho_max)
     if not top_above(sh_hi, eps_target) and top_above(sh_hi, 0.0):
         a_bar, sh_bar = a_hi, sh_hi
     else:
@@ -761,7 +789,7 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
         a_bar, sh_bar = None, None
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            sh = _PhaseShooter(mid, params, grid.rho_max)
+            sh = _shooter(mid, params, grid.rho_max)
             if top_above(sh, eps_target):
                 hi = mid
             elif not top_above(sh, 0.0):

@@ -1,8 +1,16 @@
 import pytest
 
+from expanderlab import spectral
 from expanderlab.exponents import derived_exponents
 from expanderlab.profiles import RadialGrid
 from expanderlab.spectral import find_alpha_star, select_unstable_expander
+
+
+@pytest.fixture(autouse=True)
+def cold_shooter_slot():
+    """Every test starts with spectral's shooter slot empty, so a test that
+    counts solver work measures a cold slot whatever ran before it."""
+    spectral._shooter.cache_clear()
 
 
 @pytest.fixture(scope="session")

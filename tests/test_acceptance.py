@@ -117,8 +117,8 @@ def test_criterion_3_spectral_cross_validation(capsys):
         cutoff = 1.0 / (p - 1.0) - d / 2.0 - 0.6
         for alpha in (0.5, 1.0, 2.0, 5.0):
             # one shooter walks this alpha's spectrum for both calls; the
-            # neutral count below builds its own, so the length check
-            # compares two separately built walks
+            # neutral count below takes spectral's memo shooter, not this
+            # one, so the length check compares two separately built walks
             shooter = _PhaseShooter(alpha, params, grid.rho_max)
             pair = top_eigenpair(alpha, params, grid, shooter=shooter)
             # the matrix grid must resolve the axis potential spike, whose

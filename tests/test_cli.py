@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expanderlab import spectral
 from expanderlab.cli import RunConfig, _build_parser, main, resolve_config
 
 
@@ -209,6 +210,20 @@ class TestSpectrumCommands:
                  .splitlines() if not ln.startswith("#")]
         alphas = {ln.split(",")[0] for ln in lines[1:]}
         assert alphas == {"2.0", "3.0"}
+
+    def test_spectrum_integrates_once_per_alpha(self, tmp_path, monkeypatch):
+        # the matrix check reads the profile the shooting integrated
+        integrate_profile = spectral.integrate_profile
+        integrations = []
+
+        def counted_profile(*args, **kwargs):
+            integrations.append(args)
+            return integrate_profile(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "integrate_profile", counted_profile)
+        assert run(tmp_path, "spectrum", "--d", "5", "--p", "3",
+                   "--alpha", "5") == 0
+        assert len(integrations) == 1
 
     def test_spectrum_eigenfunction_export(self, tmp_path):
         code = run(tmp_path, "spectrum", "--d", "5", "--p", "3",

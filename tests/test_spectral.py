@@ -377,6 +377,68 @@ class TestPositiveSpectrum:
         assert pairs[0].lam == pytest.approx(selected53.lambda_bar, abs=1e-9)
 
 
+class TestShooterSlot:
+    """The one-slot shooter memo shared by the public spectral calls."""
+
+    def test_crossval_pattern_integrates_once_bit_for_bit(self, params53,
+                                                          monkeypatch):
+        alpha, grid = 5.0, RadialGrid.uniform(16.0, 0.01)
+        integrate_profile = spectral.integrate_profile
+        integrations = []
+
+        def counted_profile(*args, **kwargs):
+            integrations.append(args)
+            return integrate_profile(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "integrate_profile", counted_profile)
+        top = top_eigenpair(alpha, params53, grid)
+        mat = matrix_spectrum(alpha, params53, grid, cutoff=-3.0)
+        spec = positive_spectrum(alpha, params53, grid)
+        n = neutral_zero_count(alpha, params53, grid)
+        assert len(integrations) == 1
+        assert spec[0] is top and len(spec) == n >= 1
+        held = spectral._shooter(alpha, params53, grid.rho_max)._usol
+
+        # the same calls on fresh shooters and a fresh profile
+        ref_top = top_eigenpair(alpha, params53, grid, shooter=_PhaseShooter(
+            alpha, params53, grid.rho_max))
+        ref_spec = positive_spectrum(alpha, params53, grid,
+                                     shooter=_PhaseShooter(alpha, params53,
+                                                           grid.rho_max))
+        ref_n = _PhaseShooter(alpha, params53, grid.rho_max).count_above(0.0)
+        spectral._shooter.cache_clear()
+        ref_mat = matrix_spectrum(alpha, params53, grid, cutoff=-3.0)
+        assert ref_mat == mat and ref_n == n
+        for pair, ref in zip([top] + spec, [ref_top] + ref_spec,
+                             strict=True):
+            assert pair.lam == ref.lam
+            assert np.array_equal(pair.f, ref.f)
+            assert (pair.zero_count, pair.l2w_norm, pair.match_defect) == (
+                ref.zero_count, ref.l2w_norm, ref.match_defect)
+        fresh, _ = integrate_profile(alpha, params53, grid.rho_max)
+        assert np.array_equal(held.sol(grid.nodes), fresh.sol(grid.nodes))
+
+    def test_equal_grids_share_pairs(self, params53):
+        # every grid=None call builds its own default grid
+        top = top_eigenpair(2.5, params53)
+        assert positive_spectrum(2.5, params53)[0] is top
+
+    def test_sweep_keeps_one_shooter(self, params53):
+        find_alpha_star(params53, tol=1e-3)
+        info = spectral._shooter.cache_info()
+        assert info.misses > 10 and info.currsize == 1
+
+    @pytest.mark.parametrize("alpha", [math.nan, -1.0])
+    def test_invalid_alpha_not_cached(self, params53, alpha):
+        held = spectral._shooter(1.0, params53, 16.0)
+        with pytest.raises(DomainError):
+            neutral_zero_count(alpha, params53)
+        with pytest.raises(DomainError):
+            matrix_spectrum(alpha, params53, RadialGrid.uniform())
+        assert spectral._shooter.cache_info().currsize == 1
+        assert spectral._shooter(1.0, params53, 16.0) is held
+
+
 class TestMatrixSpectrum:
     def test_free_operator_top(self, params53):
         grid = RadialGrid.uniform(16.0, 0.01)
