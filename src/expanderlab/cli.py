@@ -300,7 +300,7 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> int:
         pairs = positive_spectrum(alpha, params, grid)
         for pair in pairs:
             rows.append((repr(float(alpha)), repr(pair.lam),
-                         str(pair.zero_count), pair.method))
+                         str(pair.zero_count), "shooting"))
         pairs_for_export.extend((alpha, k, pair)
                                 for k, pair in enumerate(pairs))
         for lam in matrix_spectrum(alpha, params, grid, cutoff=0.0):
@@ -310,11 +310,11 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> int:
     writer.csv("spectrum", rows)
     writer.json("spectrum", {"rows": [
         {"alpha": a, "lambda": p_.lam, "zero_count": p_.zero_count,
-         "method": p_.method, "l2w_norm": p_.l2w_norm}
+         "method": "shooting", "l2w_norm": p_.l2w_norm}
         for a, _, p_ in pairs_for_export]})
     if writer.eigenfunctions:
         for alpha, k, pair in pairs_for_export:
-            writer.csv(f"eigenfunction_{alpha:g}_{k}",
+            writer.csv(f"eigenfunction_{float(alpha)!r}_{k}",
                        pair.to_csv_rows(grid))
     print(f"{len(rows) - 1} spectrum rows for {len(alphas)} alpha value(s)")
     return 0

@@ -39,7 +39,7 @@ from .exponents import (
     check_feasibility,
     odd_power,
 )
-from .profiles import RadialGrid, estimate_ell, log_weight, require_positive
+from .profiles import DEFAULT_GRID, RadialGrid, estimate_ell, require_positive
 from .semigroup import lebesgue_norms, sphere_area
 from .spectral import (
     PotentialField,
@@ -260,7 +260,7 @@ class _NormKit:
     def __init__(self, grid: RadialGrid, params: ProblemParams):
         self.w_meas = grid.measure_weights(params.d)
         self.sphere = sphere_area(params.d)
-        self.w_l2w = grid.weights * np.exp(log_weight(grid.nodes, params.d))
+        self.w_l2w = grid.l2w_weights(params.d)
 
     def lebesgue(self, v: np.ndarray,
                  gammas: tuple) -> tuple[list[float], float]:
@@ -362,7 +362,7 @@ def _default_exponents(params: ProblemParams, q, r):
 
 def evolve_similarity(v0: np.ndarray, tau0: float, tau1: float,
                       params: ProblemParams,
-                      grid: Optional[RadialGrid] = None,
+                      grid: RadialGrid = DEFAULT_GRID,
                       dtau: float = 0.01, q: Optional[float] = None,
                       r: Optional[float] = None,
                       reference: Optional[np.ndarray] = None) -> TrajectoryLog:
@@ -373,8 +373,6 @@ def evolve_similarity(v0: np.ndarray, tau0: float, tau1: float,
     the run terminates early with a flag when max|v| passes
     min(1e6, 2^(1000/p)), before |v|^p can overflow.
     """
-    if grid is None:
-        grid = RadialGrid.uniform()
     q, r = _default_exponents(params, q, r)
     p = params.p
     return _evolve(v0, grid, params, tau0, tau1, dtau, None,
@@ -579,7 +577,7 @@ class DemoReport:
 def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
                        r: Optional[float] = None,
                        epsilon: Optional[float] = None,
-                       grid: Optional[RadialGrid] = None,
+                       grid: RadialGrid = DEFAULT_GRID,
                        tau0: float = -12.0, tau1: float = -2.0,
                        dtau: float = 0.005) -> DemoReport:
     """Two solutions from one singular datum, diverging at the predicted rate.
@@ -597,8 +595,6 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
     if not (q < params.q_c < r):
         raise DomainError(
             f"need 1 <= q < q_c < r, got q={q}, r={r}, q_c={params.q_c}")
-    if grid is None:
-        grid = RadialGrid.uniform()
 
     slack0 = params.growth_exponent(r)
     if slack0 <= 0.0:

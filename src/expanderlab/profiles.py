@@ -107,6 +107,17 @@ class RadialGrid:
             cache[d] = self.weights * self.nodes ** (d - 1.0)
         return cache[d]
 
+    def l2w_weights(self, d: int) -> np.ndarray:
+        """Simpson weights times rho^(d-1) e^(rho^2/4), the measure of the
+        weighted L2 space of the linearization; built once per dimension."""
+        cache = self.__dict__.setdefault("_l2w_weights", {})
+        if d not in cache:
+            cache[d] = self.weights * np.exp(log_weight(self.nodes, d))
+        return cache[d]
+
+
+DEFAULT_GRID = RadialGrid.uniform()
+
 
 def log_weight(rho: np.ndarray, d: int) -> np.ndarray:
     """log of the weight rho^(d-1) e^(rho^2/4) of the similarity space."""
@@ -116,25 +127,19 @@ def log_weight(rho: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass
 class ExpanderProfile:
-    """A shot profile sampled on a grid, with tail constant and defect."""
+    """A shot profile sampled on a grid, with its ODE defect."""
 
     alpha: float
     params: ProblemParams
     grid: RadialGrid
     u: np.ndarray
     du: np.ndarray
-    ell: float
-    ell_uncertainty: float
     residual_max: float
     zero_crossings: int
 
     @property
     def max_abs_u(self) -> float:
         return float(np.max(np.abs(self.u)))
-
-    @property
-    def bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.u)))
 
     def to_csv_rows(self):
         yield ("rho", "u", "du")
@@ -238,10 +243,8 @@ def _residual_max(grid: RadialGrid, u: np.ndarray, du: np.ndarray,
 
 
 def shoot_profile(alpha: float, params: ProblemParams,
-                  grid: Optional[RadialGrid] = None) -> ExpanderProfile:
+                  grid: RadialGrid = DEFAULT_GRID) -> ExpanderProfile:
     """Shoot the profile for one alpha and sample it on the grid."""
-    if grid is None:
-        grid = RadialGrid.uniform()
     sol, _ = integrate_profile(alpha, params, grid.rho_max)
     return sample_profile(sol, alpha, params, grid)
 
@@ -267,29 +270,8 @@ def sample_profile(sol, alpha: float, params: ProblemParams,
 
     res = _residual_max(grid, u, du, params)
     crossings = int(np.sum(u[:-1] * u[1:] < 0.0))
-    ell, unc = _fit_tail(grid, u, params)
     return ExpanderProfile(alpha=alpha, params=params, grid=grid, u=u, du=du,
-                           ell=ell, ell_uncertainty=unc, residual_max=res,
-                           zero_crossings=crossings)
-
-
-def _fit_tail(grid: RadialGrid, u: np.ndarray, params: ProblemParams):
-    """Two-window tail fit of rho^(2/(p-1)) U; see estimate_ell."""
-    rho_max = grid.rho_max
-    m = 2.0 / (params.p - 1.0)
-    w = grid.nodes ** m * u
-    win_a = (grid.nodes >= 0.70 * rho_max) & (grid.nodes < 0.85 * rho_max)
-    win_b = grid.nodes >= 0.85 * rho_max
-    ma = float(np.mean(w[win_a]))
-    mb = float(np.mean(w[win_b]))
-    # Under the rho^-2 correction law the residual bias of the last-window
-    # mean is kappa times the inter-window drift; report that as the bar.
-    inv2_a = float(np.mean(grid.nodes[win_a] ** -2.0))
-    inv2_b = float(np.mean(grid.nodes[win_b] ** -2.0))
-    kappa = inv2_b / max(inv2_a - inv2_b, 1e-300)
-    # 1.2 guards against higher-order corrections the rho^-2 model misses
-    uncertainty = 1.2 * abs(mb - ma) * kappa
-    return mb, uncertainty
+                           residual_max=res, zero_crossings=crossings)
 
 
 def estimate_ell(profile: ExpanderProfile):
@@ -301,13 +283,26 @@ def estimate_ell(profile: ExpanderProfile):
     which makes it an upper bound on the remaining bias.  Raises
     TailNotResolvedError when the drift exceeds 10% of the value itself.
     """
-    if profile.grid.rho_max < 10.0:
+    grid = profile.grid
+    rho_max = grid.rho_max
+    if rho_max < 10.0:
         raise DomainError("profile must be integrated to rho_max >= 10")
-    ell, unc = _fit_tail(profile.grid, profile.u, profile.params)
+    w = grid.nodes ** (2.0 / (profile.params.p - 1.0)) * profile.u
+    win_a = (grid.nodes >= 0.70 * rho_max) & (grid.nodes < 0.85 * rho_max)
+    win_b = grid.nodes >= 0.85 * rho_max
+    ma = float(np.mean(w[win_a]))
+    ell = float(np.mean(w[win_b]))
+    # Under the rho^-2 correction law the residual bias of the last-window
+    # mean is kappa times the inter-window drift; report that as the bar.
+    inv2_a = float(np.mean(grid.nodes[win_a] ** -2.0))
+    inv2_b = float(np.mean(grid.nodes[win_b] ** -2.0))
+    kappa = inv2_b / max(inv2_a - inv2_b, 1e-300)
+    # 1.2 guards against higher-order corrections the rho^-2 model misses
+    unc = 1.2 * abs(ell - ma) * kappa
     if unc > 0.1 * max(abs(ell), 1e-12):
         raise TailNotResolvedError(
             f"tail windows disagree ({unc:.3e} vs ell={ell:.3e}); "
-            f"increase rho_max beyond {profile.grid.rho_max}")
+            f"increase rho_max beyond {rho_max}")
     return ell, unc
 
 
@@ -346,7 +341,7 @@ class EllSweep:
 
 
 def sweep_ell(alpha_list: Sequence[float], params: ProblemParams,
-              grid: Optional[RadialGrid] = None) -> EllSweep:
+              grid: RadialGrid = DEFAULT_GRID) -> EllSweep:
     """Tabulate ell(alpha) over a list of shooting values.
 
     Rows are independent; per-alpha failures become row-level markers.  The

@@ -58,6 +58,7 @@ from .exceptions import (
 )
 from .exponents import ProblemParams
 from .profiles import (
+    DEFAULT_GRID,
     ExpanderProfile,
     RadialGrid,
     _start_rho,
@@ -99,7 +100,6 @@ class EigenPair:
     lam: float
     f: np.ndarray
     zero_count: int
-    method: str                   # "shooting" or "matrix"
     l2w_norm: float
     match_defect: float = 0.0     # log-derivative mismatch at the glue point
 
@@ -132,9 +132,9 @@ class _PhaseShooter:
     Caches the dense profile (at alpha = 0 the zero solution), the phase
     endpoint per lambda and the eigenpairs solved so far, from the top
     down (_descend); all public spectral operations funnel through here.
-    A public call handed no shooter takes the one _shooter holds for its
-    (alpha, params, rho_max), so separate calls at one alpha, and
-    matrix_spectrum's profile, share one integration and one set of pairs.
+    Every public call takes the one _shooter holds for its (alpha, params,
+    rho_max), so separate calls at one alpha, and matrix_spectrum's
+    profile, share one integration and one set of pairs.
     """
 
     def __init__(self, alpha: float, params: ProblemParams, rho_max: float,
@@ -225,7 +225,9 @@ class _PhaseShooter:
         j-th (j >= 2) between 0 and the (j-1)-th, so j >= 2 needs j positive
         eigenvalues.  Each is shot once and kept, as theta_end keeps its
         phases; pairs solved on another grid are dropped.  Grids compare by
-        value: equal grids have the same nodes.
+        value: equal grids have the same nodes.  Only shooters held by
+        _shooter descend, so the module-level eigenvalue_shoot, called
+        without this shooter, finds it in the slot.
         """
         if grid != self._grid:
             self._grid, self._pairs = grid, []
@@ -234,8 +236,7 @@ class _PhaseShooter:
             lo, hi = (_bracket_top(self) if j == 1
                       else (0.0, self._pairs[-1].lam))
             self._pairs.append(eigenvalue_shoot(
-                self.alpha, self.params, _isolate(self, lo, hi, j), grid,
-                shooter=self))
+                self.alpha, self.params, _isolate(self, lo, hi, j), grid))
         return self._pairs[:n]
 
     def count_above(self, lam: float) -> int:
@@ -409,18 +410,17 @@ def _phase_rates(theta, eta, qt, w):
 
 
 def neutral_zero_count(alpha: float, params: ProblemParams,
-                       grid: Optional[RadialGrid] = None) -> int:
+                       grid: RadialGrid = DEFAULT_GRID) -> int:
     """Interior zeros of the neutral solution L f = 0, f(0)=1, f'(0)=0.
 
     By Sturm oscillation this equals the number of positive eigenvalues.
     """
-    rho_max = grid.rho_max if grid is not None else 16.0
-    return _shooter(alpha, params, rho_max).count_above(0.0)
+    return _shooter(alpha, params, grid.rho_max).count_above(0.0)
 
 
 def find_alpha_star(params: ProblemParams, bracket=ALPHA_STAR_BRACKET,
                     tol: float = 1e-6,
-                    grid: Optional[RadialGrid] = None) -> AlphaStarResult:
+                    grid: RadialGrid = DEFAULT_GRID) -> AlphaStarResult:
     """Bisect the first 0 -> >=1 transition of the neutral zero count.
 
     Returns an absent result (alpha_star None) when the count stays zero on
@@ -433,6 +433,9 @@ def find_alpha_star(params: ProblemParams, bracket=ALPHA_STAR_BRACKET,
     """
     require_positive("tol", tol)
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise DomainError(f"alpha bracket must satisfy lo < hi, got "
+                          f"({lo}, {hi})")
     evals = []
 
     def count(a):
@@ -477,15 +480,15 @@ def _counts_monotone(evals) -> bool:
 
 
 def eigenvalue_shoot(alpha: float, params: ProblemParams,
-                     lambda_bracket, grid: Optional[RadialGrid] = None,
-                     shooter: Optional[_PhaseShooter] = None) -> EigenPair:
+                     lambda_bracket,
+                     grid: RadialGrid = DEFAULT_GRID) -> EigenPair:
     """Locate the single eigenvalue inside lambda_bracket by phase matching
     at an interior point; the one solver behind top_eigenpair and
     positive_spectrum (see _PhaseShooter._descend).
 
     The bracket must hold exactly one eigenvalue by the Sturm counts (k + 1
-    above lo, k above hi).  With a shooter, its cached profile and phases
-    are reused.  The miss
+    above lo, k above hi).  The shooter is _shooter's for (alpha, params,
+    grid.rho_max), so its cached profile and phases are reused.  The miss
 
         m(lam) = theta_fwd(rho_m) - theta_bwd(rho_m) - k pi
 
@@ -502,11 +505,7 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     forward integration glued to a backward one from the decaying branch at
     the same rho_m.
     """
-    if grid is None:
-        grid = RadialGrid.uniform()
-    sh = shooter if shooter is not None else _shooter(
-        alpha, params, grid.rho_max)
-
+    sh = _shooter(alpha, params, grid.rho_max)
     lo, hi = float(lambda_bracket[0]), float(lambda_bracket[1])
     if not lo < hi:
         raise DomainError("lambda bracket must satisfy lo < hi")
@@ -550,8 +549,8 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     lam = 0.5 * (a + b)
     f, zero_count, l2w, defect = _reconstruct_eigenfunction(sh, lam, grid,
                                                             rho_m)
-    return EigenPair(lam=lam, f=f, zero_count=zero_count, method="shooting",
-                     l2w_norm=l2w, match_defect=defect)
+    return EigenPair(lam=lam, f=f, zero_count=zero_count, l2w_norm=l2w,
+                     match_defect=defect)
 
 
 def _matching_point(sh: _PhaseShooter, lam: float, nodes) -> float:
@@ -603,8 +602,7 @@ def _reconstruct_eigenfunction(sh: _PhaseShooter, lam: float,
     sig = sig[sig != 0.0]
     zero_count = int(np.sum(sig[:-1] != sig[1:]))
 
-    w_l2w = grid.weights * np.exp(log_weight(grid.nodes, sh.params.d))
-    l2w = math.sqrt(np.dot(w_l2w, f * f))
+    l2w = math.sqrt(np.dot(grid.l2w_weights(sh.params.d), f * f))
     return f, zero_count, l2w, float(defect)
 
 
@@ -637,20 +635,15 @@ def _bracket_top(sh: _PhaseShooter):
 
 
 def top_eigenpair(alpha: float, params: ProblemParams,
-                  grid: Optional[RadialGrid] = None,
-                  shooter: Optional[_PhaseShooter] = None) -> EigenPair:
+                  grid: RadialGrid = DEFAULT_GRID) -> EigenPair:
     """Largest eigenvalue of L_alpha, wherever it sits on the real line.
 
-    The first step of the shooter's descending walk (_descend).  Without
-    a shooter it takes _shooter's for (alpha, params, grid.rho_max), the
-    one a positive_spectrum call at the same alpha also takes, so on equal
-    grids either call reuses the other's top pair.
+    The first step of the descending walk (_descend) of _shooter's shooter
+    for (alpha, params, grid.rho_max), the one a positive_spectrum call at
+    the same alpha also takes, so on equal grids either call reuses the
+    other's top pair.
     """
-    if grid is None:
-        grid = RadialGrid.uniform()
-    sh = shooter if shooter is not None else _shooter(
-        alpha, params, grid.rho_max)
-    return sh._descend(1, grid)[0]
+    return _shooter(alpha, params, grid.rho_max)._descend(1, grid)[0]
 
 
 def _isolate(sh: _PhaseShooter, lo: float, hi: float, m: int):
@@ -672,22 +665,17 @@ def _isolate(sh: _PhaseShooter, lo: float, hi: float, m: int):
 
 
 def positive_spectrum(alpha: float, params: ProblemParams,
-                      grid: Optional[RadialGrid] = None,
-                      shooter: Optional[_PhaseShooter] = None) -> list:
+                      grid: RadialGrid = DEFAULT_GRID) -> list:
     """All positive eigenvalues with eigenfunctions, descending.
 
     The list length always equals the neutral zero count.  The pairs are
-    the shooter's descending walk (_descend), so the first is the very pair
-    top_eigenpair returns; pairs the shooter already holds are not solved
-    again.  Without a shooter it takes _shooter's for (alpha, params,
-    grid.rho_max), shared with top_eigenpair and neutral_zero_count.
+    the descending walk (_descend) of _shooter's shooter for (alpha,
+    params, grid.rho_max), shared with top_eigenpair and
+    neutral_zero_count, so the first is the very pair top_eigenpair
+    returns; pairs the shooter already holds are not solved again.
+    alpha = 0 (the zero profile) takes the same path.
     """
-    if alpha <= 0:
-        raise DomainError("positive_spectrum needs alpha > 0")
-    if grid is None:
-        grid = RadialGrid.uniform()
-    sh = shooter if shooter is not None else _shooter(
-        alpha, params, grid.rho_max)
+    sh = _shooter(alpha, params, grid.rho_max)
     n = sh.count_above(0.0)
     return sh._descend(n, grid) if n else []
 
@@ -749,7 +737,7 @@ class SelectedExpander:
 
 
 def select_unstable_expander(params: ProblemParams, eps_target: float,
-                             grid: Optional[RadialGrid] = None
+                             grid: RadialGrid = DEFAULT_GRID
                              ) -> SelectedExpander:
     """Find alpha_bar just past alpha_star with top eigenvalue in
     (0, eps_target).
@@ -761,13 +749,13 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
     by Sturm counts alone: lambda_top > x exactly when count_above(x) >= 1,
     so a step costs at most three phase integrations (at 0, eps_target and
     0.9 eps_target) and the eigenpair is solved once, at the accepted alpha,
-    whose dense profile the returned profile samples.  Rejects powers
-    outside (p_fujita, p_jl), where no radial profile is unstable.
+    on _shooter's shooter for it, whose dense profile the returned profile
+    samples; when the last alpha counted is the accepted one, the slot
+    still holds that shooter and nothing is integrated again.  Rejects
+    powers outside (p_fujita, p_jl), where no radial profile is unstable.
     """
     params.require_unstable_regime()
     require_positive("eps_target", eps_target)
-    if grid is None:
-        grid = RadialGrid.uniform()
 
     star = find_alpha_star(params, grid=grid)
     if not star.found:
@@ -776,27 +764,25 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
     a_star = star.alpha_star
     delta = 0.1 * a_star
 
-    def top_above(sh, lam):
-        return sh.count_above(lam) >= 1
+    def top_above(alpha, lam):
+        return _shooter(alpha, params, grid.rho_max).count_above(lam) >= 1
 
     a_hi = a_star + delta
-    sh_hi = _shooter(a_hi, params, grid.rho_max)
-    if not top_above(sh_hi, eps_target) and top_above(sh_hi, 0.0):
-        a_bar, sh_bar = a_hi, sh_hi
+    if not top_above(a_hi, eps_target) and top_above(a_hi, 0.0):
+        a_bar = a_hi
     else:
         # overshoot: bisect lambda_top toward 0.9 eps_target
         lo, hi = a_star, a_hi
-        a_bar, sh_bar = None, None
+        a_bar = None
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            sh = _shooter(mid, params, grid.rho_max)
-            if top_above(sh, eps_target):
+            if top_above(mid, eps_target):
                 hi = mid
-            elif not top_above(sh, 0.0):
+            elif not top_above(mid, 0.0):
                 lo = mid
             else:
-                a_bar, sh_bar = mid, sh
-                if (top_above(sh, 0.9 * eps_target)
+                a_bar = mid
+                if (top_above(mid, 0.9 * eps_target)
                         or hi - lo < star.tolerance):
                     break
                 lo = mid
@@ -804,8 +790,9 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
             raise NoUnstableExpanderError(
                 f"could not isolate lambda_top in (0, {eps_target}) above "
                 f"alpha_star={a_star}")
-    pair = top_eigenpair(a_bar, params, grid, shooter=sh_bar)
-    profile = sample_profile(sh_bar._usol, a_bar, params, grid)
+    pair = top_eigenpair(a_bar, params, grid)
+    profile = sample_profile(_shooter(a_bar, params, grid.rho_max)._usol,
+                             a_bar, params, grid)
     return SelectedExpander(alpha_star=star, alpha_bar=a_bar,
                             lambda_bar=pair.lam, profile=profile,
                             eigenpair=pair)

@@ -12,6 +12,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
+from expanderlab import spectral
 from expanderlab.exponents import (
     contraction_remainder_gap,
     derived_exponents,
@@ -31,7 +32,6 @@ from expanderlab.semigroup import (
     growth_rate_gaussian,
 )
 from expanderlab.spectral import (
-    _PhaseShooter,
     find_alpha_star,
     matrix_spectrum,
     neutral_zero_count,
@@ -116,11 +116,9 @@ def test_criterion_3_spectral_cross_validation(capsys):
         params = derived_exponents(d, p)
         cutoff = 1.0 / (p - 1.0) - d / 2.0 - 0.6
         for alpha in (0.5, 1.0, 2.0, 5.0):
-            # one shooter walks this alpha's spectrum for both calls; the
-            # neutral count below takes spectral's memo shooter, not this
-            # one, so the length check compares two separately built walks
-            shooter = _PhaseShooter(alpha, params, grid.rho_max)
-            pair = top_eigenpair(alpha, params, grid, shooter=shooter)
+            # the memo's shooter walks this alpha's spectrum for both calls
+            pair = top_eigenpair(alpha, params, grid)
+            spectrum = positive_spectrum(alpha, params, grid)
             # the matrix grid must resolve the axis potential spike, whose
             # width scales like 1/sqrt(V(0))
             h = min(0.01, 0.5 / math.sqrt(p * alpha ** (p - 1.0)))
@@ -130,9 +128,10 @@ def test_criterion_3_spectral_cross_validation(capsys):
             agree = gap <= max(1e-4 * abs(pair.lam), 1e-6)
             worst = max(worst, gap)
             # Sturm indexing: k-th positive eigenvalue from the top has
-            # exactly k interior zeros, and the count matches the phase
-            spectrum = positive_spectrum(alpha, params, grid,
-                                         shooter=shooter)
+            # exactly k interior zeros, and the count matches the phase;
+            # a fresh shooter counts, so the length check compares two
+            # separately built walks
+            spectral._shooter.cache_clear()
             n = neutral_zero_count(alpha, params, grid)
             sturm = len(spectrum) == n and all(
                 e.zero_count == k for k, e in enumerate(spectrum))

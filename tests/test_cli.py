@@ -166,11 +166,13 @@ class TestProfileCommands:
         # L^0.5 is a quasi-norm
         ("evolve", "--alpha", "1", "--q", "0.5"),
         ("evolve", "--alpha", "1", "--r", "0.5"),
+        ("alpha-star", "--alpha-min", "0.2", "--alpha-max", "0.1"),
     ], ids=["drho-nan", "rho-max-inf", "alpha-nan", "alpha-steps-negative",
             "rho-max-overflow", "rho-max-huge", "evolve-dtau-tiny",
             "demo-dtau-tiny", "evolve-dtau-below-spacing", "seed-negative",
             "alpha-overflow", "scale-overflow", "demo-eps-zero",
-            "demo-eps-negative", "evolve-q-below-one", "evolve-r-below-one"])
+            "demo-eps-negative", "evolve-q-below-one", "evolve-r-below-one",
+            "alpha-min-above-max"])
     def test_invalid_flag_exit_65(self, tmp_path, argv):
         assert run(tmp_path, *argv, "--d", "5", "--p", "3") == 65
 
@@ -231,9 +233,33 @@ class TestSpectrumCommands:
         assert code == 0
         files = list(Path(tmp_path).glob("eigenfunction_*.csv"))
         assert files
+        assert (tmp_path / "eigenfunction_2.5_0.csv").exists()
         lines = [ln for ln in files[0].read_text().splitlines()
                  if not ln.startswith("#")]
         assert lines[0] == "rho,f"
+
+    def test_eigenfunction_files_one_per_pair(self, tmp_path):
+        # three alphas that print alike under %g
+        code = run(tmp_path, "spectrum", "--d", "5", "--p", "3",
+                   "--alpha-min", "5", "--alpha-max", "5.000001",
+                   "--alpha-steps", "3", "--eigenfunctions")
+        assert code == 0
+        rows = json.loads((tmp_path / "spectrum.json").read_text())["rows"]
+        names = {f"eigenfunction_{r['alpha']!r}_0.csv" for r in rows}
+        assert len(names) == 3
+        files = {f.name for f in tmp_path.glob("eigenfunction_*.csv")}
+        assert names <= files and len(files) == len(rows)
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert len(set(meta["artifacts"])) == len(meta["artifacts"])
+
+    @pytest.mark.parametrize("p, n_pairs", [("3", 0), ("1.3", 1)])
+    def test_spectrum_alpha_zero(self, tmp_path, p, n_pairs):
+        # alpha = 0 is the zero profile; its top eigenvalue is
+        # 1/(p-1) - d/2, positive only below p = 1 + 2/d
+        assert run(tmp_path, "spectrum", "--d", "5", "--p", p,
+                   "--alpha", "0") == 0
+        rows = json.loads((tmp_path / "spectrum.json").read_text())["rows"]
+        assert len(rows) == n_pairs
 
 
 class TestDynamicsCommands:

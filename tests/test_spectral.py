@@ -340,6 +340,18 @@ class TestPositiveSpectrum:
     def test_beyond_threshold_empty(self, params117):
         assert positive_spectrum(2.0, params117) == []
 
+    def test_zero_profile(self, params53):
+        # the free operator's top eigenvalue is 1/(p-1) - d/2: negative at
+        # (5, 3), positive below the Fujita power
+        assert positive_spectrum(0.0, params53) == []
+        params = derived_exponents(5, 1.3)
+        pairs = positive_spectrum(0.0, params)
+        assert len(pairs) == 1 and pairs[0].zero_count == 0
+        assert pairs[0].lam == pytest.approx(1.0 / 0.3 - 2.5, abs=1e-9)
+        mat = matrix_spectrum(0.0, params, RadialGrid.uniform(), cutoff=0.0)
+        assert len(mat) == 1
+        assert abs(pairs[0].lam - mat[0]) <= 1e-6
+
     def test_two_eigenvalues_sturm_indexed(self, params53):
         pairs = positive_spectrum(10.0, params53)
         assert len(pairs) == neutral_zero_count(10.0, params53) == 2
@@ -364,9 +376,8 @@ class TestPositiveSpectrum:
 
         monkeypatch.setattr(spectral, "eigenvalue_shoot", counted_shoot)
         grid = RadialGrid.uniform()
-        sh = _PhaseShooter(10.0, params53, grid.rho_max)
-        top = top_eigenpair(10.0, params53, grid, shooter=sh)
-        pairs = positive_spectrum(10.0, params53, grid, shooter=sh)
+        top = top_eigenpair(10.0, params53, grid)
+        pairs = positive_spectrum(10.0, params53, grid)
         assert len(shoots) == len(pairs) == 2
         assert pairs[0] is top
 
@@ -400,11 +411,10 @@ class TestShooterSlot:
         held = spectral._shooter(alpha, params53, grid.rho_max)._usol
 
         # the same calls on fresh shooters and a fresh profile
-        ref_top = top_eigenpair(alpha, params53, grid, shooter=_PhaseShooter(
-            alpha, params53, grid.rho_max))
-        ref_spec = positive_spectrum(alpha, params53, grid,
-                                     shooter=_PhaseShooter(alpha, params53,
-                                                           grid.rho_max))
+        spectral._shooter.cache_clear()
+        ref_top = top_eigenpair(alpha, params53, grid)
+        spectral._shooter.cache_clear()
+        ref_spec = positive_spectrum(alpha, params53, grid)
         ref_n = _PhaseShooter(alpha, params53, grid.rho_max).count_above(0.0)
         spectral._shooter.cache_clear()
         ref_mat = matrix_spectrum(alpha, params53, grid, cutoff=-3.0)
@@ -419,9 +429,10 @@ class TestShooterSlot:
         assert np.array_equal(held.sol(grid.nodes), fresh.sol(grid.nodes))
 
     def test_equal_grids_share_pairs(self, params53):
-        # every grid=None call builds its own default grid
-        top = top_eigenpair(2.5, params53)
-        assert positive_spectrum(2.5, params53)[0] is top
+        # two equal grids, not one grid object
+        top = top_eigenpair(2.5, params53, RadialGrid.uniform())
+        spec = positive_spectrum(2.5, params53, RadialGrid.uniform())
+        assert spec[0] is top
 
     def test_sweep_keeps_one_shooter(self, params53):
         find_alpha_star(params53, tol=1e-3)
