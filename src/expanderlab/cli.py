@@ -264,7 +264,7 @@ def _cmd_alpha_star(cfg: RunConfig, writer: ArtifactWriter) -> int:
     payload = {
         "alpha_star": res.alpha_star,
         "bracket": list(res.bracket),
-        "zero_count_lo": res.zero_count_lo,
+        "zero_count_lo": 0,     # find_alpha_star refuses any other
         "zero_count_hi": res.zero_count_hi,
         "tolerance": res.tolerance,
         "monotone": res.monotone,

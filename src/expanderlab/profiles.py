@@ -48,17 +48,18 @@ def require_alpha(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform discretization of [0, n step]; build it with uniform()."""
+    """n equal cells on [0, rho_max], nodes ending at rho_max exactly;
+    uniform(rho_max, drho) takes n = round(rho_max / drho)."""
 
     n: int
-    step: float
+    rho_max: float
 
     def __post_init__(self):
         if self.n + 1 > MAX_NODES:
             raise DomainError(f"grid exceeds {MAX_NODES} nodes (rho_max / drho "
                               "too large)")
-        require_positive("grid step", self.step)
-        if self.n * self.step < 10.0:
+        require_positive("rho_max", self.rho_max)
+        if self.rho_max < 10.0:
             raise DomainError("rho_max must be at least 10")
         if self.n + 1 < 100:
             raise DomainError("grid needs at least 100 nodes")
@@ -69,19 +70,15 @@ class RadialGrid:
                  / require_positive("drho", drho))
         if not math.isfinite(ratio):
             raise DomainError(f"rho_max / drho overflows ({rho_max}/{drho})")
-        return cls(n=int(round(ratio)), step=float(drho))
+        return cls(n=int(round(ratio)), rho_max=float(rho_max))
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.n * self.step, self.n + 1)
-
-    @property
-    def rho_max(self) -> float:
-        return float(self.nodes[-1])
+        return np.linspace(0.0, self.rho_max, self.n + 1)
 
     @property
     def drho(self) -> float:
-        return float(self.nodes[1] - self.nodes[0])
+        return self.rho_max / self.n
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -285,8 +282,6 @@ def estimate_ell(profile: ExpanderProfile):
     """
     grid = profile.grid
     rho_max = grid.rho_max
-    if rho_max < 10.0:
-        raise DomainError("profile must be integrated to rho_max >= 10")
     w = grid.nodes ** (2.0 / (profile.params.p - 1.0)) * profile.u
     win_a = (grid.nodes >= 0.70 * rho_max) & (grid.nodes < 0.85 * rho_max)
     win_b = grid.nodes >= 0.85 * rho_max

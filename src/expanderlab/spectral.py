@@ -58,7 +58,9 @@ from .exceptions import (
 )
 from .exponents import ProblemParams
 from .profiles import (
+    ATOL,
     DEFAULT_GRID,
+    RTOL,
     ExpanderProfile,
     RadialGrid,
     _start_rho,
@@ -71,8 +73,6 @@ from .profiles import (
     series_start,
 )
 
-RTOL = 1e-10
-ATOL = 1e-12
 LAMBDA_TOL = 1e-11      # eigenvalue_shoot's final bracket width
 ALPHA_STAR_BRACKET = (0.1, 50.0)     # find_alpha_star's default
 # step cap of the Fortran DOP853; its default of 500 is in reach (a (11,7)
@@ -115,7 +115,6 @@ class AlphaStarResult:
 
     alpha_star: Optional[float]
     bracket: tuple
-    zero_count_lo: int
     zero_count_hi: int
     tolerance: float
     evaluations: list = field(default_factory=list)
@@ -457,7 +456,7 @@ def find_alpha_star(params: ProblemParams, bracket=ALPHA_STAR_BRACKET,
         else:
             monotone = _counts_monotone(evals)
             return AlphaStarResult(alpha_star=None, bracket=(lo, hi),
-                                   zero_count_lo=0, zero_count_hi=0,
+                                   zero_count_hi=0,
                                    tolerance=tol, evaluations=evals,
                                    monotone=monotone)
     while hi - lo > tol:
@@ -469,7 +468,7 @@ def find_alpha_star(params: ProblemParams, bracket=ALPHA_STAR_BRACKET,
         else:
             hi, c_hi = mid, evals[-1][1]
     return AlphaStarResult(alpha_star=0.5 * (lo + hi), bracket=(lo, hi),
-                           zero_count_lo=0, zero_count_hi=c_hi,
+                           zero_count_hi=c_hi,
                            tolerance=tol, evaluations=evals,
                            monotone=_counts_monotone(evals))
 
@@ -686,28 +685,34 @@ def matrix_spectrum(alpha: float, params: ProblemParams, grid: RadialGrid,
 
     Cell-centered conservative differences; the symmetrizing substitution
     g = sqrt(w) f gives a symmetric tridiagonal matrix, so the spectrum is
-    structurally real.  Assembled at the grid spacing and at half that
-    spacing, then Richardson extrapolated (the scheme error is clean h^2).
-    The profile is _shooter's for (alpha, params, grid.rho_max): a
-    shooting call at the same alpha and rho_max has integrated it already.
+    structurally real.  Assembled on m and 2m cells of [0, rho_max], then
+    Richardson extrapolated (the scheme error is clean h^2), with m =
+    max(grid.n, round(2 rho_max sqrt(V(0)))), V(0) = p alpha^(p-1): cells
+    at most 0.5/sqrt(V(0)) wide resolve the axis spike of V.  A count the
+    grid refuses raises ResolutionError before anything is integrated.
+    The profile is _shooter's for (alpha, params, grid.rho_max), which a
+    shooting call at the same alpha has integrated already.
     """
-    h = grid.drho
-    if h > 0.05:
-        raise ResolutionError(
-            f"grid spacing {h} too coarse for the matrix route (max 0.05)")
-    rho_max = grid.rho_max
-    dense = _shooter(alpha, params, rho_max)._usol
+    if grid.drho > 0.05:
+        raise ResolutionError(f"grid spacing {grid.drho} too coarse for the "
+                              "matrix route (max 0.05)")
+    sh = _shooter(alpha, params, grid.rho_max)
+    v0 = params.p * sh.alpha ** (params.p - 1.0)
+    m = max(grid.n, round(2.0 * grid.rho_max * math.sqrt(v0)))
+    try:
+        levels = [RadialGrid(k * m, grid.rho_max) for k in (1, 2)]
+    except DomainError as exc:
+        raise ResolutionError(f"{m} cells for V(0) = {v0:.3g}: {exc}") from exc
 
-    def eigs(step):
-        m = int(round(rho_max / step))
-        centers = (np.arange(m) + 0.5) * step
-        faces = np.arange(m + 1) * step
+    def eigs(level):
+        step = level.drho
+        centers = (np.arange(level.n) + 0.5) * step
         logw_c = log_weight(centers, params.d)
-        logw_f = log_weight(faces, params.d)
-        v = params.p * np.abs(dense.sol(centers)[0]) ** (params.p - 1.0)
+        logw_f = log_weight(level.nodes, params.d)
+        v = params.p * np.abs(sh._usol.sol(centers)[0]) ** (params.p - 1.0)
         off = np.exp(logw_f[1:-1] - 0.5 * (logw_c[:-1] + logw_c[1:])) / step ** 2
         flux_r = np.exp(logw_f[1:] - logw_c) / step ** 2
-        flux_l = np.empty(m)
+        flux_l = np.empty(level.n)
         flux_l[0] = 0.0                      # w(0) = 0: zero-flux axis
         flux_l[1:] = np.exp(logw_f[1:-1] - logw_c[1:]) / step ** 2
         diag = -(flux_r + flux_l) + 1.0 / (params.p - 1.0) + v
@@ -716,8 +721,7 @@ def matrix_spectrum(alpha: float, params: ProblemParams, grid: RadialGrid,
                                     select_range=(cutoff, top))
         return np.sort(vals)[::-1]
 
-    coarse = eigs(h)
-    fine = eigs(h / 2.0)
+    coarse, fine = (eigs(level) for level in levels)
     n = min(coarse.size, fine.size)
     if n == 0:
         return []

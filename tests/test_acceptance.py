@@ -116,14 +116,12 @@ def test_criterion_3_spectral_cross_validation(capsys):
         params = derived_exponents(d, p)
         cutoff = 1.0 / (p - 1.0) - d / 2.0 - 0.6
         for alpha in (0.5, 1.0, 2.0, 5.0):
-            # the memo's shooter walks this alpha's spectrum for both calls
+            # one memo shooter serves all three calls: it walks this alpha's
+            # spectrum and holds the profile the matrix reads; the matrix
+            # sizes its own cells to the axis spike of V
             pair = top_eigenpair(alpha, params, grid)
             spectrum = positive_spectrum(alpha, params, grid)
-            # the matrix grid must resolve the axis potential spike, whose
-            # width scales like 1/sqrt(V(0))
-            h = min(0.01, 0.5 / math.sqrt(p * alpha ** (p - 1.0)))
-            mgrid = RadialGrid.uniform(16.0, h)
-            mat = matrix_spectrum(alpha, params, mgrid, cutoff=cutoff)
+            mat = matrix_spectrum(alpha, params, grid, cutoff=cutoff)
             gap = abs(pair.lam - mat[0])
             agree = gap <= max(1e-4 * abs(pair.lam), 1e-6)
             worst = max(worst, gap)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from expanderlab import spectral
 from expanderlab.cli import RunConfig, _build_parser, main, resolve_config
+from expanderlab.exponents import derived_exponents
+from expanderlab.profiles import RadialGrid
 
 
 def run(tmp_path, *argv):
@@ -226,6 +229,23 @@ class TestSpectrumCommands:
         assert run(tmp_path, "spectrum", "--d", "5", "--p", "3",
                    "--alpha", "5") == 0
         assert len(integrations) == 1
+
+    def test_spectrum_matrix_rows_resolved(self, tmp_path):
+        # at alpha = 40 the default grid puts 1-2 cells across the axis
+        # spike of V; the matrix rows are those of a grid that resolves it
+        assert run(tmp_path, "spectrum", "--d", "5", "--p", "3",
+                   "--alpha", "40") == 0
+        rows = [ln.split(",") for ln in (tmp_path / "spectrum.csv")
+                .read_text().splitlines() if not ln.startswith("#")][1:]
+        shooting = [float(r[1]) for r in rows if r[3] == "shooting"]
+        matrix = [float(r[1]) for r in rows if r[3] == "matrix"]
+        params = derived_exponents(5, 3.0)
+        resolved = RadialGrid.uniform(16.0, 0.5 / math.sqrt(4800.0))
+        assert matrix == spectral.matrix_spectrum(40.0, params, resolved,
+                                                  cutoff=0.0)
+        assert len(matrix) == len(shooting) == 2
+        for lam, ref in zip(matrix, shooting):
+            assert abs(lam - ref) <= max(1e-4 * abs(ref), 1e-6)
 
     def test_spectrum_eigenfunction_export(self, tmp_path):
         code = run(tmp_path, "spectrum", "--d", "5", "--p", "3",

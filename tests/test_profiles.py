@@ -126,15 +126,24 @@ def test_bad_domain_end_or_alpha_rejected(call, args):
         call(*args)
 
 
-@pytest.mark.parametrize("n, step", [
-    (1600, math.nan), (1600, 0.0), (1600, -0.01),
-    (98, 0.2),          # 99 nodes
-    (999, 0.01),        # rho_max 9.99
-], ids=["step-nan", "step-zero", "step-negative", "few-nodes",
+@pytest.mark.parametrize("n, rho_max, message", [
+    (1600, math.nan, "rho_max must be finite"),
+    (1600, 0.0, "rho_max must be finite"),
+    (1600, -16.0, "rho_max must be finite"),
+    (98, 16.0, "at least 100 nodes"),
+    (999, 9.99, "rho_max must be at least 10"),
+], ids=["rho-max-nan", "rho-max-zero", "rho-max-negative", "few-nodes",
         "short-domain"])
-def test_direct_grid_rejected(n, step):
-    with pytest.raises(DomainError):
-        RadialGrid(n, step)
+def test_direct_grid_rejected(n, rho_max, message):
+    with pytest.raises(DomainError, match=message):
+        RadialGrid(n, rho_max)
+
+
+def test_grid_ends_at_rho_max():
+    # 0.003 does not divide 16: the grid keeps its end and rounds n
+    grid = RadialGrid.uniform(16.0, 0.003)
+    assert grid.rho_max == grid.nodes[-1] == 16.0
+    assert grid.n == 5333 and grid.drho == 16.0 / 5333
 
 
 

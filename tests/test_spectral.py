@@ -130,7 +130,7 @@ class TestAlphaStar:
         assert alpha_star53.found
         lo, hi = alpha_star53.bracket
         assert hi - lo <= 1e-6
-        assert alpha_star53.zero_count_lo == 0
+        assert alpha_star53.evaluations[0] == (0.1, 0)
         assert alpha_star53.zero_count_hi >= 1
         assert alpha_star53.alpha_star == pytest.approx(ALPHA_STAR_53, abs=2e-6)
         assert alpha_star53.monotone
@@ -143,7 +143,7 @@ class TestAlphaStar:
     def test_beyond_threshold_absent(self, params117):
         res = find_alpha_star(params117, bracket=(0.1, 50.0), tol=1e-6)
         assert not res.found
-        assert res.zero_count_lo == 0 and res.zero_count_hi == 0
+        assert res.evaluations[0] == (0.1, 0) and res.zero_count_hi == 0
 
     def test_bad_bracket_raises(self, params53):
         with pytest.raises(BadBracketError):
@@ -428,6 +428,30 @@ class TestShooterSlot:
         fresh, _ = integrate_profile(alpha, params53, grid.rho_max)
         assert np.array_equal(held.sol(grid.nodes), fresh.sol(grid.nodes))
 
+    def test_crossval_resolved_matrix_grid_integrates_once(self, params117,
+                                                           monkeypatch):
+        # crossval's (11, 7) case at alpha = 5: the matrix grid's spacing
+        # does not divide 16, yet it ends at 16 like the shooting grid
+        alpha, p = 5.0, params117.p
+        grid = RadialGrid.uniform(16.0, 0.01)
+        mgrid = RadialGrid.uniform(
+            16.0, min(0.01, 0.5 / math.sqrt(p * alpha ** (p - 1.0))))
+        integrate_profile = spectral.integrate_profile
+        integrations = []
+
+        def counted_profile(*args, **kwargs):
+            integrations.append(args)
+            return integrate_profile(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "integrate_profile", counted_profile)
+        top = top_eigenpair(alpha, params117, grid)
+        mat = matrix_spectrum(alpha, params117, mgrid,
+                              cutoff=1.0 / (p - 1.0) - 11 / 2.0 - 0.6)
+        assert positive_spectrum(alpha, params117, grid) == []
+        assert neutral_zero_count(alpha, params117, grid) == 0
+        assert len(integrations) == 1
+        assert abs(top.lam - mat[0]) <= max(1e-4 * abs(top.lam), 1e-6)
+
     def test_equal_grids_share_pairs(self, params53):
         # two equal grids, not one grid object
         top = top_eigenpair(2.5, params53, RadialGrid.uniform())
@@ -477,6 +501,33 @@ class TestMatrixSpectrum:
         grid = RadialGrid.uniform(16.0, 0.1)
         with pytest.raises(ResolutionError):
             matrix_spectrum(1.0, params53, grid)
+
+    def test_unresolvable_alpha_refused_before_integration(self, params53,
+                                                           monkeypatch):
+        # V(0) = 3e16 needs some 5.5e9 cells, past the grid's node cap; the
+        # stand-in integrator would fail the call had it been reached
+        integrations = []
+        monkeypatch.setattr(spectral, "integrate_profile",
+                            lambda *args, **kwargs: integrations.append(args))
+        with pytest.raises(ResolutionError, match="cells"):
+            matrix_spectrum(1e8, params53, RadialGrid.uniform())
+        assert integrations == []
+
+    def test_resolved_grid_keeps_its_cells(self, params53, monkeypatch):
+        # a grid finer than 0.5/sqrt(V(0)) is assembled on its own cells
+        levels = []
+        radial_grid = spectral.RadialGrid
+
+        def recorded(n, rho_max):
+            levels.append((n, rho_max))
+            return radial_grid(n, rho_max)
+
+        monkeypatch.setattr(spectral, "RadialGrid", recorded)
+        matrix_spectrum(2.0, params53, RadialGrid.uniform(16.0, 0.01))
+        matrix_spectrum(40.0, params53, RadialGrid.uniform(16.0, 0.005))
+        matrix_spectrum(40.0, params53, RadialGrid.uniform(16.0, 0.01))
+        assert levels == [(1600, 16.0), (3200, 16.0), (3200, 16.0),
+                          (6400, 16.0), (2217, 16.0), (4434, 16.0)]
 
     def test_eigenvalues_real_floats(self, params53):
         vals = matrix_spectrum(2.0, params53, RadialGrid.uniform(16.0, 0.02))
