@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 # solve_banded stays bound here: bench/instrument.py wraps this name
 from scipy.linalg import LinAlgError, solve_banded  # noqa: F401
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .exceptions import DomainError, FeasibilityError, SeedAmplitudeError
@@ -111,7 +112,7 @@ def calibrated_beta(v: np.ndarray, h: float, params: ProblemParams,
     tail-law value when the boundary value is numerically zero.
     """
     vmax = float(np.max(np.abs(v)))
-    if vmax == 0.0 or abs(v[-1]) < 1e-10 * vmax:
+    if v[-1] == 0.0 or abs(v[-1]) < 1e-10 * vmax:
         return robin_beta(params, rho_max)
     dv = float(np.dot(_EDGE_D1, v[-5:])) / h
     return -dv / float(v[-1])
@@ -192,20 +193,39 @@ class _CrankNicolson:
 
     def _factorized(self, dtau: float):
         """LU factors of I - dtau/2 A with its boundary row, refactored
-        only when dtau changes.  The band layout is dgbtrf's: the (4, 2)
-        band under 4 fill-in rows.  solve_banded runs gbsv, which is
-        dgbtrf then dgbtrs, so step matches it bit for bit."""
+        only when dtau changes, in dgbtrf's layout: the (4, 2) band under
+        4 fill-in rows.  Unless a row swap lies before the last 5 rows,
+        sweep is (lower, swaps, band), see step: lower views lu from row 6
+        on as dtbsv's unit-lower band, without a copy, and swaps and band
+        hold those rows' swaps and columns.  Else sweep is None and step
+        calls dgbtrs."""
         if self._dtau != dtau:
-            ab = np.zeros((11, self.ab.shape[1]))
+            n = self.ab.shape[1]
+            buf = np.zeros(11 * n + 6)
+            ab = buf[:11 * n].reshape((11, n), order="F")
             ab[4:] = -0.5 * dtau * self.ab
             ab[6] += 1.0
             ab[5 + _EDGE[0], _EDGE[1]] = self._bc    # boundary row n
             if not np.all(np.isfinite(ab)):
                 raise ValueError("array must not contain infs or NaNs")
+            # lu is ab, in place in buf: 6 spare slots hold lower's view
             lu, piv, info = dgbtrf(ab, 4, 2, overwrite_ab=True)
             if info != 0:
                 raise LinAlgError("singular matrix")
-            self._lu = (lu, piv)
+            sweep = None
+            # bytes, not an int32 ufunc, whose code no other step pages in
+            if (piv[:n - 5].tobytes()
+                    == np.arange(n - 5, dtype=piv.dtype).tobytes()):
+                swaps = [(j, int(piv[j])) for j in range(n - 5, n - 1)
+                         if piv[j] != j]
+                band = np.array(lu[6:, n - 5:], order="F")
+                for j, p in swaps:
+                    for i in range(n - 5, j):
+                        col = band[:, i - n + 5]
+                        col[j - i], col[p - i] = col[p - i], col[j - i]
+                lu[7:, n - 5:] = 0.0
+                sweep = (buf[6:].reshape((11, n), order="F"), swaps, band)
+            self._lu = (lu, piv, sweep)
             self._dtau = dtau
         return self._lu
 
@@ -215,24 +235,42 @@ class _CrankNicolson:
         the boundary row's condition.  That is the same system as
         (I - dtau/2 A)(x + v) = 2 v + dtau source, so the step solves for
         x + v, with bc . v on the boundary row, and applies no band
-        product; bc . x = 0 then holds to roundoff."""
+        product; bc . x = 0 then holds to roundoff.
+
+        With a sweep, the forward solve is dtbsv over all but the last
+        5 columns, then the swaps, then dtbsv over those columns, whose
+        multipliers the later swaps permute in _factorized.  Each entry
+        meets dgbtrs's operations in its order, and OpenBLAS's dger and
+        dtbsv share the daxpy kernel, so x is solve_banded's bit for bit,
+        up to the sign of an exact zero."""
         rhs = 2.0 * v
         if source is not None:
             rhs += dtau * source
         rhs[-1] = np.dot(self._bc, v[-5:])
         if not np.all(np.isfinite(rhs)):
             raise ValueError("array must not contain infs or NaNs")
-        lu, piv = self._factorized(dtau)
-        x, _ = dgbtrs(lu, 4, 2, rhs, piv, overwrite_b=True)
+        lu, piv, sweep = self._factorized(dtau)
+        if sweep is None:
+            x, _ = dgbtrs(lu, 4, 2, rhs, piv, overwrite_b=True)
+        else:
+            lower, swaps, band = sweep
+            # (k, a, x, incx, offx, lower, trans, diag, overwrite_x)
+            x = dtbsv(4, lower, rhs, 1, 0, 1, 0, 1, 1)
+            for j, p in swaps:
+                x[j], x[p] = x[p], x[j]
+            dtbsv(4, band, x, 1, x.size - 5, 1, 0, 1, 1)
+            x = dtbsv(6, lu, x, 1, 0, 0, 0, 0, 1)
         x -= v
         return x
 
 
 def stability_cap(vmax: float, params: ProblemParams) -> float:
-    """Largest stable step for the explicit nonlinearity at max|v| = vmax."""
-    if vmax == 0.0:
+    """Largest stable step for the explicit nonlinearity at max|v| = vmax;
+    none when p vmax^(p-1) is 0 (vmax = 0, or an underflow)."""
+    rate = params.p * vmax ** (params.p - 1.0)
+    if rate == 0.0:
         return math.inf
-    return STABILITY_C / (params.p * vmax ** (params.p - 1.0))
+    return STABILITY_C / rate
 
 
 @dataclass

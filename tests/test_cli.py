@@ -320,6 +320,18 @@ class TestDynamicsCommands:
                          "--scale", repr(scale), "--out", out])
         assert code in (0, 64, 65)
 
+    @pytest.mark.parametrize("data", [
+        ("--alpha", "1e-200"), ("--alpha", "1e-300"), ("--alpha", "5e-324"),
+        ("--alpha", "1", "--scale", "1e-200"),
+        ("--alpha", "1", "--scale", "5e-324")])
+    def test_evolve_tiny_data_exit_0(self, tmp_path, data):
+        # p max|v|^(p-1) underflows to 0: the run steps without a cap
+        assert run(tmp_path, "evolve", "--d", "5", "--p", "3", *data,
+                   "--tau0", "0", "--tau1", "0.05") == 0
+        doc = json.loads((tmp_path / "evolve.json").read_text())
+        assert doc["tau1"] == pytest.approx(0.05)
+        assert doc["blown_up"] is False
+
     def test_demo_end_to_end(self, tmp_path):
         code = run(tmp_path, "demo", "--d", "5", "--p", "3",
                    "--q", "2", "--r", "10")

@@ -9,7 +9,7 @@ from expanderlab.exceptions import (
     NoUnstableExpanderError,
     SeedAmplitudeError,
 )
-from expanderlab.exponents import odd_power
+from expanderlab.exponents import derived_exponents, odd_power
 from expanderlab.profiles import RadialGrid
 from expanderlab.semigroup import (
     RadialFunction,
@@ -30,6 +30,7 @@ from expanderlab.dynamics import (
     nonuniqueness_demo,
     quadratic_mode_coupling,
     robin_beta,
+    stability_cap,
     to_physical_norm,
 )
 
@@ -171,31 +172,52 @@ class TestCrankNicolsonFactor:
                                    rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("robin", [True, False])
-    def test_step_matches_solve_banded_bitwise(self, params53, grid_default,
-                                               robin):
-        rho = grid_default.nodes
-        beta = robin_beta(params53, grid_default.rho_max) if robin else None
-        potential = None if robin else 0.3 * np.exp(-rho ** 2 / 8.0)
-        stepper = _CrankNicolson(grid_default, params53, potential, beta)
-        v = np.exp(-rho ** 2 / 4.0) * (1.0 + 0.1 * rho)
-        for dtau in (0.01, 0.005, 0.01):
-            source = 0.2 * v ** 3
-            band = cn_band(stepper, dtau)
-            # (I - B)(x + v) = 2 v + dtau s, B = dtau/2 A, with bc . v on
-            # the boundary row
-            rhs = 2.0 * v + dtau * source
-            rhs[-1] = np.dot(stepper._bc, v[-5:])
-            expected = solve_banded((4, 2), band, rhs) - v
-            # the same x from (I - B) x = (I + B) v + dtau s
-            rhs_plus = (v + 0.5 * dtau * band_matvec(stepper.ab, v)
-                        + dtau * source)
-            rhs_plus[-1] = 0.0
-            two_term = solve_banded((4, 2), band, rhs_plus)
-            x = stepper.step(v, dtau, source)
-            assert stepper._dtau == dtau
-            assert np.array_equal(x, expected)
-            np.testing.assert_allclose(x, two_term, rtol=1e-13)
-            v = x
+    def test_step_matches_solve_banded_bitwise(self, params53, robin):
+        # the default grid, whose factors swap rows only in the boundary
+        # rows (4 of them for Robin at dtau 1e-4, none for Dirichlet), so
+        # step runs the two sweeps; drho 0.0025, whose factors at dtau 0.01
+        # swap interior rows, so step runs dgbtrs; d = 11 under a dtau that
+        # changes every step, as under the stability cap
+        cases = [(params53, 0.01, (0.01, 0.005, 0.01, 1e-4)),
+                 (params53, 0.0025, (0.01, 1e-4)),
+                 (derived_exponents(11, 3.0), 0.01,
+                  tuple(0.005 * 0.9 ** k for k in range(5)))]
+        paths = set()
+        for params, drho, dtaus in cases:
+            grid = RadialGrid.uniform(16.0, drho)
+            rho = grid.nodes
+            beta = robin_beta(params, grid.rho_max) if robin else None
+            potential = None if robin else 0.3 * np.exp(-rho ** 2 / 8.0)
+            stepper = _CrankNicolson(grid, params, potential, beta)
+            v = np.exp(-rho ** 2 / 4.0) * (1.0 + 0.1 * rho)
+            for dtau in dtaus:
+                source = 0.2 * v ** 3
+                band = cn_band(stepper, dtau)
+                # (I - B)(x + v) = 2 v + dtau s, B = dtau/2 A, with bc . v
+                # on the boundary row
+                rhs = 2.0 * v + dtau * source
+                rhs[-1] = np.dot(stepper._bc, v[-5:])
+                expected = solve_banded((4, 2), band, rhs) - v
+                # the same x from (I - B) x = (I + B) v + dtau s
+                rhs_plus = (v + 0.5 * dtau * band_matvec(stepper.ab, v)
+                            + dtau * source)
+                rhs_plus[-1] = 0.0
+                two_term = solve_banded((4, 2), band, rhs_plus)
+                x = stepper.step(v, dtau, source)
+                assert stepper._dtau == dtau
+                assert np.array_equal(x, expected)
+                # the two forms round apart by O(eps dtau / h^2)
+                np.testing.assert_allclose(x, two_term,
+                                           rtol=1e-13 * (0.01 / drho) ** 2)
+                lu, _, sweep = stepper._factorized(dtau)
+                # None for dgbtrs, else the count of boundary-row swaps
+                paths.add(None if sweep is None else len(sweep[1]))
+                # the sweeps read lu itself, not a copy of its band
+                assert sweep is None or np.shares_memory(sweep[0], lu)
+                v = x
+        # every path ran: dgbtrs, and the sweeps with 4 boundary-row swaps
+        # (Robin) or none (Dirichlet)
+        assert {None, 4 if robin else 0} <= paths
 
     def test_non_finite_rhs_raises(self, params53, grid_default):
         stepper = _CrankNicolson(grid_default, params53, beta=None)
@@ -248,6 +270,18 @@ class TestEvolveSimilarity:
                            "dist_ref")
         assert len(rows) == log.taus.size + 1
         assert float(rows[1][1]) == pytest.approx(1.0)  # t = e^0
+
+    @pytest.mark.parametrize("vmax", [1e-200, 5e-324])
+    def test_tiny_field_steps_uncapped(self, params53, grid_default, vmax):
+        # 3 vmax^2 underflows to 0 while vmax > 0: no cap, not a division
+        # by zero; at 5e-324 the boundary value is exactly 0 and the Robin
+        # coefficient falls back to the tail law
+        assert stability_cap(vmax, params53) == math.inf
+        assert stability_cap(1.0, params53) == 0.5 / 3.0
+        v0 = vmax * np.exp(-grid_default.nodes ** 2 / 4.0)
+        log = evolve_similarity(v0, 0.0, 0.05, params53, grid_default)
+        assert log.taus.size == 6
+        assert not log.blown_up
 
     @pytest.mark.parametrize("dtau", [0.0, -0.01, math.nan, 1e-300])
     def test_bad_dtau_rejected_before_stepping(self, params53, grid_default,

@@ -30,6 +30,26 @@ def grid():
     return RadialGrid.uniform(16.0, 0.01)
 
 
+def masked_norms(w, values, gammas, sphere):
+    """The L^gamma norms with every power masked at the subnormal cut and
+    the field rescaled by 2^-e, e the exponent of max|f|, where its largest
+    power would leave [2^-500, 2^900]."""
+    a = np.abs(values)
+    top = float(a.max())
+    norms = []
+    for gamma in gammas:
+        e = 0
+        if 0.0 < top and not -500.0 <= gamma * math.log2(top) <= 900.0:
+            e = math.frexp(top)[1]
+        scaled = np.ldexp(a, -e)
+        power = np.zeros_like(a)
+        np.power(scaled, gamma, out=power,
+                 where=~(scaled < 2.0 ** (-1000.0 / gamma)))
+        total = float(np.dot(w, power))
+        norms.append(math.ldexp((sphere * total) ** (1.0 / gamma), e))
+    return norms
+
+
 def heat_step_oracle(values, h, steps, dt, d):
     """Radial heat equation by explicit Euler on a fine grid.
 
@@ -122,6 +142,19 @@ class TestLqNorm:
         assert top == np.max(np.abs(v))
         assert norms == [semigroup.lebesgue_norm(w, v, g, sphere)
                          for g in gammas]
+        # the unmasked power (no node cut: the first field, and the
+        # rescaled tiny and huge ones) and the masked one (the Gaussian's
+        # tail, the NaN node, the zero field) equal the masked formula
+        rho = grid.nodes
+        flat = 1.0 + 0.5 * np.cos(rho)
+        nan = flat.copy()
+        nan[7] = math.nan
+        for f in (v, flat, np.exp(-4.0 * rho ** 2), nan, 1e-200 * flat,
+                  1e250 * flat, np.zeros_like(rho)):
+            norms, _ = semigroup.lebesgue_norms(w, f, gammas, sphere)
+            assert np.array_equal(norms, masked_norms(w, f, gammas, sphere),
+                                  equal_nan=True)
+            assert np.all(np.isnan(norms)) == (f is nan)
 
 
 class TestGaussianSemigroup:
