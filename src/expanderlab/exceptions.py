@@ -37,18 +37,6 @@ class NoUnstableExpanderError(ExpanderLabError, RuntimeError):
     """No linearly unstable profile exists in the requested regime."""
 
 
-class FeasibilityError(ExpanderLabError, RuntimeError):
-    """The (q, r, lambda_bar) combination violates the smallness condition."""
-
-
-class SeedAmplitudeError(ExpanderLabError, RuntimeError):
-    """Perturbation seed too large; the linear-regime bound broke early."""
-
-    def __init__(self, message, suggested_epsilon=None):
-        super().__init__(message)
-        self.suggested_epsilon = suggested_epsilon
-
-
 class QuadratureAccuracyError(ExpanderLabError, RuntimeError):
     """Quadrature failed to converge to the requested accuracy."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,14 +86,7 @@ class FeasibilityCheck:
     satisfied: bool
 
     def as_dict(self) -> dict:
-        return {
-            "lambda_bar": self.lambda_bar,
-            "q": self.q,
-            "r": self.r,
-            "limit": self.limit,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def joseph_lundgren(d: int) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -91,11 +91,11 @@ def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
     the fill, which cost a third of a per-step norm log.  Otherwise (a cut
     node, a NaN node, an all-zero field) the masked call runs.  A field
     whose largest power would fall below 2^-500 or rise above 2^900 is
-    first scaled by the exact power of two of its maximum, so a tiny
-    nonzero field keeps its relative precision instead of summing to zero,
-    and a large one does not overflow (2^900 leaves room for the weights
-    and the sum).  Other fields are summed unscaled, so their norms equal
-    the plain formula's to the last bit.  A NaN node makes every norm NaN.
+    first divided by its maximum, so a tiny nonzero field keeps its
+    relative precision instead of summing to zero, a large one does not
+    overflow, and the scaled maximum 1 is never cut, however large gamma
+    is.  Other fields are summed unscaled, so their norms equal the plain
+    formula's to the last bit.  A NaN node makes every norm NaN.
     """
     a = np.abs(values)
     top = float(a.max())
@@ -103,25 +103,18 @@ def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
     power = np.empty_like(a)
     norms = []
     for gamma in gammas:
-        scaled, e = a, 0
+        scaled, unit = a, 1.0
         if 0.0 < top and not -500.0 <= gamma * math.log2(top) <= 900.0:
-            e = math.frexp(top)[1]
-            scaled = np.ldexp(a, -e)
+            scaled, unit = a / top, top
         cut = 2.0 ** (-1000.0 / gamma)
-        if math.ldexp(low, -e) >= cut:
+        if low / unit >= cut:
             np.power(scaled, gamma, out=power)
         else:
             power.fill(0.0)
             np.power(scaled, gamma, out=power, where=~(scaled < cut))
         total = float(np.dot(w_meas, power))
-        norms.append(math.ldexp((sphere * total) ** (1.0 / gamma), e))
+        norms.append(unit * (sphere * total) ** (1.0 / gamma))
     return norms, top
-
-
-def lebesgue_norm(w_meas: np.ndarray, values: np.ndarray, gamma: float,
-                  sphere: float) -> float:
-    """The L^gamma norm of lebesgue_norms for one exponent."""
-    return lebesgue_norms(w_meas, values, (gamma,), sphere)[0][0]
 
 
 def lq_norm(f: RadialFunction, gamma: float, d: int) -> float:
@@ -129,8 +122,8 @@ def lq_norm(f: RadialFunction, gamma: float, d: int) -> float:
     weights against the rho^(d-1) measure, with f zero past rho_max."""
     if gamma < 1.0:
         raise DomainError("Lebesgue exponent must be >= 1")
-    return lebesgue_norm(f.grid.measure_weights(d), f.values, gamma,
-                         sphere_area(d))
+    return lebesgue_norms(f.grid.measure_weights(d), f.values, (gamma,),
+                          sphere_area(d))[0][0]
 
 
 def apply_S0_gaussian(tau: float, g: GaussianDatum,
@@ -392,17 +385,10 @@ class SmoothingReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "eta_prime": self.eta_prime,
-            "gamma": self.gamma,
-            "gamma_prime": self.gamma_prime,
-            "tau_list": self.tau_list,
-            "ratios": self.ratios,
-            "fitted_M": self.fitted_M,
-            "refined_max": self.refined_max,
-            "pass": self.passed,
-        }
+        """The fields, with passed under the key pass."""
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 def _pair_norm(datum, eta, gamma, params) -> float:

@@ -166,6 +166,9 @@ class TestProfileCommands:
         ("evolve", "--alpha", "1", "--scale", "1e300"),
         ("demo", "--eps", "0"),
         ("demo", "--eps", "-1"),
+        # only the axis node, of weight 0, escapes the underflow cut of the
+        # top mode's L^(pr) norm
+        ("demo", "--r", "1e300"),
         # L^0.5 is a quasi-norm
         ("evolve", "--alpha", "1", "--q", "0.5"),
         ("evolve", "--alpha", "1", "--r", "0.5"),
@@ -174,8 +177,8 @@ class TestProfileCommands:
             "rho-max-overflow", "rho-max-huge", "evolve-dtau-tiny",
             "demo-dtau-tiny", "evolve-dtau-below-spacing", "seed-negative",
             "alpha-overflow", "scale-overflow", "demo-eps-zero",
-            "demo-eps-negative", "evolve-q-below-one", "evolve-r-below-one",
-            "alpha-min-above-max"])
+            "demo-eps-negative", "demo-r-huge", "evolve-q-below-one",
+            "evolve-r-below-one", "alpha-min-above-max"])
     def test_invalid_flag_exit_65(self, tmp_path, argv):
         assert run(tmp_path, *argv, "--d", "5", "--p", "3") == 65
 
@@ -348,6 +351,15 @@ class TestDynamicsCommands:
         out = capsys.readouterr().out
         assert out.startswith("demo FAIL")
         assert "failed checks: blowup_fit_quality\n" in out
+
+    def test_demo_oversized_seed_exit_2(self, tmp_path, capsys):
+        # the branch blows up before the delta fit window opens: a failed
+        # check, not a runtime error
+        assert run(tmp_path, "demo", "--d", "5", "--p", "3",
+                   "--eps", "1") == 2
+        out = capsys.readouterr().out
+        assert out.startswith("demo FAIL")
+        assert "ancient_delta" in out.splitlines()[1]
 
     def test_demo_beyond_threshold_exit_65(self, tmp_path):
         assert run(tmp_path, "demo", "--d", "11", "--p", "7",

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
-from expanderlab.exceptions import (
-    DomainError,
-    NoUnstableExpanderError,
-    SeedAmplitudeError,
-)
+from expanderlab.exceptions import DomainError, NoUnstableExpanderError
 from expanderlab.exponents import derived_exponents, odd_power
 from expanderlab.profiles import RadialGrid
 from expanderlab.semigroup import (
     RadialFunction,
-    lebesgue_norm,
+    lebesgue_norms,
     lq_norm,
     sphere_area,
 )
@@ -395,12 +391,13 @@ class TestAncientBranch:
     def test_oversized_seed_rejected(self, params53, selected53,
                                      potential53, mode53):
         # seeding against the mode runs into the heteroclinic plateau and
-        # the norm falls below half the linear-mode law
+        # the norm falls below half the linear-mode law: the failure is
+        # recorded, with its margin
         lam = selected53.lambda_bar
-        with pytest.raises(SeedAmplitudeError) as err:
-            ancient_branch(potential53, -mode53, lam, 0.5, -12.0, -2.0,
-                           params53, dtau=0.005)
-        assert err.value.suggested_epsilon < 0.5
+        log = ancient_branch(potential53, -mode53, lam, 0.5, -12.0, -2.0,
+                             params53, dtau=0.005)
+        assert log.extras["lower_bound_ok"] is False
+        assert log.extras["lower_bound_margin"] < 1.0
 
     def test_zero_seed_is_zero(self, params53, potential53, mode53,
                                selected53):
@@ -445,6 +442,15 @@ class TestDemo:
 
     def test_demo_report_contents(self, demo53, params53):
         d = demo53.as_dict()
+        # the keys of demo.json: a renamed field must show here
+        assert set(d) == {
+            "params", "q", "r", "alpha_star_bracket", "alpha_bar",
+            "lambda_bar", "ell_bar", "ell_uncertainty", "epsilon",
+            "tau_window", "eigen_check_gap", "static_drift",
+            "static_drift_tol", "measured_mode_rate", "measured_slope",
+            "predicted_slope", "slope_r2", "decades", "feasibility",
+            "checks", "pass", "tolerances"}
+        assert d["params"] == params53.as_dict()
         assert d["pass"] is True
         assert d["q"] == 2.0 and d["r"] == 10.0
         assert 0.0 < d["lambda_bar"] < 0.05
@@ -516,6 +522,6 @@ def test_large_field_norm_is_finite(grid_default):
     exact = c * (sphere_area(d) * grid_default.rho_max ** d / d) ** (
         1.0 / gamma)
     field = np.full(grid_default.nodes.size, c)
-    got = lebesgue_norm(grid_default.measure_weights(d), field, gamma,
-                        sphere_area(d))
+    got = lebesgue_norms(grid_default.measure_weights(d), field, (gamma,),
+                         sphere_area(d))[0][0]
     assert got == pytest.approx(exact, rel=1e-12)

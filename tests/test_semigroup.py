@@ -32,21 +32,21 @@ def grid():
 
 def masked_norms(w, values, gammas, sphere):
     """The L^gamma norms with every power masked at the subnormal cut and
-    the field rescaled by 2^-e, e the exponent of max|f|, where its largest
-    power would leave [2^-500, 2^900]."""
+    the field divided by max|f| where its largest power would leave
+    [2^-500, 2^900]."""
     a = np.abs(values)
     top = float(a.max())
     norms = []
     for gamma in gammas:
-        e = 0
+        unit = 1.0
         if 0.0 < top and not -500.0 <= gamma * math.log2(top) <= 900.0:
-            e = math.frexp(top)[1]
-        scaled = np.ldexp(a, -e)
+            unit = top
+        scaled = a / unit
         power = np.zeros_like(a)
         np.power(scaled, gamma, out=power,
                  where=~(scaled < 2.0 ** (-1000.0 / gamma)))
         total = float(np.dot(w, power))
-        norms.append(math.ldexp((sphere * total) ** (1.0 / gamma), e))
+        norms.append(unit * (sphere * total) ** (1.0 / gamma))
     return norms
 
 
@@ -140,7 +140,7 @@ class TestLqNorm:
         w, sphere = grid.measure_weights(5), sphere_area(5)
         norms, top = semigroup.lebesgue_norms(w, v, gammas, sphere)
         assert top == np.max(np.abs(v))
-        assert norms == [semigroup.lebesgue_norm(w, v, g, sphere)
+        assert norms == [semigroup.lebesgue_norms(w, v, (g,), sphere)[0][0]
                          for g in gammas]
         # the unmasked power (no node cut: the first field, and the
         # rescaled tiny and huge ones) and the masked one (the Gaussian's
@@ -155,6 +155,23 @@ class TestLqNorm:
             assert np.array_equal(norms, masked_norms(w, f, gammas, sphere),
                                   equal_nan=True)
             assert np.all(np.isnan(norms)) == (f is nan)
+
+
+    @pytest.mark.parametrize("gamma", [6000.0, 1e6])
+    def test_huge_exponent_norm(self, grid, gamma):
+        # scaled by a power of two into [0.5, 1), every node fell below the
+        # cut 2^(-1000/gamma) once gamma passed ~5000 and the norm read 0;
+        # the reference sums every node's power in 30-digit arithmetic
+        f = 1.75 * np.exp(-grid.nodes ** 2)
+        w = grid.measure_weights(5)
+        with mpmath.workdps(30):
+            total = mpmath.fsum(mpmath.mpf(wi) * mpmath.mpf(fi) ** gamma
+                                for wi, fi in zip(w, f))
+            exact = float((sphere_area(5) * total)
+                          ** (1 / mpmath.mpf(gamma)))
+        got = lq_norm(RadialFunction(grid=grid, values=f), gamma, 5)
+        assert got == pytest.approx(exact, rel=1e-13)
+        assert 1.74 < got < 1.75
 
 
 class TestGaussianSemigroup:
