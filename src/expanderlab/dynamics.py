@@ -52,7 +52,6 @@ STABILITY_C = 0.5
 MAX_STEPS = 10 ** 7     # a run of more nominal steps is refused up front
 BLOWUP = 1e6            # a run stops once max|v| passes this, or
                         # 2^(1000/p) where |v|^p would near overflow first
-NORMS = ("l1", "lq", "lr", "lpr", "l2w")    # logged after every step
 
 
 @dataclass
@@ -60,7 +59,6 @@ class EvolutionState:
     """Radial field at one similarity time."""
 
     tau: float
-    grid: RadialGrid
     v: np.ndarray
 
 
@@ -275,21 +273,19 @@ def stability_cap(vmax: float, params: ProblemParams) -> float:
 
 @dataclass
 class TrajectoryLog:
-    """Per-step norm record of one similarity-variable trajectory."""
+    """Per-step record of a trajectory: norms holds its columns, in order."""
 
     taus: np.ndarray
-    norms: dict                  # keys NORMS
-    dist_ref: np.ndarray
+    norms: dict
     blown_up: bool
     final: EvolutionState
     extras: dict = field(default_factory=dict)
 
     def to_csv_rows(self):
-        yield ("tau", "t", *NORMS, "dist_ref")
+        yield ("tau", "t", *self.norms)
         for i, tau in enumerate(self.taus):
             yield (repr(float(tau)), repr(float(math.exp(tau))),
-                   *(repr(float(self.norms[k][i])) for k in NORMS),
-                   repr(float(self.dist_ref[i])))
+                   *(repr(float(col[i])) for col in self.norms.values()))
 
 
 class _NormKit:
@@ -313,13 +309,14 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
             tau0: float, tau1: float, dtau: float,
             potential: Optional[np.ndarray],
             source_fn: Optional[Callable[[np.ndarray], np.ndarray]],
-            q: float, r: float,
-            reference: Optional[np.ndarray],
-            extra_norm: Optional[Callable[[np.ndarray, float], float]] = None
-            ) -> TrajectoryLog:
-    """Step v0 from tau0 to tau1, logging norms after every step.  With a
-    frozen potential the field decays and the outer row is Dirichlet,
-    otherwise the Robin condition calibrated on v0's tail."""
+            columns: dict) -> TrajectoryLog:
+    """Step v0 from tau0 to tau1, logging columns after every step: each
+    name maps, in order, to an exponent gamma (logs the L^gamma norm) or a
+    function (logs f(v, tau)).  The exponents, each taken once, share one
+    lebesgue_norms pass per state, which also gives max|v| for the
+    stability cap and the blow-up test.  With a frozen potential the field
+    decays and the outer row is Dirichlet, otherwise the Robin condition
+    calibrated on v0's tail."""
     if not tau1 > tau0:
         raise DomainError("need tau1 > tau0")
     dtau = require_positive("dtau", dtau)
@@ -342,29 +339,26 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
     stepper = _CrankNicolson(grid, params, potential, beta)
     kit = _NormKit(grid, params)
 
-    taus, dist = [], []
-    norms = {k: [] for k in NORMS}
-    extra = []
-
-    gammas = (1.0, q, r, params.p * r)
+    # split the columns once, not per step
+    taus = []
+    norms = {k: [] for k in columns}
+    exps = {k: g for k, g in columns.items() if not callable(g)}
+    gammas = tuple(dict.fromkeys(exps.values()))
+    slots = [(norms[k].append, gammas.index(g)) for k, g in exps.items()]
+    fns = [(norms[k].append, f) for k, f in columns.items() if callable(f)]
 
     def log_state(tau, v):
-        """Log v's norms at tau and return max|v|."""
+        """Log v's columns at tau and return max|v|."""
         taus.append(tau)
-        # the NORMS before l2w are the L^gamma norms
-        gamma_norms, vmax = kit.lebesgue(v, gammas)
-        for k, nrm in zip(NORMS, gamma_norms):
-            norms[k].append(nrm)
-        norms["l2w"].append(kit.weighted_l2(v))
-        dist.append(norms["lr"][-1] if reference is None
-                    else kit.lebesgue(v - reference, (r,))[0][0])
-        if extra_norm is not None:
-            extra.append(extra_norm(v, tau))
+        values, vmax = kit.lebesgue(v, gammas)
+        for add, i in slots:
+            add(values[i])
+        for add, f in fns:
+            add(f(v, tau))
         return vmax
 
     tau = tau0
     vmax = log_state(tau, v)
-    blown = False
     while tau < tau1 - 1e-12:
         dt = min(dtau, tau1 - tau)
         if source_fn is not None:
@@ -376,15 +370,24 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
         tau += dt
         vmax = log_state(tau, v)
         if vmax > blowup:
-            blown = True
             break
 
     return TrajectoryLog(
         taus=np.array(taus),
         norms={k: np.array(a) for k, a in norms.items()},
-        dist_ref=np.array(dist), blown_up=blown,
-        final=EvolutionState(tau=tau, grid=grid, v=v),
-        extras={"extra_norm": np.array(extra)} if extra else {})
+        blown_up=vmax > blowup, final=EvolutionState(tau=tau, v=v))
+
+
+def _columns(grid: RadialGrid, params: ProblemParams, q, r,
+             reference: Optional[np.ndarray] = None) -> dict:
+    """The columns of a full trajectory: L^1, L^q, L^r, L^(pr), l2w and
+    dist_ref, the L^r distance to reference (without one, the L^r norm)."""
+    q, r = _default_exponents(params, q, r)
+    kit = _NormKit(grid, params)
+    return {"l1": 1.0, "lq": q, "lr": r, "lpr": params.p * r,
+            "l2w": lambda v, tau: kit.weighted_l2(v),
+            "dist_ref": r if reference is None else (
+                lambda v, tau: kit.lebesgue(v - reference, (r,))[0][0])}
 
 
 def _default_exponents(params: ProblemParams, q, r):
@@ -404,28 +407,27 @@ def evolve_similarity(v0: np.ndarray, tau0: float, tau1: float,
                       dtau: float = 0.01, q: Optional[float] = None,
                       r: Optional[float] = None,
                       reference: Optional[np.ndarray] = None) -> TrajectoryLog:
-    """Integrate the full similarity-variable equation, logging norms.
+    """Integrate the full similarity-variable equation, logging _columns.
 
     The outer Robin coefficient is calibrated on the initial data's own
     tail.  Steps shrink automatically under the explicit-nonlinearity cap;
     the run terminates early with a flag when max|v| passes
     min(1e6, 2^(1000/p)), before |v|^p can overflow.
     """
-    q, r = _default_exponents(params, q, r)
-    p = params.p
     return _evolve(v0, grid, params, tau0, tau1, dtau, None,
-                   lambda v: odd_power(v, p), q, r, reference)
+                   lambda v: odd_power(v, params.p),
+                   _columns(grid, params, q, r, reference))
 
 
 def linearized_evolve(w0: np.ndarray, potential: PotentialField,
                       tau0: float, tau1: float, dtau: float = 0.01,
                       q: Optional[float] = None,
                       r: Optional[float] = None) -> TrajectoryLog:
-    """Evolve the linearized flow with the potential frozen at a profile."""
+    """Evolve the linearized flow, potential frozen at a profile; log lr."""
     prof = potential.profile
     q, r = _default_exponents(prof.params, q, r)
     return _evolve(w0, prof.grid, prof.params, tau0, tau1, dtau,
-                   potential.v, None, q, r, None)
+                   potential.v, None, {"lr": r})
 
 
 def evolve_perturbation(psi0: np.ndarray, potential: PotentialField,
@@ -438,9 +440,9 @@ def evolve_perturbation(psi0: np.ndarray, potential: PotentialField,
     The linearized generator is implicit; only the quadratic-order
     remainder of the nonlinearity is explicit, so the profile itself is an
     exact fixed point of the scheme up to its own discretization defect.
+    extra_norm(psi, tau), if given, is logged as one more column.
     """
     prof = potential.profile
-    q, r = _default_exponents(params, q, r)
     u_bar = prof.u
     n_bar = odd_power(u_bar, params.p)
     v_pot = potential.v
@@ -448,8 +450,11 @@ def evolve_perturbation(psi0: np.ndarray, potential: PotentialField,
     def remainder(psi):
         return (odd_power(u_bar + psi, params.p) - n_bar - v_pot * psi)
 
+    columns = _columns(prof.grid, params, q, r)
+    if extra_norm is not None:
+        columns["extra_norm"] = extra_norm
     return _evolve(psi0, prof.grid, params, tau0, tau1, dtau, v_pot,
-                   remainder, q, r, None, extra_norm=extra_norm)
+                   remainder, columns)
 
 
 def fit_log_slope(x: np.ndarray, y: np.ndarray):
@@ -499,7 +504,7 @@ def ancient_branch(potential: PotentialField, eigmode: np.ndarray,
 
     taus = log.taus
     lower = 0.5 * epsilon * np.exp(lambda_bar * taus) * mode_r
-    gap = log.extras["extra_norm"]
+    gap = log.norms.pop("extra_norm")      # its CSV keeps eight columns
     window = taus >= tau0 + 0.2 * (tau1 - tau0)
     good = window & (gap > 1e-13 * np.max(gap))
     slope = r2 = math.nan
@@ -530,13 +535,13 @@ def quadratic_mode_coupling(potential: PotentialField, mode: np.ndarray,
     """
     prof = potential.profile
     p = params.p
-    kit = _NormKit(prof.grid, params)
+    w_l2w = prof.grid.l2w_weights(params.d)
     u = prof.u
     with np.errstate(divide="ignore", invalid="ignore"):
         curv = 0.5 * p * (p - 1.0) * np.abs(u) ** (p - 3.0) * u
     curv = np.where(np.abs(u) > 1e-300, curv, 0.0)
-    num = float(np.dot(kit.w_l2w, curv * mode ** 3))
-    den = float(np.dot(kit.w_l2w, mode ** 2))
+    num = float(np.dot(w_l2w, curv * mode ** 3))
+    den = float(np.dot(w_l2w, mode ** 2))
     return num / den
 
 
@@ -633,8 +638,7 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
     # the static reference is carried analytically; its time-stepped drift
     # is a scheme diagnostic, reported separately
     drift_log = evolve_similarity(sel.profile.u, 0.0, 5.0, params, grid,
-                                  dtau=min(dtau * 2, 0.01), q=q, r=r,
-                                  reference=sel.profile.u)
+                                  dtau=min(dtau * 2, 0.01), q=q, r=r)
     static_drift = float(np.max(np.abs(drift_log.final.v - sel.profile.u)))
     drift_tol = 1e-5 * (1.0 + sel.profile.max_abs_u)
     drift_ok = static_drift <= drift_tol
@@ -643,12 +647,6 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
     mode = sel.eigenpair.f
     kit = _NormKit(grid, params)
     (mode_pr,), _ = kit.lebesgue(mode, (params.p * r,))
-    if mode_pr == 0.0:
-        # the default seed divides by it, and the rate fits take logs of
-        # the mode's L^r norm, which is 0 from a factor p further out in r
-        raise DomainError(
-            f"r={r} is too large for the grid: the top mode's L^(pr) norm "
-            "is 0, only the axis node (weight 0) escapes the underflow cut")
     lin_log = linearized_evolve(mode, potential, 0.0, 5.0,
                                 dtau=min(dtau * 2, 0.01), q=q, r=r)
     rate, _ = fit_log_slope(lin_log.taus, np.log(lin_log.norms["lr"]))
@@ -672,12 +670,11 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
                             params, dtau=dtau, q=q, r=r)
 
     # physical divergence of the two solutions from the common datum
-    taus = branch.taus
-    log_t = taus  # log t = tau
+    taus = branch.taus     # log t = tau
     diff_phys = np.array([
         to_physical_norm(nrm, tau, r, params)[1]
         for nrm, tau in zip(branch.norms["lr"], taus)])
-    slope, r2 = fit_log_slope(log_t, np.log(diff_phys))
+    slope, r2 = fit_log_slope(taus, np.log(diff_phys))
     predicted = -feas.slack
     decades = (tau1 - tau0) / math.log(10.0)
     slope_ok = abs(slope - predicted) <= 0.1 * abs(predicted)

@@ -85,17 +85,16 @@ def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
     gammas, and max|f|: |f| and its maximum are taken once for all of them.
 
     Nodes with |f| < 2^(-1000/gamma) are left out of the sum: their terms
-    lie below 2^-1000, and pow takes a slow path, some 50x slower, whenever
-    its result is subnormal.  min|f| is taken next to max|f|: when it
-    reaches the cut, no node is left out and pow runs without the mask and
-    the fill, which cost a third of a per-step norm log.  Otherwise (a cut
-    node, a NaN node, an all-zero field) the masked call runs.  A field
-    whose largest power would fall below 2^-500 or rise above 2^900 is
-    first divided by its maximum, so a tiny nonzero field keeps its
-    relative precision instead of summing to zero, a large one does not
-    overflow, and the scaled maximum 1 is never cut, however large gamma
-    is.  Other fields are summed unscaled, so their norms equal the plain
-    formula's to the last bit.  A NaN node makes every norm NaN.
+    lie below 2^-1000, and pow is some 50x slower on a subnormal result.
+    When min|f| reaches the cut, pow runs without the mask and the fill,
+    a third of a per-step norm log; a cut node, a NaN node or an all-zero
+    field takes the masked call.  A field whose largest power would leave
+    [2^-500, 2^900] is first divided by its maximum, so a tiny one keeps
+    its relative precision and a huge one does not overflow; other fields
+    are summed unscaled, to the plain formula's last bit.  If the cut
+    leaves only nodes of weight 0 (the axis, at huge gamma), the norm is
+    taken again with them set to 0; the new maximum escapes the cut.  A
+    NaN node makes every norm NaN.
     """
     a = np.abs(values)
     top = float(a.max())
@@ -113,7 +112,11 @@ def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
             power.fill(0.0)
             np.power(scaled, gamma, out=power, where=~(scaled < cut))
         total = float(np.dot(w_meas, power))
-        norms.append(unit * (sphere * total) ** (1.0 / gamma))
+        if total == 0.0 < top:
+            norms += lebesgue_norms(w_meas, np.where(w_meas > 0.0, a, 0.0),
+                                    (gamma,), sphere)[0]
+        else:
+            norms.append(unit * (sphere * total) ** (1.0 / gamma))
     return norms, top
 
 

@@ -166,9 +166,6 @@ class TestProfileCommands:
         ("evolve", "--alpha", "1", "--scale", "1e300"),
         ("demo", "--eps", "0"),
         ("demo", "--eps", "-1"),
-        # only the axis node, of weight 0, escapes the underflow cut of the
-        # top mode's L^(pr) norm
-        ("demo", "--r", "1e300"),
         # L^0.5 is a quasi-norm
         ("evolve", "--alpha", "1", "--q", "0.5"),
         ("evolve", "--alpha", "1", "--r", "0.5"),
@@ -177,7 +174,7 @@ class TestProfileCommands:
             "rho-max-overflow", "rho-max-huge", "evolve-dtau-tiny",
             "demo-dtau-tiny", "evolve-dtau-below-spacing", "seed-negative",
             "alpha-overflow", "scale-overflow", "demo-eps-zero",
-            "demo-eps-negative", "demo-r-huge", "evolve-q-below-one",
+            "demo-eps-negative", "evolve-q-below-one",
             "evolve-r-below-one", "alpha-min-above-max"])
     def test_invalid_flag_exit_65(self, tmp_path, argv):
         assert run(tmp_path, *argv, "--d", "5", "--p", "3") == 65
@@ -360,6 +357,15 @@ class TestDynamicsCommands:
         out = capsys.readouterr().out
         assert out.startswith("demo FAIL")
         assert "ancient_delta" in out.splitlines()[1]
+
+    def test_demo_huge_r_passes(self, tmp_path, capsys):
+        # at r = 1e300 the cut of the L^(pr) norms leaves only the top
+        # mode's axis node, of weight 0; the norm is then summed over the
+        # nodes of positive weight, and is their maximum
+        assert run(tmp_path, "demo", "--d", "5", "--p", "3",
+                   "--r", "1e300") == 0
+        assert capsys.readouterr().out.startswith(
+            "demo PASS: lambda_bar=0.097089")
 
     def test_demo_beyond_threshold_exit_65(self, tmp_path):
         assert run(tmp_path, "demo", "--d", "11", "--p", "7",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
+from expanderlab import dynamics
 from expanderlab.exceptions import DomainError, NoUnstableExpanderError
 from expanderlab.exponents import derived_exponents, odd_power
 from expanderlab.profiles import RadialGrid
@@ -249,7 +250,7 @@ class TestEvolveSimilarity:
         log = evolve_similarity(1.5 * profile53.u, 0.0, 0.1, params53,
                                 profile53.grid, dtau=0.005,
                                 reference=profile53.u)
-        assert np.all(np.diff(log.dist_ref) > 0.0)
+        assert np.all(np.diff(log.norms["dist_ref"]) > 0.0)
 
     def test_blowup_detected_and_flagged(self, params53, profile53):
         log = evolve_similarity(1.5 * profile53.u, 0.0, 5.0, params53,
@@ -266,6 +267,12 @@ class TestEvolveSimilarity:
                            "dist_ref")
         assert len(rows) == log.taus.size + 1
         assert float(rows[1][1]) == pytest.approx(1.0)  # t = e^0
+        # a reference changes what dist_ref holds, not the columns
+        ref_log = evolve_similarity(profile53.u, 0.0, 0.02, params53,
+                                    profile53.grid, dtau=0.01,
+                                    reference=1.2 * profile53.u)
+        assert next(ref_log.to_csv_rows()) == rows[0]
+        assert tuple(log.norms) == tuple(ref_log.norms) == rows[0][2:]
 
     @pytest.mark.parametrize("vmax", [1e-200, 5e-324])
     def test_tiny_field_steps_uncapped(self, params53, grid_default, vmax):
@@ -291,12 +298,12 @@ class TestEvolveSimilarity:
                                                        profile53):
         log = evolve_similarity(1.2 * profile53.u, 0.0, 0.1, params53,
                                 profile53.grid, dtau=0.01)
-        assert np.array_equal(log.dist_ref, log.norms["lr"])
+        assert np.array_equal(log.norms["dist_ref"], log.norms["lr"])
         # the same bits as the distance to an explicit zero reference
         v = log.final.v
         kit = _NormKit(profile53.grid, params53)
         (dist,), _ = kit.lebesgue(v - np.zeros_like(v), (2.0 * params53.q_c,))
-        assert log.dist_ref[-1] == dist
+        assert log.norms["dist_ref"][-1] == dist
 
 
 class TestLinearizedEvolve:
@@ -306,6 +313,9 @@ class TestLinearizedEvolve:
         rate, r2 = fit_log_slope(log.taus, np.log(log.norms["lr"]))
         assert abs(rate - selected53.lambda_bar) <= 1e-3
         assert r2 > 0.999999
+        # the rate reads lr alone, and the run logs nothing else
+        assert tuple(log.norms) == ("lr",)
+        assert ",".join(next(log.to_csv_rows())) == "tau,t,lr"
 
     def test_zero_stays_zero(self, potential53):
         z = np.zeros_like(potential53.profile.grid.nodes)
@@ -339,6 +349,30 @@ class TestLinearizedEvolve:
         assert e1 / e2 == pytest.approx(4.0, abs=0.3)
 
 
+def test_demo_drift_run_takes_one_norm_pass_per_state(monkeypatch,
+                                                      params53):
+    # the drift run reads only final.v: its dist_ref is its lr column,
+    # so each logged state costs one _NormKit.lebesgue call
+    passes, logs = [], []
+    lebesgue, evolve = _NormKit.lebesgue, dynamics.evolve_similarity
+
+    def counted(self, v, gammas):
+        passes.append(gammas)
+        return lebesgue(self, v, gammas)
+
+    def drift_run(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(_NormKit, "lebesgue", counted)
+            logs.append(evolve(*args, **kwargs))
+        return logs[-1]
+
+    monkeypatch.setattr(dynamics, "evolve_similarity", drift_run)
+    nonuniqueness_demo(params53, q=2.0, r=10.0)
+    assert len(logs) == 1
+    assert len(passes) == logs[0].taus.size
+    assert passes[0] == (1.0, 2.0, 10.0, 30.0)
+
+
 class TestEvolvePerturbation:
     def test_zero_perturbation_is_fixed_point(self, params53, potential53):
         z = np.zeros_like(potential53.profile.grid.nodes)
@@ -369,6 +403,13 @@ class TestAncientBranch:
         assert log.extras["lower_bound_margin"] > 1.0
         assert log.extras["delta_ok"]
         assert log.extras["fitted_delta"] >= log.extras["delta_floor"]
+        # the gap to the mode is read, then dropped from the log
+        assert ",".join(next(log.to_csv_rows())) == (
+            "tau,t,l1,lq,lr,lpr,l2w,dist_ref")
+        assert set(log.extras) == {
+            "mode_norm_r", "lower_bound_ok", "lower_bound_margin",
+            "residual_rate", "fitted_delta", "delta_floor", "delta_ok",
+            "residual_fit_r2"}
 
     def test_epsilon_halving_is_second_order(self, params53, selected53,
                                              potential53, mode53):

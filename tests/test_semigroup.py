@@ -157,11 +157,13 @@ class TestLqNorm:
             assert np.all(np.isnan(norms)) == (f is nan)
 
 
-    @pytest.mark.parametrize("gamma", [6000.0, 1e6])
+    @pytest.mark.parametrize("gamma", [6000.0, 1e6, 9e6, 1e9, 1e15])
     def test_huge_exponent_norm(self, grid, gamma):
         # scaled by a power of two into [0.5, 1), every node fell below the
         # cut 2^(-1000/gamma) once gamma passed ~5000 and the norm read 0;
-        # the reference sums every node's power in 30-digit arithmetic
+        # divided by the maximum, from ~1e7 on every node but the axis
+        # (weight 0) did.  The reference sums every node's power in
+        # 30-digit arithmetic
         f = 1.75 * np.exp(-grid.nodes ** 2)
         w = grid.measure_weights(5)
         with mpmath.workdps(30):
@@ -172,6 +174,9 @@ class TestLqNorm:
         got = lq_norm(RadialFunction(grid=grid, values=f), gamma, 5)
         assert got == pytest.approx(exact, rel=1e-13)
         assert 1.74 < got < 1.75
+        # nonzero on the axis alone, the field has norm 0
+        axis = np.where(w > 0.0, 0.0, f)
+        assert lq_norm(RadialFunction(grid=grid, values=axis), gamma, 5) == 0
 
 
 class TestGaussianSemigroup:
