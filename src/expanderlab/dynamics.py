@@ -305,6 +305,21 @@ class _NormKit:
         return float(math.sqrt(np.dot(self.w_l2w, v * v)))
 
 
+def _check_window(tau0: float, tau1: float, dtau: float) -> float:
+    """dtau, checked to step from tau0 up to tau1 in MAX_STEPS or fewer."""
+    if not tau1 > tau0:
+        raise DomainError("need tau1 > tau0")
+    dtau = require_positive("dtau", dtau)
+    if tau1 - tau0 > MAX_STEPS * dtau:
+        raise DomainError(f"dtau={dtau} takes more than {MAX_STEPS} steps "
+                          f"from tau0={tau0} to tau1={tau1}")
+    t = max(abs(tau0), abs(tau1))
+    if not dtau > 0.5 * math.ulp(t):     # else tau += dtau leaves tau as is
+        raise DomainError(f"dtau={dtau} is below half the float spacing "
+                          f"at tau={t}")
+    return dtau
+
+
 def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
             tau0: float, tau1: float, dtau: float,
             potential: Optional[np.ndarray],
@@ -317,16 +332,7 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
     stability cap and the blow-up test.  With a frozen potential the field
     decays and the outer row is Dirichlet, otherwise the Robin condition
     calibrated on v0's tail."""
-    if not tau1 > tau0:
-        raise DomainError("need tau1 > tau0")
-    dtau = require_positive("dtau", dtau)
-    if tau1 - tau0 > MAX_STEPS * dtau:
-        raise DomainError(f"dtau={dtau} takes more than {MAX_STEPS} steps "
-                          f"from tau0={tau0} to tau1={tau1}")
-    t = max(abs(tau0), abs(tau1))
-    if not dtau > 0.5 * math.ulp(t):     # else tau += dtau leaves tau as is
-        raise DomainError(f"dtau={dtau} is below half the float spacing "
-                          f"at tau={t}")
+    dtau = _check_window(tau0, tau1, dtau)
     v = np.asarray(v0, dtype=float).copy()
     if v.shape != grid.nodes.shape:
         raise DomainError("initial data must live on the grid")
@@ -431,7 +437,7 @@ def linearized_evolve(w0: np.ndarray, potential: PotentialField,
 
 
 def evolve_perturbation(psi0: np.ndarray, potential: PotentialField,
-                        tau0: float, tau1: float, params: ProblemParams,
+                        tau0: float, tau1: float,
                         dtau: float = 0.01, q: Optional[float] = None,
                         r: Optional[float] = None,
                         extra_norm=None) -> TrajectoryLog:
@@ -440,9 +446,11 @@ def evolve_perturbation(psi0: np.ndarray, potential: PotentialField,
     The linearized generator is implicit; only the quadratic-order
     remainder of the nonlinearity is explicit, so the profile itself is an
     exact fixed point of the scheme up to its own discretization defect.
-    extra_norm(psi, tau), if given, is logged as one more column.
+    The parameters are the potential's profile's.  extra_norm(psi, tau),
+    if given, is logged as one more column.
     """
     prof = potential.profile
+    params = prof.params
     u_bar = prof.u
     n_bar = odd_power(u_bar, params.p)
     v_pot = potential.v
@@ -470,8 +478,7 @@ def fit_log_slope(x: np.ndarray, y: np.ndarray):
 
 def ancient_branch(potential: PotentialField, eigmode: np.ndarray,
                    lambda_bar: float, epsilon: float,
-                   tau0: float, tau1: float,
-                   params: Optional[ProblemParams] = None,
+                   tau0: float, tau1: float, params: ProblemParams,
                    dtau: float = 0.005, q: Optional[float] = None,
                    r: Optional[float] = None) -> TrajectoryLog:
     """Numerical unstable-manifold branch seeded by the top eigenmode.
@@ -488,8 +495,6 @@ def ancient_branch(potential: PotentialField, eigmode: np.ndarray,
     if lambda_bar <= 0.0:
         raise DomainError("ancient branch needs a positive top eigenvalue")
     prof = potential.profile
-    if params is None:
-        params = prof.params
     q, r = _default_exponents(params, q, r)
     kit = _NormKit(prof.grid, params)
     (mode_r,), _ = kit.lebesgue(eigmode, (r,))
@@ -499,7 +504,7 @@ def ancient_branch(potential: PotentialField, eigmode: np.ndarray,
             v - epsilon * math.exp(lambda_bar * tau) * eigmode, (r,))[0][0]
 
     psi0 = epsilon * math.exp(lambda_bar * tau0) * eigmode
-    log = evolve_perturbation(psi0, potential, tau0, tau1, params,
+    log = evolve_perturbation(psi0, potential, tau0, tau1,
                               dtau=dtau, q=q, r=r, extra_norm=mode_gap)
 
     taus = log.taus
@@ -525,8 +530,8 @@ def ancient_branch(potential: PotentialField, eigmode: np.ndarray,
     return log
 
 
-def quadratic_mode_coupling(potential: PotentialField, mode: np.ndarray,
-                            params: ProblemParams) -> float:
+def quadratic_mode_coupling(potential: PotentialField,
+                            mode: np.ndarray) -> float:
     """Projection of the quadratic remainder onto the mode itself.
 
     For amplitude a along the top mode the reduced dynamics is
@@ -534,8 +539,8 @@ def quadratic_mode_coupling(potential: PotentialField, mode: np.ndarray,
     the linear regime, relative to lambda.  Weighted inner products.
     """
     prof = potential.profile
-    p = params.p
-    w_l2w = prof.grid.l2w_weights(params.d)
+    p = prof.params.p
+    w_l2w = prof.grid.l2w_weights(prof.params.d)
     u = prof.u
     with np.errstate(divide="ignore", invalid="ignore"):
         curv = 0.5 * p * (p - 1.0) * np.abs(u) ** (p - 3.0) * u
@@ -623,6 +628,8 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
     if not (q < params.q_c < r):
         raise DomainError(
             f"need 1 <= q < q_c < r, got q={q}, r={r}, q_c={params.q_c}")
+    _check_window(tau0, tau1, dtau)
+    rate_dtau = _check_window(0.0, 5.0, min(dtau * 2, 0.01))
 
     # r > q_c makes 1/(p-1) - d/(2r) positive
     sel = select_unstable_expander(params, 0.2 * params.growth_exponent(r),
@@ -638,7 +645,7 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
     # the static reference is carried analytically; its time-stepped drift
     # is a scheme diagnostic, reported separately
     drift_log = evolve_similarity(sel.profile.u, 0.0, 5.0, params, grid,
-                                  dtau=min(dtau * 2, 0.01), q=q, r=r)
+                                  dtau=rate_dtau, q=q, r=r)
     static_drift = float(np.max(np.abs(drift_log.final.v - sel.profile.u)))
     drift_tol = 1e-5 * (1.0 + sel.profile.max_abs_u)
     drift_ok = static_drift <= drift_tol
@@ -648,7 +655,7 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
     kit = _NormKit(grid, params)
     (mode_pr,), _ = kit.lebesgue(mode, (params.p * r,))
     lin_log = linearized_evolve(mode, potential, 0.0, 5.0,
-                                dtau=min(dtau * 2, 0.01), q=q, r=r)
+                                dtau=rate_dtau, q=q, r=r)
     rate, _ = fit_log_slope(lin_log.taus, np.log(lin_log.norms["lr"]))
     rate_ok = abs(rate - lam) <= 1e-3
 
@@ -661,7 +668,7 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
         # mode-feedback cap: the quadratic self-coupling g2 distorts the
         # growth rate by g2 a / lambda, so the endpoint amplitude must
         # scale with lambda itself for a clean exponential fit
-        g2 = abs(quadratic_mode_coupling(potential, mode, params))
+        g2 = abs(quadratic_mode_coupling(potential, mode))
         eps_feedback = (0.05 * lam / (g2 * math.exp(lam * tau1))
                         if g2 > 0 else eps_cap)
         epsilon = min(eps_cap, eps_feedback)

@@ -21,7 +21,7 @@ class TailNotResolvedError(ExpanderLabError, RuntimeError):
     """Tail-limit fit windows disagree too strongly; integrate further out."""
 
 
-class BadBracketError(ExpanderLabError, ValueError):
+class BadBracketError(DomainError):
     """A search bracket does not satisfy its endpoint conditions."""
 
 
@@ -29,7 +29,7 @@ class EmptyBracketError(ExpanderLabError, RuntimeError):
     """Root bracket contains no sign change of the miss function."""
 
 
-class ResolutionError(ExpanderLabError, ValueError):
+class ResolutionError(DomainError):
     """Grid too coarse for the requested computation."""
 
 

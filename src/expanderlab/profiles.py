@@ -163,8 +163,7 @@ def series_coefficients(alpha: float, params: ProblemParams):
     return c2, c4
 
 
-def series_start(alpha: float, params: ProblemParams,
-                 rho0: float = RHO0_DEFAULT):
+def series_start(alpha: float, params: ProblemParams, rho0: float):
     """Evaluate the fourth-order Taylor start (U, U') at rho0."""
     require_alpha(alpha)
     if not 0.0 < rho0 < 1.0:
@@ -198,12 +197,12 @@ def _rhs(params: ProblemParams):
     return f
 
 
-def integrate_profile(alpha: float, params: ProblemParams, rho_end: float,
-                      rho0: Optional[float] = None):
-    """Integrate the profile ODE once; returns the dense solution object."""
+def integrate_profile(alpha: float, params: ProblemParams, rho_end: float):
+    """Integrate the profile ODE once from rho0 = _start_rho(alpha, params)
+    to rho_end; returns the dense solution object and rho0."""
     require_alpha(alpha)
     require_positive("rho_end", rho_end)
-    r0 = _start_rho(alpha, params) if rho0 is None else rho0
+    r0 = _start_rho(alpha, params)
     y0 = series_start(alpha, params, r0)
     sol = solve_ivp(_rhs(params), (r0, rho_end), y0, method="DOP853",
                     rtol=RTOL, atol=ATOL, dense_output=True)

@@ -133,15 +133,15 @@ class _PhaseShooter:
     down (_descend); all public spectral operations funnel through here.
     Every public call takes the one _shooter holds for its (alpha, params,
     rho_max), so separate calls at one alpha, and matrix_spectrum's
-    profile, share one integration and one set of pairs.
+    profile, share one integration and one set of pairs.  Phase and
+    profile (integrate_profile) both start at rho0 = _start_rho(alpha, params).
     """
 
-    def __init__(self, alpha: float, params: ProblemParams, rho_max: float,
-                 rho0: Optional[float] = None):
+    def __init__(self, alpha: float, params: ProblemParams, rho_max: float):
         self.alpha = require_alpha(alpha)
         self.params = params
         self.rho_max = require_positive("rho_max", rho_max)
-        self.rho0 = _start_rho(alpha, params) if rho0 is None else rho0
+        self.rho0 = _start_rho(alpha, params)
         self._dense = None
         self._potential = None
         self._theta_cache = {}
@@ -151,7 +151,7 @@ class _PhaseShooter:
     def _usol(self):
         if self._dense is None:
             self._dense, _ = integrate_profile(self.alpha, self.params,
-                                               self.rho_max, rho0=self.rho0)
+                                               self.rho_max)
         return self._dense
 
     def _eigen_series(self, lam: float):
@@ -422,13 +422,13 @@ def find_alpha_star(params: ProblemParams, bracket=ALPHA_STAR_BRACKET,
                     grid: RadialGrid = DEFAULT_GRID) -> AlphaStarResult:
     """Bisect the first 0 -> >=1 transition of the neutral zero count.
 
-    Returns an absent result (alpha_star None) when the count stays zero on
-    the whole bracket, which is the expected outcome beyond the instability
-    power threshold.  A nonzero count at the lower endpoint is a caller
-    error.  Only a single transition is assumed; evaluations are recorded
-    and an observed count decrease flips the monotone flag.  The bisection
-    ends at width tol, or earlier once no float lies strictly between the
-    ends.
+    Returns an absent result (alpha_star None), after the two end counts,
+    when the count at the upper end is zero, which is the expected outcome
+    beyond the instability power threshold; the interior is not scanned.
+    A nonzero count at the lower endpoint is a caller error.  Only a
+    single transition is assumed; evaluations are recorded and an
+    observed count decrease flips the monotone flag.  The bisection ends
+    at width tol, or earlier once no float lies strictly between the ends.
     """
     require_positive("tol", tol)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -447,19 +447,7 @@ def find_alpha_star(params: ProblemParams, bracket=ALPHA_STAR_BRACKET,
         raise BadBracketError(
             f"neutral zero count at alpha={lo} is already {c_lo}")
     c_hi = count(hi)
-    if c_hi == 0:
-        # scan interior before declaring the bracket transition-free
-        for a in np.geomspace(lo * 1.5, hi / 1.5, 8):
-            if count(float(a)) > 0:
-                hi, c_hi = float(a), evals[-1][1]
-                break
-        else:
-            monotone = _counts_monotone(evals)
-            return AlphaStarResult(alpha_star=None, bracket=(lo, hi),
-                                   zero_count_hi=0,
-                                   tolerance=tol, evaluations=evals,
-                                   monotone=monotone)
-    while hi - lo > tol:
+    while c_hi > 0 and hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -467,8 +455,8 @@ def find_alpha_star(params: ProblemParams, bracket=ALPHA_STAR_BRACKET,
             lo = mid
         else:
             hi, c_hi = mid, evals[-1][1]
-    return AlphaStarResult(alpha_star=0.5 * (lo + hi), bracket=(lo, hi),
-                           zero_count_hi=c_hi,
+    return AlphaStarResult(alpha_star=0.5 * (lo + hi) if c_hi > 0 else None,
+                           bracket=(lo, hi), zero_count_hi=c_hi,
                            tolerance=tol, evaluations=evals,
                            monotone=_counts_monotone(evals))
 

@@ -238,8 +238,7 @@ def test_criterion_6_dynamics_suite(selected53, params53, capsys):
     ratios = []
     for scale in (1.0, 0.5, 0.25):
         eps = 0.02 * scale
-        nl = evolve_perturbation(eps * mode, pot, 0.0, 2.0, params53,
-                                 dtau=0.01)
+        nl = evolve_perturbation(eps * mode, pot, 0.0, 2.0, dtau=0.01)
         ln = linearized_evolve(eps * mode, pot, 0.0, 2.0, dtau=0.01)
         ratios.append(float(np.max(np.abs(nl.final.v - ln.final.v))
                             / eps ** 2))

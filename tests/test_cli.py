@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expanderlab import spectral
+from expanderlab import dynamics, spectral
 from expanderlab.cli import RunConfig, _build_parser, main, resolve_config
 from expanderlab.exponents import derived_exponents
 from expanderlab.profiles import RadialGrid
@@ -196,6 +196,19 @@ class TestSpectrumCommands:
         assert doc["found"] is False
         assert "no alpha* in bracket" in doc["diagnostic"]
 
+    @pytest.mark.parametrize("argv", [
+        ("alpha-star", "--d", "5", "--p", "3", "--alpha-min", "5"),
+        # below Fujita the count at alpha = 0.1 is already nonzero
+        ("alpha-star", "--d", "3", "--p", "1.5"),
+        ("spectrum", "--d", "5", "--p", "3", "--alpha", "1", "--drho", "0.1"),
+        # the growth probe's (4 pi v)^(d/2) leaves the double range
+        ("semigroup-check", "--d", "64", "--p", "3"),
+    ], ids=["alpha-min-counted", "below-fujita", "matrix-grid-coarse",
+            "semigroup-d64"])
+    def test_input_fault_exit_65(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 65
+        assert capsys.readouterr().err.startswith("invalid domain: ")
+
     def test_spectrum_csv_schema(self, tmp_path):
         code = run(tmp_path, "spectrum", "--d", "5", "--p", "3",
                    "--alpha", "2.5")
@@ -366,6 +379,19 @@ class TestDynamicsCommands:
                    "--r", "1e300") == 0
         assert capsys.readouterr().out.startswith(
             "demo PASS: lambda_bar=0.097089")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--tau0", "-2", "--tau1", "-12"), "need tau1 > tau0"),
+        (("--dtau", "1e-9"), "from tau0=-12.0 to tau1=-2.0"),
+    ], ids=["tau-order", "dtau-steps"])
+    def test_demo_window_refused_before_selection(self, tmp_path, capsys,
+                                                  monkeypatch, argv, message):
+        def select(*args, **kwargs):
+            raise AssertionError("selection ran")
+
+        monkeypatch.setattr(dynamics, "select_unstable_expander", select)
+        assert run(tmp_path, "demo", "--d", "5", "--p", "3", *argv) == 65
+        assert message in capsys.readouterr().err
 
     def test_demo_beyond_threshold_exit_65(self, tmp_path):
         assert run(tmp_path, "demo", "--d", "11", "--p", "7",

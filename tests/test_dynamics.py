@@ -376,7 +376,7 @@ def test_demo_drift_run_takes_one_norm_pass_per_state(monkeypatch,
 class TestEvolvePerturbation:
     def test_zero_perturbation_is_fixed_point(self, params53, potential53):
         z = np.zeros_like(potential53.profile.grid.nodes)
-        log = evolve_perturbation(z, potential53, 0.0, 2.0, params53)
+        log = evolve_perturbation(z, potential53, 0.0, 2.0)
         assert np.all(log.final.v == 0.0)
 
     def test_quadratic_tangency(self, params53, potential53, mode53):
@@ -384,7 +384,7 @@ class TestEvolvePerturbation:
         for scale in (1.0, 0.5, 0.25):
             eps = 0.02 * scale
             nl = evolve_perturbation(eps * mode53, potential53, 0.0, 2.0,
-                                     params53, dtau=0.01)
+                                     dtau=0.01)
             lin = linearized_evolve(eps * mode53, potential53, 0.0, 2.0,
                                     dtau=0.01)
             ratios.append(np.max(np.abs(nl.final.v - lin.final.v)) / eps ** 2)
@@ -395,7 +395,7 @@ class TestEvolvePerturbation:
 class TestAncientBranch:
     def test_bounds_hold(self, params53, selected53, potential53, mode53):
         lam = selected53.lambda_bar
-        g2 = abs(quadratic_mode_coupling(potential53, mode53, params53))
+        g2 = abs(quadratic_mode_coupling(potential53, mode53))
         eps = 0.05 * lam / (g2 * math.exp(lam * -2.0))
         log = ancient_branch(potential53, mode53, lam, eps, -12.0, -2.0,
                              params53, dtau=0.005)
@@ -417,7 +417,7 @@ class TestAncientBranch:
         # shift tau -> tau - ln2/lambda, equivalently the branch scales
         # linearly in eps up to a second-order residual
         lam = selected53.lambda_bar
-        g2 = abs(quadratic_mode_coupling(potential53, mode53, params53))
+        g2 = abs(quadratic_mode_coupling(potential53, mode53))
         eps = 0.05 * lam / (g2 * math.exp(lam * -2.0))
         norms = {}
         for scale in (1.0, 0.5, 0.25):
@@ -442,8 +442,7 @@ class TestAncientBranch:
 
     def test_zero_seed_is_zero(self, params53, potential53, mode53,
                                selected53):
-        log = evolve_perturbation(0.0 * mode53, potential53, -4.0, -2.0,
-                                  params53)
+        log = evolve_perturbation(0.0 * mode53, potential53, -4.0, -2.0)
         assert np.all(log.final.v == 0.0)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from expanderlab import profiles
 from expanderlab.exceptions import DomainError
 from expanderlab.exponents import derived_exponents
 from expanderlab.profiles import (
@@ -96,7 +97,7 @@ class TestSeriesStart:
     def test_negative_alpha_rejected(self):
         params = derived_exponents(5, 3.0)
         with pytest.raises(DomainError):
-            series_start(-1.0, params)
+            series_start(-1.0, params, 1e-4)
 
 
 _P53 = derived_exponents(5, 3.0)
@@ -209,10 +210,12 @@ class TestShootProfile:
         e2, _ = estimate_ell(shoot_profile(1.0, params, g2))
         assert abs(e2 - e1) < u1
 
-    def test_series_start_insensitive_to_rho0(self):
+    def test_series_start_insensitive_to_rho0(self, monkeypatch):
         params = derived_exponents(5, 3.0)
-        sol_a, _ = integrate_profile(1.0, params, 16.0, rho0=1e-4)
-        sol_b, _ = integrate_profile(1.0, params, 16.0, rho0=5e-5)
+        sol_a, r0_a = integrate_profile(1.0, params, 16.0)
+        monkeypatch.setattr(profiles, "RHO0_DEFAULT", 5e-5)
+        sol_b, r0_b = integrate_profile(1.0, params, 16.0)
+        assert r0_a == pytest.approx(8.2e-5, rel=0.01) and r0_b == 5e-5
         assert abs(sol_a.sol(8.0)[0] - sol_b.sol(8.0)[0]) < 1e-9
 
     def test_csv_rows(self):

@@ -444,30 +444,30 @@ class TestSmoothing:
         assert rep.passed
         assert rep.fitted_M == pytest.approx(1.0, abs=0.1)
 
-    def test_gaussian_family_bounded(self):
+    def test_gaussian_family_bounded(self, monkeypatch):
         params = derived_exponents(5, 3.0)
         samples = [GaussianDatum(1.0, v) for v in (0.3, 1.0, 3.0)]
-        rep = verify_smoothing(1.0, 2.0, 1.0, 2.0, samples, params,
-                               tau_list=[2.0 ** (-k) for k in range(1, 11)])
+        monkeypatch.setattr(semigroup, "_SMOOTHING_TAUS",
+                            [2.0 ** (-k) for k in range(1, 11)])
+        rep = verify_smoothing(1.0, 2.0, 1.0, 2.0, samples, params)
         assert rep.passed
         assert rep.refined_max <= 10.0 * rep.fitted_M
         d = rep.as_dict()
         assert d["pass"] and len(d["ratios"]) == 30
 
-    def test_bump_family_bounded(self, grid, monkeypatch):
+    def test_refined_pass_evaluates_only_midpoints(self, monkeypatch):
         params = derived_exponents(5, 3.0)
-        bump = np.where(grid.nodes < 1.0, (1.0 - grid.nodes ** 2) ** 2, 0.0)
-        samples = [RadialFunction(grid=grid, values=bump)]
-        taus, apply = [], semigroup.apply_S0
+        samples = [GaussianDatum(1.0, 1.0)]
+        taus, apply = [], semigroup.apply_S0_gaussian
 
-        def counted(tau, f, params):
+        def counted(tau, g, params):
             taus.append(tau)
-            return apply(tau, f, params)
+            return apply(tau, g, params)
 
-        monkeypatch.setattr(semigroup, "apply_S0", counted)
-        rep = verify_smoothing(1.0, 2.0, 1.0, 2.0, samples, params,
-                               tau_list=[0.5, 0.25, 0.125])
-        assert rep.passed
+        monkeypatch.setattr(semigroup, "apply_S0_gaussian", counted)
+        monkeypatch.setattr(semigroup, "_SMOOTHING_TAUS", [0.5, 0.25, 0.125])
+        rep = verify_smoothing(1.0, 2.0, 1.0, 2.0, samples, params)
+        assert rep.passed and rep.tau_list == [0.5, 0.25, 0.125]
         # the refined pass evaluates only the two midpoints
         assert taus == [0.5, 0.25, 0.125, 0.375, 0.1875]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from expanderlab import spectral
+from expanderlab import profiles, spectral
 from expanderlab.exceptions import (
     BadBracketError,
     DomainError,
@@ -119,9 +119,12 @@ class TestNeutralZeroCount:
         with pytest.raises(DomainError):
             neutral_zero_count(alpha, params53)
 
-    def test_frobenius_start_insensitive_to_rho0(self, params53):
-        a = _PhaseShooter(1.0, params53, 16.0, rho0=1e-4)
-        b = _PhaseShooter(1.0, params53, 16.0, rho0=5e-5)
+    def test_frobenius_start_insensitive_to_rho0(self, params53,
+                                                 monkeypatch):
+        a = _PhaseShooter(1.0, params53, 16.0)
+        monkeypatch.setattr(profiles, "RHO0_DEFAULT", 5e-5)
+        b = _PhaseShooter(1.0, params53, 16.0)
+        assert a.rho0 == pytest.approx(8.2e-5, rel=0.01) and b.rho0 == 5e-5
         assert abs(a.theta_end(0.0) - b.theta_end(0.0)) < 1e-8
 
 
@@ -143,7 +146,9 @@ class TestAlphaStar:
     def test_beyond_threshold_absent(self, params117):
         res = find_alpha_star(params117, bracket=(0.1, 50.0), tol=1e-6)
         assert not res.found
-        assert res.evaluations[0] == (0.1, 0) and res.zero_count_hi == 0
+        # two counts, the ends: no interior scan
+        assert res.evaluations == [(0.1, 0), (50.0, 0)]
+        assert res.zero_count_hi == 0
 
     def test_bad_bracket_raises(self, params53):
         with pytest.raises(BadBracketError):
