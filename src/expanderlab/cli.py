@@ -94,10 +94,12 @@ class RunConfig:
 
 
 # the type flags and config keys parse each field but command into;
-# Optional[X] parses into X
+# Optional[X] parses into X.  The annotations resolve in this namespace, not
+# in sys.modules[__name__], which a runner such as `python -m trace` leaves
+# unregistered.
 _FIELD_TYPES = {
     name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
-    for name, hint in typing.get_type_hints(RunConfig).items()
+    for name, hint in typing.get_type_hints(RunConfig, globals()).items()
     if name != "command"}
 
 

@@ -17,16 +17,17 @@ independent routes are implemented:
 
   which never overflows: the two asymptotic branches of f differ by
   e^(rho^2/4), untenable in raw (f, f') form.  Zeros of f are exactly the
-  upward crossings of theta through multiples of pi, so
-  floor(theta(rho_max)/pi) counts the eigenvalues above the shift lambda
-  (Sturm oscillation).  The counts isolate each eigenvalue in a bracket;
-  inside it the eigenvalue is the root of an interior matching miss, the
-  forward phase from the axis against the backward phase of the decaying
-  branch, both taken at the last turning point rho_m, where the miss is
-  smooth in lambda.  Safeguarded Newton steps on it, with the
-  lambda-derivatives carried along both integrations, converge in a few
-  evaluations (the matching-point method, Pryce, Numerical Solution of
-  Sturm-Liouville Problems, 1993).
+  upward crossings of theta through multiples of pi, so floor(theta/pi)
+  counts the eigenvalues above the shift lambda (Sturm oscillation), read
+  at rho_max or at the first step past which a certificate rules out any
+  further zero (_PhaseShooter.theta_end).  The counts isolate each
+  eigenvalue in a bracket; inside it the eigenvalue is the root of an
+  interior matching miss, the forward phase from the axis against the
+  backward phase of the decaying branch, both taken at the last turning
+  point rho_m, where the miss is smooth in lambda.  Safeguarded Newton
+  steps on it, with the lambda-derivatives carried along both
+  integrations, converge in a few evaluations (the matching-point method,
+  Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).
 
 * a symmetric finite-difference matrix.  The substitution g = sqrt(w) f
   turns the conservative discretization of (1/w)(w f')' into a symmetric
@@ -78,6 +79,10 @@ ALPHA_STAR_BRACKET = (0.1, 50.0)     # find_alpha_star's default
 # step cap of the Fortran DOP853; its default of 500 is in reach (a (11,7)
 # count at alpha = 50 takes about 490 steps), and solve_ivp has none
 MAX_STEPS = 10 ** 6
+# slack of theta_end's early-stop certificate, far above the error RTOL and
+# ATOL allow past the stop, so the count is the one the run would reach at
+# rho_max
+STOP_MARGIN = 1e-6
 
 
 @dataclass
@@ -178,24 +183,41 @@ class _PhaseShooter:
         return f, df, f_lam, df_lam
 
     def theta_end(self, lam: float) -> float:
-        """Phase at rho_max for the regular solution of (L - lam) f = 0.
+        """Phase of the regular solution of (L - lam) f = 0 at the end of its
+        count: at rho_max, or at the first accepted step rho where a
+        certificate rules out any zero of f on [rho, inf), so floor(theta /
+        pi) is the same count either way.  The certificate:
 
-        The profile rides along as an augmented state so the right-hand
-        side stays pure arithmetic on Python floats; interpolating a
-        precomputed profile per evaluation is several times slower.  A count
-        needs only the end phase, so this runs on Hairer's Fortran DOP853
+        * the profile energy E = U'^2/2 + U^2/(2(p-1)) + |U|^(p+1)/(p+1)
+          does not increase (E' = -W U'^2), so V <= p U_b^(p-1) on [rho,
+          inf) with U_b = min(sqrt(2(p-1)E), ((p+1)E)^(1/(p+1)));
+        * g = sqrt(w) f obeys g'' + Q_eff g = 0, and W^2/4 + W'/2 >= s^2/16
+          + d/4 for d >= 3, so 1/(p-1) + p U_b^(p-1) - lam < rho^2/16 + d/4
+          makes Q_eff < 0 on [rho, inf); then g g' > 0 at rho, that is
+          sin(theta) (cos(theta) + (W/2) sin(theta)) > 0, makes (g g')' =
+          g'^2 - Q_eff g^2 > 0, and g never returns to zero.
+
+        Both inequalities hold with STOP_MARGIN to spare.  At an eigenvalue
+        g decays and the certificate fails until rounding has grown the
+        other branch back in (near rho = 11 in double precision).  The
+        profile rides along as an augmented state so the right-hand side
+        stays pure arithmetic on Python floats; interpolating a precomputed
+        profile per evaluation is several times slower.  A count needs only
+        the end phase, so this runs on Hairer's Fortran DOP853
         (_integrate_to_end), about four times cheaper than solve_ivp's
-        DOP853 with the same tolerances; the two end phases agree to about
-        1e-11, and a count only reads floor(theta / pi).  match_phases stays
-        on solve_ivp: its phases set the low bits of each eigenvalue, which
-        the other step control would move (lambda_bar by about 5e-12).
+        DOP853 with the same tolerances; the two phases agree to about 1e-9
+        at the stop, less next to an eigenvalue, and a count only reads
+        floor(theta / pi).  match_phases stays on solve_ivp: its phases set
+        the low bits of each eigenvalue, which the other step control would
+        move (lambda_bar by about 5e-12).  The cache keeps (rho, theta).
         """
         key = float(lam)
         if key in self._theta_cache:
-            return self._theta_cache[key]
+            return self._theta_cache[key][1]
         d, p = self.params.d, float(self.params.p)
         c0 = 1.0 / (p - 1.0) - lam
         pm1 = 1.0 / (p - 1.0)
+        q_floor = d / 4.0 - STOP_MARGIN * (1.0 + abs(c0))
 
         def rhs(rho, y):
             theta, u, du = y.tolist()
@@ -207,14 +229,27 @@ class _PhaseShooter:
             return (c * c + qt * s * s + w * s * c,
                     du, -w * du - u * pm1 - nl)
 
+        def settled(rho, y):
+            theta, u, du = y
+            e = (0.5 * du * du + 0.5 * pm1 * u * u
+                 + abs(u) ** (p + 1.0) / (p + 1.0))
+            u_b = min(math.sqrt(2.0 * (p - 1.0) * e),
+                      ((p + 1.0) * e) ** (1.0 / (p + 1.0)))
+            u_b = (1.0 + STOP_MARGIN) * u_b + STOP_MARGIN
+            if c0 + p * u_b ** (p - 1.0) >= rho * rho / 16.0 + q_floor:
+                return False
+            s = math.sin(theta)
+            w = (d - 1.0) / rho + 0.5 * rho
+            return s * (math.cos(theta) + 0.5 * w * s) > STOP_MARGIN
+
         f0, df0, _, _ = self._eigen_series(lam)
         state0 = (math.atan2(f0, df0),
                   *series_start(self.alpha, self.params, self.rho0))
-        end = _integrate_to_end(
-            rhs, (self.rho0, self.rho_max), state0,
+        rho, end = _integrate_to_end(
+            rhs, (self.rho0, self.rho_max), state0, settled,
             f"phase integration (alpha={self.alpha}, lam={lam})")
         theta = float(end[0])
-        self._theta_cache[key] = theta
+        self._theta_cache[key] = (rho, theta)
         return theta
 
     def _descend(self, n: int, grid: RadialGrid) -> list:
@@ -383,13 +418,19 @@ def _step_polynomial_potential(usol, p: float):
     return v
 
 
-def _integrate_to_end(rhs, span, state0, what: str) -> np.ndarray:
-    """State at span[1] of y' = rhs(rho, y) from state0 at span[0], by
+def _integrate_to_end(rhs, span, state0, stop, what: str):
+    """(rho, state) where y' = rhs(rho, y) from state0 at span[0] ends, by
     Hairer's Fortran DOP853 at RTOL, ATOL (scipy's ode wrapper; no dense
-    output).  rhs gets y as a numpy array.  A failed run of `what` raises
+    output): at span[1], or at the first accepted step, span[0] included,
+    where stop(rho, state) holds; stop reads the state as a sequence of
+    floats, rhs as a numpy array.  The start is tested here, because a stop
+    there ends DOP853 with an error code.  A failed run of `what` raises
     IntegrationError at the last rho reached instead of ode's warning."""
+    if stop(span[0], state0):
+        return span[0], state0
     solver = ode(rhs).set_integrator("dop853", rtol=RTOL, atol=ATOL,
                                      nsteps=MAX_STEPS)
+    solver.set_solout(lambda rho, y: -1 if stop(rho, y.tolist()) else 0)
     solver.set_initial_value(state0, span[0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -398,7 +439,7 @@ def _integrate_to_end(rhs, span, state0, what: str) -> np.ndarray:
     if code < 0:
         raise IntegrationError(f"{what} failed: DOP853 return code {code}",
                                last_rho=float(solver.t))
-    return end
+    return float(solver.t), end
 
 
 def _phase_rates(theta, eta, qt, w):
@@ -596,10 +637,12 @@ def _reconstruct_eigenfunction(sh: _PhaseShooter, lam: float,
 def _bracket_top(sh: _PhaseShooter):
     """Bracket the largest eigenvalue by doubling up from the floor.
 
-    Never integrates far above the top eigenvalue: at shifts lambda much
-    beyond it the phase equation turns stiff (the decaying branch attracts
-    at rate |Qt|), so the Rayleigh ceiling is used only as a sanity cap,
-    not as a probe point.
+    The Rayleigh ceiling is a sanity cap, not a probe point.  At shifts
+    lambda far above the top eigenvalue the phase equation is stiff (the
+    decaying branch attracts at rate |Qt|), but a count there ends early:
+    theta_end's certificate holds as soon as V drops below lambda, a few
+    steps off the axis (at alpha = 300, (5,3), lam = 65533.75 ends at rho =
+    0.013).
     """
     p = sh.params.p
     floor = sh.params.growth_exponent(1.0) - 0.25

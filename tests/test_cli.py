@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expanderlab import dynamics, spectral
+from expanderlab import cli, dynamics, spectral
 from expanderlab.cli import RunConfig, _build_parser, main, resolve_config
 from expanderlab.exponents import derived_exponents
 from expanderlab.profiles import RadialGrid
@@ -61,6 +63,16 @@ class TestExponentsCommand:
         with pytest.raises(SystemExit) as exc:
             main(["not-a-command"])
         assert exc.value.code == 64
+
+    def test_module_runs_unregistered(self, monkeypatch):
+        # `python -m trace --module expanderlab.cli` runs the file as
+        # __main__ while sys.modules["__main__"] is trace itself
+        name = "expanderlab.stand_in_main"
+        monkeypatch.setitem(sys.modules, name, types.ModuleType(name))
+        path = Path(cli.__file__)
+        namespace = {"__name__": name, "__package__": "expanderlab"}
+        exec(compile(path.read_text(), str(path), "exec"), namespace)
+        assert namespace["_FIELD_TYPES"] == cli._FIELD_TYPES
 
 
 class TestConfigFile:

@@ -125,7 +125,13 @@ class TestNeutralZeroCount:
         monkeypatch.setattr(profiles, "RHO0_DEFAULT", 5e-5)
         b = _PhaseShooter(1.0, params53, 16.0)
         assert a.rho0 == pytest.approx(8.2e-5, rel=0.01) and b.rho0 == 5e-5
-        assert abs(a.theta_end(0.0) - b.theta_end(0.0)) < 1e-8
+        # each count ends where its own steps meet the stop certificate, so
+        # each end phase is compared with the other start's phase there
+        for x, y in ((a, b), (b, a)):
+            theta = x.theta_end(0.0)
+            rho = x._theta_cache[0.0][0]
+            assert rho < x.rho_max
+            assert abs(theta - reference_theta_end(y, 0.0, rho)) < 1e-8
 
 
 class TestAlphaStar:
@@ -177,9 +183,10 @@ class TestAlphaStar:
                                                abs=1e-6)
 
 
-def reference_theta_end(sh, lam):
-    """End phase of the regular solution by solve_ivp's DOP853, with the
-    profile riding along, at the shooter's tolerances."""
+def reference_theta_end(sh, lam, rho_end=None):
+    """Phase of the regular solution at rho_end (default rho_max) by
+    solve_ivp's DOP853, with the profile riding along, at the shooter's
+    tolerances; no early stop."""
     d, p = sh.params.d, float(sh.params.p)
 
     def rhs(rho, y):
@@ -193,8 +200,8 @@ def reference_theta_end(sh, lam):
 
     f0, df0, _, _ = sh._eigen_series(lam)
     state0 = (math.atan2(f0, df0), *series_start(sh.alpha, sh.params, sh.rho0))
-    sol = solve_ivp(rhs, (sh.rho0, sh.rho_max), state0, method="DOP853",
-                    rtol=spectral.RTOL, atol=spectral.ATOL)
+    sol = solve_ivp(rhs, (sh.rho0, rho_end or sh.rho_max), state0,
+                    method="DOP853", rtol=spectral.RTOL, atol=spectral.ATOL)
     assert sol.success
     return float(sol.y[0, -1])
 
@@ -222,7 +229,15 @@ class TestCountKernel:
         sh = _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
         for lam in (-1.0, 0.0, 0.3):
             ref = reference_theta_end(sh, lam)
-            assert abs(sh.theta_end(lam) - ref) <= 1e-8
+            theta = sh.theta_end(lam)
+            rho = sh._theta_cache[lam][0]
+            # at alpha*, lam = 0 sits 4.1e-7 below the top eigenvalue: f
+            # follows the decaying eigenfunction until its last zero, near
+            # rho = 7.3, where the count stops and where the phase is
+            # ill-conditioned (both DOP853 codes are 1.2-1.5e-6 from an
+            # rtol 1e-13 run there; at rho_max they agreed to 1e-8)
+            bound = 1e-6 if (alpha, lam) == (ALPHA_STAR_53, 0.0) else 1e-8
+            assert abs(theta - reference_theta_end(sh, lam, rho)) <= bound
             assert sh.count_above(lam) == math.floor(ref / math.pi)
 
     def test_alpha_star_counts_unchanged(self, alpha_star53):
@@ -237,9 +252,49 @@ class TestCountKernel:
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError) as info:
                 spectral._integrate_to_end(nan_rhs, (1.0, 16.0), (0.0, 1.0),
-                                           "NaN probe")
+                                           lambda rho, y: False, "NaN probe")
         assert info.value.last_rho == 1.0
         assert "NaN probe" in str(info.value)
+
+    @pytest.mark.parametrize("d, p", [(3, 3.0), (4, 2.0), (6, 3.0),
+                                      (11, 3.0), (11, 7.0), (12, 2.0)])
+    @settings(derandomize=True, deadline=None, max_examples=4)
+    @given(alpha=st.floats(0.1, 60.0), lam=st.floats(-4.0, 4.0))
+    def test_stopped_count_matches_full_domain(self, d, p, alpha, lam):
+        sh = _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
+        assert sh.count_above(lam) == math.floor(
+            reference_theta_end(sh, lam) / math.pi)
+
+    def test_stop_at_start_skips_dop853(self, params53, monkeypatch):
+        # U <= 0.1 caps V far below the Liouville barrier, and g g' > 0 on
+        # the axis: the count is settled before any step
+        def no_dop853(*args):
+            raise AssertionError("DOP853 called")
+
+        monkeypatch.setattr(spectral, "ode", no_dop853)
+        sh = _PhaseShooter(0.1, params53, 16.0)
+        assert sh.count_above(0.0) == 0
+        assert sh._theta_cache[0.0][0] == sh.rho0
+
+    def test_stop_before_rho_max_at_alpha_star(self, params53):
+        sh = _PhaseShooter(ALPHA_STAR_53, params53, 16.0)
+        theta = sh.theta_end(0.0)
+        assert sh._theta_cache[0.0][0] < 8.0
+        assert math.floor(theta / math.pi) == math.floor(
+            reference_theta_end(sh, 0.0) / math.pi)
+
+    @pytest.mark.parametrize("d, p", [(5, 3.0), (11, 7.0)])
+    def test_no_stop_at_an_eigenvalue(self, d, p):
+        # at alpha = 0 the top eigenfunction is exactly e^(-rho^2/4), at
+        # lam = 1/(p-1) - d/2, so g = sqrt(w) f decays and g g' < 0; by
+        # rho = 11 rounding has grown the other branch back in, so the
+        # domain ends at 8
+        sh = _PhaseShooter(0.0, derived_exponents(d, p), 8.0)
+        lam = 1.0 / (p - 1.0) - d / 2.0
+        theta = sh.theta_end(lam)
+        assert sh._theta_cache[lam][0] == 8.0
+        assert math.floor(theta / math.pi) == math.floor(
+            reference_theta_end(sh, lam) / math.pi)
 
     @settings(derandomize=True, deadline=None, max_examples=8)
     @given(family=st.sampled_from([(5, 3.0), (3, 2.0), (11, 7.0)]),
