@@ -79,10 +79,14 @@ ALPHA_STAR_BRACKET = (0.1, 50.0)     # find_alpha_star's default
 # step cap of the Fortran DOP853; its default of 500 is in reach (a (11,7)
 # count at alpha = 50 takes about 490 steps), and solve_ivp has none
 MAX_STEPS = 10 ** 6
-# slack of theta_end's early-stop certificate, far above the error RTOL and
-# ATOL allow past the stop, so the count is the one the run would reach at
-# rho_max
+# slack of each inequality of theta_end's early-stop certificate, far above
+# the phase error left at the stop once MAX_PHASE_GROWTH holds (under 3e-8
+# against an rtol 1e-13 run in 120 random counts), so it cannot flip a sign
 STOP_MARGIN = 1e-6
+# log of the most an earlier phase error may have grown by when a count
+# stops: past an ill-conditioned zero (lam next to an eigenvalue) the phase
+# is as accurate as at rho_max again once the errors made there have decayed
+MAX_PHASE_GROWTH = math.log(1e4)
 
 
 @dataclass
@@ -197,23 +201,29 @@ class _PhaseShooter:
           sin(theta) (cos(theta) + (W/2) sin(theta)) > 0, makes (g g')' =
           g'^2 - Q_eff g^2 > 0, and g never returns to zero.
 
-        Both inequalities hold with STOP_MARGIN to spare.  At an eigenvalue
-        g decays and the certificate fails until rounding has grown the
-        other branch back in (near rho = 11 in double precision).  The
-        profile rides along as an augmented state so the right-hand side
-        stays pure arithmetic on Python floats; interpolating a precomputed
-        profile per evaluation is several times slower.  A count needs only
-        the end phase, so this runs on Hairer's Fortran DOP853
-        (_integrate_to_end), about four times cheaper than solve_ivp's
-        DOP853 with the same tolerances; the two phases agree to about 1e-9
-        at the stop, less next to an eigenvalue, and a count only reads
-        floor(theta / pi).  match_phases stays on solve_ivp: its phases set
-        the low bits of each eigenvalue, which the other step control would
-        move (lambda_bar by about 5e-12).  The cache keeps (rho, theta).
+        Both inequalities hold with STOP_MARGIN to spare, and the stop also
+        waits until no earlier phase error has grown by more than
+        exp(MAX_PHASE_GROWTH): errors grow at rate d(theta')/d(theta) =
+        (Qt - 1) sin(2 theta) + W cos(2 theta), which is positive next to a
+        zero of f.  For lam just below an eigenvalue f follows the decaying
+        eigenfunction to a last zero whose phase is ill-conditioned (1e-6
+        off at alpha*, lam = 0); the wait moves that stop from rho = 7.3 to
+        9.3, where the phase is accurate to 1e-8 again.  At an eigenvalue g
+        decays and the certificate fails until rounding has grown the other
+        branch back in (near rho = 11 in double precision).  The profile
+        rides along as an augmented state so the right-hand side stays pure
+        arithmetic on Python floats; interpolating a precomputed profile per
+        evaluation is several times slower.  A count needs only the end
+        phase, so this runs on Hairer's Fortran DOP853 (_integrate_to_end),
+        about four times cheaper than solve_ivp's DOP853 with the same
+        tolerances; the two phases agree to about 1e-9 at the stop, and a
+        count only reads floor(theta / pi).  match_phases stays on
+        solve_ivp: its phases set the low bits of each eigenvalue, which the
+        other step control would move (lambda_bar by about 5e-12).
         """
         key = float(lam)
         if key in self._theta_cache:
-            return self._theta_cache[key][1]
+            return self._theta_cache[key]
         d, p = self.params.d, float(self.params.p)
         c0 = 1.0 / (p - 1.0) - lam
         pm1 = 1.0 / (p - 1.0)
@@ -229,8 +239,22 @@ class _PhaseShooter:
             return (c * c + qt * s * s + w * s * c,
                     du, -w * du - u * pm1 - nl)
 
+        growth, last = 0.0, None
+
         def settled(rho, y):
+            nonlocal growth, last
             theta, u, du = y
+            s, c = math.sin(theta), math.cos(theta)
+            w = (d - 1.0) / rho + 0.5 * rho
+            # d(theta')/d(theta), trapezoid-summed over the accepted steps
+            jac = ((c0 + p * abs(u) ** (p - 1.0) - 1.0) * 2.0 * s * c
+                   + w * (c * c - s * s))
+            if last is not None:
+                growth = max(0.0, growth
+                             + 0.5 * (jac + last[1]) * (rho - last[0]))
+            last = (rho, jac)
+            if growth > MAX_PHASE_GROWTH:
+                return False
             e = (0.5 * du * du + 0.5 * pm1 * u * u
                  + abs(u) ** (p + 1.0) / (p + 1.0))
             u_b = min(math.sqrt(2.0 * (p - 1.0) * e),
@@ -238,18 +262,16 @@ class _PhaseShooter:
             u_b = (1.0 + STOP_MARGIN) * u_b + STOP_MARGIN
             if c0 + p * u_b ** (p - 1.0) >= rho * rho / 16.0 + q_floor:
                 return False
-            s = math.sin(theta)
-            w = (d - 1.0) / rho + 0.5 * rho
-            return s * (math.cos(theta) + 0.5 * w * s) > STOP_MARGIN
+            return s * (c + 0.5 * w * s) > STOP_MARGIN
 
         f0, df0, _, _ = self._eigen_series(lam)
         state0 = (math.atan2(f0, df0),
                   *series_start(self.alpha, self.params, self.rho0))
-        rho, end = _integrate_to_end(
+        _, end = _integrate_to_end(
             rhs, (self.rho0, self.rho_max), state0, settled,
             f"phase integration (alpha={self.alpha}, lam={lam})")
         theta = float(end[0])
-        self._theta_cache[key] = (rho, theta)
+        self._theta_cache[key] = theta
         return theta
 
     def _descend(self, n: int, grid: RadialGrid) -> list:
@@ -522,13 +544,14 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
 
     (see _PhaseShooter.match_phases) vanishes exactly at the eigenvalue
     with k interior zeros and is smooth and strictly decreasing in lambda;
-    it has the sign of the end-phase miss theta_end - k pi - theta_target,
-    which at rho_max = 16 is nearly a step in lambda.  rho_m is the turning
-    point of _matching_point at the bracket midpoint.  Newton steps on m
-    stay inside the sign-change bracket, fall back to bisection, and never
-    step less than LAMBDA_TOL / 2, so a converged step lands past the root
-    and closes the bracket: the result is the midpoint of a sign change of
-    m no wider than LAMBDA_TOL, typically after 7 to 10 matching
+    it has the sign of the same miss taken at rho_max = 16, the regular
+    solution's phase there (run without theta_end's early stop) less k pi
+    and theta_target, which is nearly a step in lambda.  rho_m is the
+    turning point of _matching_point at the bracket midpoint.  Newton steps
+    on m stay inside the sign-change bracket, fall back to bisection, and
+    never step less than LAMBDA_TOL / 2, so a converged step lands past the
+    root and closes the bracket: the result is the midpoint of a sign
+    change of m no wider than LAMBDA_TOL, typically after 7 to 10 matching
     evaluations, the two bracket ends included.  The eigenfunction is a
     forward integration glued to a backward one from the decaying branch at
     the same rho_m.

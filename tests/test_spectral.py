@@ -119,7 +119,7 @@ class TestNeutralZeroCount:
         with pytest.raises(DomainError):
             neutral_zero_count(alpha, params53)
 
-    def test_frobenius_start_insensitive_to_rho0(self, params53,
+    def test_frobenius_start_insensitive_to_rho0(self, params53, stops,
                                                  monkeypatch):
         a = _PhaseShooter(1.0, params53, 16.0)
         monkeypatch.setattr(profiles, "RHO0_DEFAULT", 5e-5)
@@ -129,7 +129,7 @@ class TestNeutralZeroCount:
         # each end phase is compared with the other start's phase there
         for x, y in ((a, b), (b, a)):
             theta = x.theta_end(0.0)
-            rho = x._theta_cache[0.0][0]
+            rho = stops[-1]
             assert rho < x.rho_max
             assert abs(theta - reference_theta_end(y, 0.0, rho)) < 1e-8
 
@@ -183,6 +183,21 @@ class TestAlphaStar:
                                                abs=1e-6)
 
 
+@pytest.fixture
+def stops(monkeypatch):
+    """The rho at which each of the test's phase integrations ends."""
+    rhos = []
+    integrate = spectral._integrate_to_end
+
+    def recorded(*args):
+        rho, end = integrate(*args)
+        rhos.append(rho)
+        return rho, end
+
+    monkeypatch.setattr(spectral, "_integrate_to_end", recorded)
+    return rhos
+
+
 def reference_theta_end(sh, lam, rho_end=None):
     """Phase of the regular solution at rho_end (default rho_max) by
     solve_ivp's DOP853, with the profile riding along, at the shooter's
@@ -225,19 +240,13 @@ class TestCountKernel:
     @pytest.mark.parametrize("d, p, alpha", [
         (5, 3.0, 0.5), (5, 3.0, ALPHA_STAR_53), (5, 3.0, 5.0),
         (3, 2.0, 0.5), (3, 2.0, 5.0), (11, 7.0, 0.5), (11, 7.0, 5.0)])
-    def test_theta_end_matches_solve_ivp(self, d, p, alpha):
+    def test_theta_end_matches_solve_ivp(self, d, p, alpha, stops):
         sh = _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
         for lam in (-1.0, 0.0, 0.3):
             ref = reference_theta_end(sh, lam)
             theta = sh.theta_end(lam)
-            rho = sh._theta_cache[lam][0]
-            # at alpha*, lam = 0 sits 4.1e-7 below the top eigenvalue: f
-            # follows the decaying eigenfunction until its last zero, near
-            # rho = 7.3, where the count stops and where the phase is
-            # ill-conditioned (both DOP853 codes are 1.2-1.5e-6 from an
-            # rtol 1e-13 run there; at rho_max they agreed to 1e-8)
-            bound = 1e-6 if (alpha, lam) == (ALPHA_STAR_53, 0.0) else 1e-8
-            assert abs(theta - reference_theta_end(sh, lam, rho)) <= bound
+            rho = stops[-1]
+            assert abs(theta - reference_theta_end(sh, lam, rho)) <= 1e-8
             assert sh.count_above(lam) == math.floor(ref / math.pi)
 
     def test_alpha_star_counts_unchanged(self, alpha_star53):
@@ -265,7 +274,7 @@ class TestCountKernel:
         assert sh.count_above(lam) == math.floor(
             reference_theta_end(sh, lam) / math.pi)
 
-    def test_stop_at_start_skips_dop853(self, params53, monkeypatch):
+    def test_stop_at_start_skips_dop853(self, params53, stops, monkeypatch):
         # U <= 0.1 caps V far below the Liouville barrier, and g g' > 0 on
         # the axis: the count is settled before any step
         def no_dop853(*args):
@@ -274,17 +283,21 @@ class TestCountKernel:
         monkeypatch.setattr(spectral, "ode", no_dop853)
         sh = _PhaseShooter(0.1, params53, 16.0)
         assert sh.count_above(0.0) == 0
-        assert sh._theta_cache[0.0][0] == sh.rho0
+        assert stops == [sh.rho0]
 
-    def test_stop_before_rho_max_at_alpha_star(self, params53):
+    def test_stop_before_rho_max_at_alpha_star(self, params53, stops):
+        # lam = 0 sits 4.1e-7 below the top eigenvalue: f follows the
+        # decaying eigenfunction to its last zero near rho = 7.34, whose
+        # phase is ill-conditioned; the count stops once the errors made
+        # there have decayed, still well short of rho_max
         sh = _PhaseShooter(ALPHA_STAR_53, params53, 16.0)
         theta = sh.theta_end(0.0)
-        assert sh._theta_cache[0.0][0] < 8.0
+        assert 7.5 < stops[-1] < 10.0
         assert math.floor(theta / math.pi) == math.floor(
             reference_theta_end(sh, 0.0) / math.pi)
 
     @pytest.mark.parametrize("d, p", [(5, 3.0), (11, 7.0)])
-    def test_no_stop_at_an_eigenvalue(self, d, p):
+    def test_no_stop_at_an_eigenvalue(self, d, p, stops):
         # at alpha = 0 the top eigenfunction is exactly e^(-rho^2/4), at
         # lam = 1/(p-1) - d/2, so g = sqrt(w) f decays and g g' < 0; by
         # rho = 11 rounding has grown the other branch back in, so the
@@ -292,7 +305,7 @@ class TestCountKernel:
         sh = _PhaseShooter(0.0, derived_exponents(d, p), 8.0)
         lam = 1.0 / (p - 1.0) - d / 2.0
         theta = sh.theta_end(lam)
-        assert sh._theta_cache[lam][0] == 8.0
+        assert stops == [8.0]
         assert math.floor(theta / math.pi) == math.floor(
             reference_theta_end(sh, lam) / math.pi)
 
