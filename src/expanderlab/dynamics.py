@@ -557,7 +557,7 @@ def to_physical_norm(similarity_norm: float, tau: float, gamma: float,
     The L^gamma norms scale with t^(-1/(p-1) + d/(2 gamma)); at the
     scaling-critical exponent the conversion is the identity.
     """
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise DomainError("Lebesgue exponent must be >= 1")
     t = math.exp(tau)
     return t, t ** -params.growth_exponent(gamma) * similarity_norm

@@ -13,7 +13,8 @@ A e^(-rho^2/(4v)) the action is closed form (amplitude and variance map),
 which pins the semigroup law exactly and serves as the oracle for the
 quadrature path on general radial data.  On that path the angular part of
 the d-dimensional convolution is a Kummer function in closed form, so only
-the radius integral is computed numerically.
+the radius integral is computed numerically, by a nested Clenshaw-Curtis
+ladder on the cubic spline of the data.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .exceptions import DomainError, QuadratureAccuracyError
 from .exponents import ProblemParams
@@ -57,7 +58,7 @@ class GaussianDatum:
 
     def lq_norm(self, gamma: float, d: int) -> float:
         """Exact L^gamma(R^d) norm: |A| (4 pi v / gamma)^(d / (2 gamma))."""
-        if gamma < 1.0:
+        if not gamma >= 1.0:
             raise DomainError("Lebesgue exponent must be >= 1")
         try:
             return abs(self.amplitude) * (
@@ -126,7 +127,7 @@ def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
 def lq_norm(f: RadialFunction, gamma: float, d: int) -> float:
     """L^gamma norm over R^d of a radial profile: the grid's Simpson
     weights against the rho^(d-1) measure, with f zero past rho_max."""
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise DomainError("Lebesgue exponent must be >= 1")
     return lebesgue_norms(f.grid.measure_weights(d), f.values, (gamma,),
                           sphere_area(d))[0][0]
@@ -183,12 +184,42 @@ def growth_rate_gaussian(eta: float, params: ProblemParams) -> float:
 # quadrature path for general radial data
 
 
-_gl_cache = functools.cache(np.polynomial.legendre.leggauss)
+# the orders of the radial ladder; each one's nodes are the even nodes of
+# the next, so going up an order evaluates only the new odd nodes
+_ORDERS = (24, 48, 96, 192, 384)
 
 
-# nodes x panels x 48 (the second order of the radial ladder) per block:
+@functools.cache
+def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes cos(j pi / n), j = 0..n, and closed-form weights of the
+    Clenshaw-Curtis rule on [-1, 1], n even; exact up to degree n + 1.  On
+    a C^2 spline it converges as fast as Gauss-Legendre at equal sample
+    counts (Trefethen, SIAM Review 50 (2008) 67-87), and its nodes nest."""
+    j = np.arange(n + 1)
+    k = np.arange(1, n // 2 + 1)
+    theta = np.pi * j / n
+    b = np.where(k == n // 2, 1.0, 2.0) / (4.0 * k ** 2 - 1.0)
+    c = np.where((j == 0) | (j == n), 1.0, 2.0) / n
+    return np.cos(theta), c * (1.0 - np.cos(np.outer(theta, 2 * k)) @ b)
+
+
+# nodes x panels x 49 (the second order of the radial ladder) per block:
 # keeps each quadrature temporary of a block near 1 MB even at order 384
 _BLOCK_ELEMENTS = 2 ** 14
+
+# terms of the series form of _angular_factor: at beta = 2 and d = 3, where
+# the series converges slowest, the terms left out sum to 2e-23 of J
+_SERIES_TERMS = 14
+
+
+@functools.cache
+def _series_coefficients(nu: float) -> np.ndarray:
+    """B(k + 1/2, nu + 1) / (2k)! for k < _SERIES_TERMS, by the recurrence
+    a_(k+1) = a_k / (4 (k + 1) (k + nu + 3/2))."""
+    coef = [float(special.beta(0.5, nu + 1.0))]
+    for k in range(_SERIES_TERMS - 1):
+        coef.append(coef[-1] / (4.0 * (k + 1) * (k + nu + 1.5)))
+    return np.array(coef)
 
 
 def _angular_factor(beta: np.ndarray, d: int) -> np.ndarray:
@@ -198,8 +229,15 @@ def _angular_factor(beta: np.ndarray, d: int) -> np.ndarray:
 
         J = 2^(2 nu + 1) B(nu + 1, nu + 1) M(nu + 1, 2 nu + 2, -2 beta),
 
-    nu = (d - 3)/2, exact for every d >= 3 and beta >= 0.  Three forms of
+    nu = (d - 3)/2, exact for every d >= 3 and beta >= 0.  Four forms of
     this one function are evaluated:
+
+    - for beta < 2 and every d, the power series of e^(beta c) integrated
+      term by term,
+
+          J = e^(-beta) sum_k B(k + 1/2, nu + 1) beta^(2k) / (2k)!,
+
+      whose terms are all positive, summed to _SERIES_TERMS terms;
 
     - for 2 <= beta <= 1e8 and odd d <= 9 (nu = m an integer), the Bessel
       function of half-integer order is elementary (DLMF 10.49(ii)):
@@ -214,23 +252,35 @@ def _angular_factor(beta: np.ndarray, d: int) -> np.ndarray:
 
           J = sqrt(pi) Gamma(nu + 1) (2 / beta)^(nu + 1/2) ive(nu + 1/2, beta);
 
-    - everywhere else, the Kummer form above.
+    - everywhere else (beta > 1e8, or beta >= 2 and d > 63), the Kummer
+      form above.
 
     On the semigroup workload's beta (d = 5, a 2-vCPU box, scipy 1.17) the
     elementary branch costs about 25 ns per element, scipy's ive alone
-    about 375 ns and hyp1f1 about 1 us.  The sum alternates, so it cancels
-    near beta = 2 as m grows: against a 40-digit reference its worst
-    relative error on [2, 1e8] is 7e-16 for d <= 7 and 6e-15 at d = 9, but
-    1e-13 at d = 11 and 2e-12 at d = 13, hence the cap.  The Kummer form
-    covers the rest: the Bessel form is 0 * inf at beta = 0 and for tiny
-    beta when d >= 5, ive is NaN past beta ~ 1e9, and for larger d its
-    factors leave the double range (at d <= 63 they keep 70 decades of
-    margin).  The three forms agree with a 40-digit reference to 3e-14
-    relative for d = 3..64.
+    about 375 ns and hyp1f1 about 1 us; below beta = 2 the series costs
+    about 35 ns and hyp1f1 about 235 ns.  The elementary sum alternates, so
+    it cancels near beta = 2 as m grows: against a 40-digit reference its
+    worst relative error on [2, 1e8] is 7e-16 for d <= 7 and 6e-15 at
+    d = 9, but 1e-13 at d = 11 and 2e-12 at d = 13, hence the cap.  The
+    Bessel form is 0 * inf at beta = 0 and for tiny beta when d >= 5, ive
+    is NaN past beta ~ 1e9, and for larger d its factors leave the double
+    range (at d <= 63 they keep 70 decades of margin); the Kummer form
+    covers those.  Against a 40-digit reference on beta in [0, 1e12] the
+    series is within 9e-16 relative for d = 3..65 and d = 100 (6e-14 at
+    d = 345, from B(1/2, nu + 1)), and the four forms within 1.1e-13 for
+    d = 3..65.
     """
     nu = (d - 3) / 2.0
     beta = np.asarray(beta, dtype=float)
     out = np.empty_like(beta)
+    series = beta < 2.0
+    y = beta[series]
+    y2 = y * y
+    total = np.zeros_like(y)
+    for c in _series_coefficients(nu)[::-1]:
+        total *= y2
+        total += c
+    out[series] = total * np.exp(-y)
     bessel = (beta >= 2.0) & (beta <= 1e8) & (nu <= 30.0)
     x = beta[bessel]
     if d % 2 == 1 and d <= 9:
@@ -261,20 +311,49 @@ def _angular_factor(beta: np.ndarray, d: int) -> np.ndarray:
     else:
         out[bessel] = (math.sqrt(math.pi) * special.gamma(nu + 1.0)
                        * (2.0 / x) ** (nu + 0.5) * special.ive(nu + 0.5, x))
-    kummer = ~bessel
+    kummer = ~(series | bessel)
     out[kummer] = (2.0 ** (2.0 * nu + 1.0) * special.beta(nu + 1.0, nu + 1.0)
                    * special.hyp1f1(nu + 1.0, 2.0 * nu + 2.0,
                                     -2.0 * beta[kummer]))
     return out[()]
 
 
-def _even_spline(f: RadialFunction) -> CubicSpline:
-    """Cubic spline of f mirrored through the axis, so it is even there.
-    It is only evaluated on [0, rho_max]: _panels clips every window to
-    the grid, past which f is zero."""
-    nodes = f.grid.nodes
-    return CubicSpline(np.concatenate([-nodes[:0:-1], nodes]),
-                       np.concatenate([f.values[:0:-1], f.values]))
+def _even_spline(f: RadialFunction) -> Callable[[np.ndarray], np.ndarray]:
+    """Cubic spline of f on [0, rho_max], with slope 0 on the axis and
+    not-a-knot at rho_max: the not-a-knot spline of f mirrored through the
+    axis, on the only part _panels evaluates (past rho_max f is zero).
+
+    The slopes times the spacing, m_i, solve one tridiagonal system: m_0 =
+    0, m_(i-1) + 4 m_i + m_(i+1) = 3 (f_(i+1) - f_(i-1)) inside, and the
+    not-a-knot condition less the last interior row at rho_max.  A point
+    is evaluated as the cubic of its cell, found by index arithmetic.
+    """
+    y = f.values
+    n, h = f.grid.n, f.grid.drho
+    diff = np.diff(y)
+    ab = np.ones((3, n))
+    ab[1, :-1] = 4.0
+    ab[2, -2] = 2.0
+    rhs = np.append(3.0 * (diff[:-1] + diff[1:]),
+                    0.5 * (diff[-2] + 5.0 * diff[-1]))
+    m = np.concatenate([[0.0], solve_banded((1, 1), ab, rhs)])
+    # per cell, the cubic in t = (s - rho_i) / h in [0, 1]
+    c0, c1 = y[:-1], m[:-1]
+    c2 = 3.0 * diff - 2.0 * m[:-1] - m[1:]
+    c3 = m[:-1] + m[1:] - 2.0 * diff
+
+    def evaluate(s: np.ndarray) -> np.ndarray:
+        t = s / h
+        i = np.minimum(t.astype(np.intp), n - 1)
+        t -= i
+        # Horner in place; np.take gathers about 3x faster than c[i]
+        value = np.take(c3, i)
+        for c in (c2, c1, c0):
+            value *= t
+            value += np.take(c, i)
+        return value
+
+    return evaluate
 
 
 def _panels(x: np.ndarray, width: float, rho_max: float):
@@ -302,11 +381,13 @@ def apply_S0(tau: float, f: RadialFunction,
     e^(-(x-s)^2/(4a)) J(xs/(2a)) s^(d-1); the angular factor J is a
     confluent hypergeometric function in closed form.  The radius integral
     runs over 0.5-wide panels within 8 kernel widths of each evaluation
-    point (see _panels), doubling the Gauss-Legendre order from 24 to 384
+    point (see _panels), doubling the Clenshaw-Curtis order from 24 to 384
     until two orders agree to 1e-8 relative, plus a floor tied to the
-    output scale, node by node.  Nodes are integrated in blocks of at most
-    _BLOCK_ELEMENTS / (48 * panels) rows, one vectorised order ladder per
-    block; a node leaves its block once it has converged.
+    output scale, node by node.  The rules nest, so each order after the
+    first evaluates the integrand only at its new nodes.  Nodes are
+    integrated in blocks of at most _BLOCK_ELEMENTS / (49 * panels) rows,
+    one vectorised order ladder per block; a node leaves its block once it
+    has converged.
     """
     if not math.isfinite(tau) or tau < 0.0:
         raise DomainError("tau must be finite and nonnegative")
@@ -339,7 +420,7 @@ def apply_S0(tau: float, f: RadialFunction,
 
     x = math.exp(0.5 * tau) * f.grid.nodes
     left, right, counts = _panels(x, width, rho_max)
-    rows = max(1, _BLOCK_ELEMENTS // (48 * max(1, left.shape[1])))
+    rows = max(1, _BLOCK_ELEMENTS // (49 * max(1, left.shape[1])))
     out = np.empty_like(x)
     for start in range(0, x.size, rows):
         idx = np.arange(start, min(start + rows, x.size))
@@ -349,22 +430,29 @@ def apply_S0(tau: float, f: RadialFunction,
         half = 0.5 * (right[idx, :cols, None] - pa)
         # spline interpolants are only C^2, so convergence is algebraic;
         # 1e-8 agreement leaves two orders of margin on the 1e-6 contract
-        prev = None
-        for n in (24, 48, 96, 192, 384):
-            x_gl, w_gl = _gl_cache(n)
-            s = half * (x_gl + 1.0) + pa
-            kern = np.exp(-(xs - s) ** 2 / (4.0 * a)) * _angular_factor(
-                xs * s / (2.0 * a), d)
-            total = np.einsum("ijk,ijk->i", half * w_gl,
-                              evaluate(s) * s ** (d - 1.0) * kern)
+        prev = samples = None
+        for n in _ORDERS:
+            x_cc, w_cc = _clenshaw_curtis(n)
+            s = half * ((x_cc if samples is None else x_cc[1::2]) + 1.0) + pa
+            fresh = (evaluate(s) * s ** (d - 1.0)
+                     * np.exp(-(xs - s) ** 2 / (4.0 * a))
+                     * _angular_factor(xs * s / (2.0 * a), d))
+            if samples is None:
+                samples = fresh
+            else:
+                both = np.empty(fresh.shape[:2] + (n + 1,))
+                both[..., ::2] = samples
+                both[..., 1::2] = fresh
+                samples = both
+            total = np.einsum("ijk,ijk->i", half * w_cc, samples)
             if prev is not None:
                 miss = np.abs(total - prev)
                 done = miss <= 1e-8 * np.abs(total) + floor
                 out[idx[done]] = prefactor * total[done]
                 if done.all():
                     break
-                idx, xs, pa, half, total = (
-                    v[~done] for v in (idx, xs, pa, half, total))
+                idx, xs, pa, half, total, samples = (
+                    v[~done] for v in (idx, xs, pa, half, total, samples))
             prev = total
         else:
             raise QuadratureAccuracyError(

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import types
@@ -17,6 +19,17 @@ from expanderlab.profiles import RadialGrid
 
 def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
+
+
+def test_import_leaves_out_scipy_interpolate():
+    # every command pays for what importing the CLI loads; the semigroup's
+    # spline is built in the package, so scipy.interpolate stays unloaded
+    code = ("import sys, expanderlab.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith('scipy.interpolate')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestExponentsCommand:

@@ -470,8 +470,9 @@ class TestPhysicalNorm:
         assert val_tiny < val_small
 
     def test_rejects_bad_exponent(self, params53):
-        with pytest.raises(DomainError):
-            to_physical_norm(1.0, 0.0, 0.5, params53)
+        for gamma in (0.5, math.nan):
+            with pytest.raises(DomainError):
+                to_physical_norm(1.0, 0.0, gamma, params53)
 
 
 class TestDemo:

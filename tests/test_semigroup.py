@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
+from scipy.interpolate import CubicSpline
 
 from expanderlab import semigroup
 from expanderlab.exceptions import DomainError, QuadratureAccuracyError
@@ -13,9 +14,10 @@ from expanderlab.profiles import RadialGrid
 from expanderlab.semigroup import (
     GaussianDatum,
     RadialFunction,
+    _ORDERS,
     _angular_factor,
+    _clenshaw_curtis,
     _even_spline,
-    _gl_cache,
     apply_S0,
     apply_S0_gaussian,
     growth_rate_gaussian,
@@ -72,7 +74,8 @@ def heat_step_oracle(values, h, steps, dt, d):
 
 def per_node_S0(tau, f, params):
     """apply_S0 one node at a time: the same panels, order ladder and
-    convergence test as the library, with no blocks and no padding."""
+    convergence test as the library, with no blocks and no padding, and
+    every order's rule evaluated at all of its nodes."""
     d = params.d
     a = math.expm1(tau)
     width = math.sqrt(2.0 * a)
@@ -88,12 +91,12 @@ def per_node_S0(tau, f, params):
         cuts = [*np.arange(lo, hi, 0.5), hi]
         spans = [(pa, pb) for pa, pb in zip(cuts, cuts[1:]) if pb > pa]
         prev = None
-        for n in (24, 48, 96, 192, 384):
-            x_gl, w_gl = _gl_cache(n)
+        for n in _ORDERS:
+            x_cc, w_cc = _clenshaw_curtis(n)
             s = np.concatenate([np.zeros(0)] + [
-                0.5 * (pb - pa) * (x_gl + 1.0) + pa for pa, pb in spans])
+                0.5 * (pb - pa) * (x_cc + 1.0) + pa for pa, pb in spans])
             w = np.concatenate([np.zeros(0)] + [
-                0.5 * (pb - pa) * w_gl for pa, pb in spans])
+                0.5 * (pb - pa) * w_cc for pa, pb in spans])
             kern = np.exp(-(x - s) ** 2 / (4.0 * a)) * _angular_factor(
                 x * s / (2.0 * a), d)
             total = float(np.dot(w, evaluate(s) * s ** (d - 1.0) * kern))
@@ -177,6 +180,14 @@ class TestLqNorm:
         # nonzero on the axis alone, the field has norm 0
         axis = np.where(w > 0.0, 0.0, f)
         assert lq_norm(RadialFunction(grid=grid, values=axis), gamma, 5) == 0
+
+    @pytest.mark.parametrize("gamma", [0.5, math.nan])
+    def test_rejects_bad_exponent(self, grid, gamma):
+        f = RadialFunction(grid=grid, values=np.exp(-grid.nodes ** 2))
+        with pytest.raises(DomainError):
+            lq_norm(f, gamma, 5)
+        with pytest.raises(DomainError):
+            GaussianDatum(1.0, 1.0).lq_norm(gamma, 5)
 
 
 class TestGaussianSemigroup:
@@ -270,7 +281,11 @@ class TestGaussianSemigroup:
 
 
 class TestQuadraturePath:
-    @pytest.mark.parametrize("d", [4, 5, 6])
+    # above beta = 2, odd d <= 9 take the elementary branch of J; odd d > 9
+    # and every even d take scipy's ive
+    @pytest.mark.parametrize("d", [
+        4, 5, 6, *(pytest.param(d, marks=pytest.mark.slow)
+                   for d in (3, 7, 8, 9, 10, 11, 12))])
     def test_matches_closed_form_on_gaussians(self, grid, d):
         params = derived_exponents(d, 3.0)
         g = GaussianDatum(1.3, 0.8)
@@ -280,6 +295,39 @@ class TestQuadraturePath:
             exact = apply_S0_gaussian(tau, g, params).values_on(grid.nodes)
             err = np.max(np.abs(out.values - exact)) / np.max(np.abs(exact))
             assert err <= 1e-6
+
+    def test_clenshaw_curtis_rule(self):
+        # each order's rule integrates every monomial up to degree n + 1,
+        # and its nodes are the even nodes of the next order
+        for n in _ORDERS:
+            x_cc, w_cc = _clenshaw_curtis(n)
+            assert x_cc.size == w_cc.size == n + 1
+            assert math.fsum(w_cc) == pytest.approx(2.0, abs=1e-15)
+            for k in range(n + 2):
+                exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+                assert np.dot(w_cc, x_cc ** k) == pytest.approx(exact,
+                                                              abs=1e-15), k
+            if 2 * n in _ORDERS:
+                assert np.array_equal(_clenshaw_curtis(2 * n)[0][::2], x_cc)
+
+    def test_even_spline_is_the_mirrored_cubic_spline(self):
+        # scipy's not-a-knot spline through the data mirrored through the
+        # axis, on [0, rho_max]: inside the cells, at the nodes and at the
+        # clipped end of the last panel
+        for drho in (0.01, 0.1):
+            grid = RadialGrid.uniform(16.0, drho)
+            rho = grid.nodes
+            s = np.concatenate([np.linspace(0.0, 16.0, 20001), rho])
+            for values in (GaussianDatum(1.3, 0.8).values_on(rho),
+                           np.where(rho < 1.0, (1.0 - rho ** 2) ** 2, 0.0),
+                           1.0 / (1.0 + rho ** 2)):
+                mirrored = CubicSpline(np.concatenate([-rho[:0:-1], rho]),
+                                       np.concatenate([values[:0:-1],
+                                                       values]))
+                got = _even_spline(RadialFunction(grid=grid,
+                                                  values=values))(s)
+                assert np.max(np.abs(got - mirrored(s))) <= (
+                    1e-15 * np.max(np.abs(values)))
 
     def test_angular_factor_against_independent_oracles(self):
         # elementary and Bessel forms of J in d = 3 and d = 4, and the Beta
@@ -297,14 +345,16 @@ class TestQuadraturePath:
 
     def test_angular_factor_against_mpmath(self):
         # 40-digit Kummer function, on both sides of the switches between
-        # the Kummer and Bessel forms at beta = 2 and 1e8 and at d = 63;
-        # at d = 103 and 345 the Bessel form would lose or overflow
+        # the series and the Bessel forms at beta = 2, the Bessel and Kummer
+        # forms at 1e8 and at d = 63, and across the series' range (0, 2);
+        # at d = 100, 103 and 345 the Bessel form would lose or overflow
         switches = [2.0, 1e8]
         beta = np.concatenate([
             [0.0, 1e-300], np.logspace(-12.0, 12.0, 49), switches,
+            np.linspace(0.1, 1.9, 19),
             [np.nextafter(b, 0.0) for b in switches],
             [np.nextafter(b, np.inf) for b in switches]])
-        for d in [*range(3, 13), 63, 64, 103, 345]:
+        for d in [*range(3, 13), 63, 64, 100, 103, 345]:
             with mpmath.workdps(40):
                 nu = mpmath.mpf(d - 3) / 2
                 exact = [float(2 ** (2 * nu + 1) * mpmath.beta(nu + 1, nu + 1)
@@ -368,8 +418,11 @@ class TestQuadraturePath:
         assert np.max(np.abs(out - exact)) <= 1e-6 * np.max(exact)
 
     def test_unconverged_block_raises(self, monkeypatch):
-        # a kernel proportional to the number of quadrature points doubles
-        # every total along the ladder, so no node can converge
+        # a kernel equal to the number of points it is called on scales
+        # each level of the nested ladder by the count of nodes that level
+        # adds (25, 24, 48, 96 and 192 per panel): the totals move by 2%
+        # at the second order and by 48% to 95% at the later ones, so no
+        # node whose integral clears the floor can converge
         monkeypatch.setattr(semigroup, "_angular_factor",
                             lambda beta, d: np.full(np.shape(beta),
                                                     float(np.size(beta))))
