@@ -9,7 +9,9 @@ solves
 Every alpha > 0 gives a bounded profile with a finite tail limit
 ell(alpha) = lim rho^(2/(p-1)) U(rho).  Shooting starts from a fourth-order
 Taylor expansion at a small rho_0 (the (d-1)/rho coefficient is singular at
-the origin) and integrates with an adaptive embedded Runge-Kutta method.
+the origin) and integrates with an adaptive embedded Runge-Kutta method:
+_dop853, the arithmetic of scipy's solve_ivp DOP853 bit for bit in a lean
+loop, which the spectral module's phase matching and eigenfunctions share.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .exceptions import DomainError, IntegrationError, TailNotResolvedError
 from .exponents import ProblemParams, odd_power
@@ -190,11 +192,170 @@ def _rhs(params: ProblemParams):
     d, p = params.d, float(params.p)
 
     def f(rho, y):
-        u, du = y
+        u, du = y.tolist()
         nl = math.copysign(abs(u) ** p, u)
         return (du, -((d - 1.0) / rho + 0.5 * rho) * du - u / (p - 1.0) - nl)
 
     return f
+
+
+# scipy's DOP853 tableau (Hairer, Norsett and Wanner, Solving ODEs I, II.5):
+# each stage s >= 1 with its row cut to the first s entries and its node, for
+# the 12 stages of a step and the 3 more of its interpolant
+_STAGES = [(s, DOP853.A[s, :s], float(DOP853.C[s]))
+           for s in range(1, DOP853.n_stages)]
+_EXTRA = [(s, a[:s], float(c)) for s, (a, c) in enumerate(
+    zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
+_REACHED_END = ("The solver successfully reached the end of the integration "
+                "interval.")
+
+
+@dataclass
+class _Dop853Result:
+    """What solve_ivp returns, as far as the package reads it."""
+
+    t: np.ndarray
+    y: np.ndarray
+    success: bool
+    message: str
+    nfev: int
+    sol: Optional["_DenseSteps"]
+
+
+class _DenseSteps:
+    """The dense output of a _dop853 run: per step its start t_old, width h,
+    start state y_old and DOP853's 7 interpolant rows F, stacked so that a
+    call evaluates all its points at once.  A point takes its step as
+    scipy's OdeSolution picks it (on a step boundary the step with the
+    lower index, outside the span the end step), and the rows are summed in
+    Dop853DenseOutput's order, so every value is scipy's to the bit."""
+
+    def __init__(self, ts, t_old, h, y_old, rows):
+        self._ascending = ts[-1] >= ts[0]
+        self._side = "left" if self._ascending else "right"
+        self._ts_sorted = ts if self._ascending else ts[::-1]
+        self._t_old, self._h = t_old, h
+        self._y_old = y_old.T.copy()                    # (n, steps)
+        self._rows = rows.transpose(1, 2, 0).copy()     # (7, n, steps)
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        pts = t.reshape(-1)
+        last = self._h.size - 1
+        seg = np.searchsorted(self._ts_sorted, pts, side=self._side) - 1
+        np.clip(seg, 0, last, out=seg)
+        if not self._ascending:
+            seg = last - seg
+        x = (pts - self._t_old[seg]) / self._h[seg]
+        y = np.zeros((self._y_old.shape[0], pts.size))
+        for i, row in enumerate(self._rows[::-1]):
+            y += row[:, seg]            # one row gathered at a time
+            y *= x if i % 2 == 0 else 1 - x
+        y += self._y_old[:, seg]
+        return y[:, 0] if t.ndim == 0 else y
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a vector, as scipy's step control takes it."""
+    return math.sqrt(x.dot(x))
+
+
+def _dop853(rhs, span, y0, dense: bool = False) -> _Dop853Result:
+    """y' = rhs(rho, y) from y0 at span[0] to span[1] != span[0] by the
+    floating-point operations of scipy's solve_ivp(method="DOP853",
+    rtol=RTOL, atol=ATOL): the same initial step, stages, error estimate
+    and step control, and with dense the same interpolant (None when no
+    step was taken), so every result bit is scipy's.  rhs gets rho as a
+    float and the state as an array and returns a sequence of floats; nfev
+    counts its calls as scipy does.  The stage, error and interpolant sums
+    stay numpy dot products, which OpenBLAS rounds with fused
+    multiply-adds; the step control runs on Python floats.  When the step
+    falls below ten spacings of rho the run stops there: success False,
+    scipy's message, the last rho reached in t."""
+    t0, tf = float(span[0]), float(span[1])
+    direction = 1.0 if tf >= t0 else -1.0
+    y = np.asarray(y0, dtype=float)
+    n = y.size
+    K_ext = np.empty((DOP853.n_stages + 4, n))
+    K = K_ext[:DOP853.n_stages + 1]
+    K_T, KB_T = K.T, K_ext[:DOP853.n_stages].T
+    stages = [(s, K_ext[:s].T, a, c) for s, a, c in _STAGES]
+    extra = [(s, K_ext[:s].T, a, c) for s, a, c in _EXTRA]
+
+    # select_initial_step
+    K[0] = f0 = np.asarray(rhs(t0, y), dtype=float)
+    scale = ATOL + np.abs(y) * RTOL
+    d0 = _norm(y / scale) / n ** 0.5
+    d1 = _norm(f0 / scale) / n ** 0.5
+    length = abs(tf - t0)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    f1 = np.asarray(rhs(t0 + h0 * direction, y + h0 * direction * f0),
+                    dtype=float)
+    d2 = _norm((f1 - f0) / scale) / n ** 0.5 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, length)
+    nfev = 2
+
+    t = t0
+    ts, ys, steps = [t0], [y], []
+    message = _REACHED_END
+    while direction * (t - tf) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while not h_abs < min_step:     # scipy's test, NaN included
+            t_new = t + h_abs * direction
+            if direction * (t_new - tf) > 0:
+                t_new = tf
+            h = t_new - t
+            h_abs = abs(h)
+            h_arr = np.array(h)     # multiplies an array faster than h
+            for s, k_t, a, c in stages:
+                K[s] = rhs(t + c * h, y + k_t.dot(a) * h_arr)
+            y_new = y + h_arr * KB_T.dot(DOP853.B)
+            K[-1] = rhs(t + h, y_new)
+            nfev += 12
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            e5 = _norm(K_T.dot(DOP853.E5) / scale) ** 2
+            e3 = _norm(K_T.dot(DOP853.E3) / scale) ** 2
+            if e5 == 0 and e3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+            if error_norm < 1:
+                factor = (10 if error_norm == 0
+                          else min(10, 0.9 * error_norm ** -0.125))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
+            rejected = True
+        else:
+            message = DOP853.TOO_SMALL_STEP
+            break
+        if dense:
+            for s, k_t, a, c in extra:
+                K_ext[s] = rhs(t + c * h, y + k_t.dot(a) * h_arr)
+            nfev += 3
+            F = np.empty((7, n))
+            F[0] = delta_y = y_new - y
+            F[1] = h_arr * K[0] - delta_y
+            F[2] = 2 * delta_y - h_arr * (K[-1] + K[0])
+            F[3:] = h_arr * DOP853.D.dot(K_ext)
+            steps.append((t, h, y, F))
+        K[0] = K[-1]
+        t, y = t_new, y_new
+        ts.append(t)
+        ys.append(y)
+    sol = None
+    if steps:
+        sol = _DenseSteps(np.array(ts), *map(np.array, zip(*steps)))
+    return _Dop853Result(t=np.array(ts), y=np.array(ys).T,
+                         success=message is _REACHED_END, message=message,
+                         nfev=nfev, sol=sol)
 
 
 def integrate_profile(alpha: float, params: ProblemParams, rho_end: float):
@@ -204,8 +365,7 @@ def integrate_profile(alpha: float, params: ProblemParams, rho_end: float):
     require_positive("rho_end", rho_end)
     r0 = _start_rho(alpha, params)
     y0 = series_start(alpha, params, r0)
-    sol = solve_ivp(_rhs(params), (r0, rho_end), y0, method="DOP853",
-                    rtol=RTOL, atol=ATOL, dense_output=True)
+    sol = _dop853(_rhs(params), (r0, rho_end), y0, dense=True)
     if not sol.success or not np.all(np.isfinite(sol.y)):
         raise IntegrationError(
             f"profile integration failed at alpha={alpha}: {sol.message}",

@@ -27,7 +27,9 @@ independent routes are implemented:
   point rho_m, where the miss is smooth in lambda.  Safeguarded Newton
   steps on it, with the lambda-derivatives carried along both
   integrations, converge in a few evaluations (the matching-point method,
-  Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).
+  Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).  Counts
+  run on Hairer's Fortran DOP853; the matching and the eigenfunctions run
+  on profiles._dop853, which repeats scipy's solve_ivp DOP853 bit for bit.
 
 * a symmetric finite-difference matrix.  The substitution g = sqrt(w) f
   turns the conservative discretization of (1/w)(w f')' into a symmetric
@@ -46,7 +48,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
+# solve_ivp stays bound here: bench/instrument.py wraps this name
+from scipy.integrate import ode, solve_ivp  # noqa: F401
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .exceptions import (
@@ -64,6 +67,7 @@ from .profiles import (
     RTOL,
     ExpanderProfile,
     RadialGrid,
+    _dop853,
     _start_rho,
     integrate_profile,
     log_weight,
@@ -77,7 +81,7 @@ from .profiles import (
 LAMBDA_TOL = 1e-11      # eigenvalue_shoot's final bracket width
 ALPHA_STAR_BRACKET = (0.1, 50.0)     # find_alpha_star's default
 # step cap of the Fortran DOP853; its default of 500 is in reach (a (11,7)
-# count at alpha = 50 takes about 490 steps), and solve_ivp has none
+# count at alpha = 50 takes about 490 steps), and profiles._dop853 has none
 MAX_STEPS = 10 ** 6
 # slack of each inequality of theta_end's early-stop certificate, far above
 # the phase error left at the stop once MAX_PHASE_GROWTH holds (under 3e-8
@@ -215,11 +219,12 @@ class _PhaseShooter:
         arithmetic on Python floats; interpolating a precomputed profile per
         evaluation is several times slower.  A count needs only the end
         phase, so this runs on Hairer's Fortran DOP853 (_integrate_to_end),
-        about four times cheaper than solve_ivp's DOP853 with the same
-        tolerances; the two phases agree to about 1e-9 at the stop, and a
-        count only reads floor(theta / pi).  match_phases stays on
-        solve_ivp: its phases set the low bits of each eigenvalue, which the
-        other step control would move (lambda_bar by about 5e-12).
+        about twice as cheap as profiles._dop853 with the same tolerances;
+        the two phases agree to about 1e-9 at the stop, and a count only
+        reads floor(theta / pi).  match_phases and solve_f run on
+        profiles._dop853, scipy's DOP853 arithmetic bit for bit: their
+        phases set the low bits of each eigenvalue, which the Fortran step
+        control would move (lambda_bar by about 5e-12).
         """
         key = float(lam)
         if key in self._theta_cache:
@@ -340,7 +345,6 @@ class _PhaseShooter:
 
         def fwd(rho, y):
             theta, eta, u, du = y.tolist()
-            rho = float(rho)
             w = (d - 1.0) / rho + 0.5 * rho
             au = abs(u)
             rates = _phase_rates(theta, eta, c0 + p * au ** (p - 1.0), w)
@@ -348,7 +352,6 @@ class _PhaseShooter:
 
         def bwd(rho, y):
             theta, eta = y.tolist()
-            rho = float(rho)
             return _phase_rates(theta, eta, c0 + v(rho),
                                 (d - 1.0) / rho + 0.5 * rho)
 
@@ -363,8 +366,7 @@ class _PhaseShooter:
                  (math.atan2(f0, df0), eta0, u0, du0)),
                 (bwd, (self.rho_max, rho_m),
                  (self.theta_target(lam), eta_max))):
-            sol = solve_ivp(rhs, span, state0, method="DOP853",
-                            rtol=RTOL, atol=ATOL)
+            sol = _dop853(rhs, span, state0)
             if not sol.success:
                 raise IntegrationError(
                     f"phase matching failed (alpha={self.alpha}, lam={lam}): "
@@ -381,12 +383,10 @@ class _PhaseShooter:
 
         def rhs(rho, y):
             f, df = y.tolist()
-            rho = float(rho)
             w = (d - 1.0) / rho + 0.5 * rho
             return (df, -w * df - (c0 + v(rho)) * f)
 
-        sol = solve_ivp(rhs, rho_span, (f0, df0), method="DOP853",
-                        rtol=RTOL, atol=ATOL, dense_output=True)
+        sol = _dop853(rhs, rho_span, (f0, df0), dense=True)
         if not sol.success or not np.all(np.isfinite(sol.y)):
             raise IntegrationError(
                 f"eigenfunction integration failed: {sol.message}",

@@ -1,13 +1,18 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import simpson, solve_ivp
 
-from expanderlab import profiles
+from expanderlab import profiles, spectral
 from expanderlab.exceptions import DomainError
 from expanderlab.exponents import derived_exponents
 from expanderlab.profiles import (
+    ATOL,
+    DEFAULT_GRID,
+    RTOL,
     RadialGrid,
     estimate_ell,
     fit_tail_exponent,
@@ -17,7 +22,11 @@ from expanderlab.profiles import (
     shoot_profile,
     sweep_ell,
 )
-from expanderlab.spectral import _PhaseShooter
+from expanderlab.spectral import (
+    _matching_point,
+    _PhaseShooter,
+    _reconstruct_eigenfunction,
+)
 
 # Frozen tail constants from the independent fixed-step RK4 oracle
 # (h = 0.002, evaluation radii 80 and 160, rho^-2 Richardson elimination;
@@ -289,3 +298,147 @@ class TestOracleAgainstFrozen:
         a, b = 80.0 ** -2, 160.0 ** -2
         ell = (w1 * b - w2 * a) / (b - a)
         assert ell == pytest.approx(ELL_ORACLE[(5, 3.0, 1.0)], abs=5e-6)
+
+
+# alpha* of find_alpha_star's default bracket and tolerance; (11, 7), past
+# Joseph-Lundgren, has none
+ALPHA_STAR = {(5, 3.0): 1.716244191676378, (3, 2.0): 0.5802039854228498}
+
+
+class TestDop853:
+    """profiles._dop853 returns solve_ivp's DOP853 result bit for bit."""
+
+    @staticmethod
+    def assert_as_solve_ivp(rhs, span, y0, dense):
+        ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=RTOL, atol=ATOL,
+                        dense_output=dense)
+        got = profiles._dop853(rhs, span, y0, dense=dense)
+        assert np.array_equal(got.t, ref.t)
+        assert np.array_equal(got.y, ref.y)
+        assert got.nfev == ref.nfev
+        assert (got.success, got.message) == (ref.success, ref.message)
+        if not dense or ref.t.size == 1:
+            assert got.sol is None
+            return
+        lo, hi = sorted(span)
+        # every default-grid node, every step end, and past both ends
+        pts = np.concatenate([DEFAULT_GRID.nodes, ref.t, [lo - 0.5, hi + 1.0]])
+        assert np.array_equal(got.sol(pts), ref.sol(pts), equal_nan=True)
+        mid = 0.5 * (lo + hi)
+        assert got.sol(mid).shape == (len(y0),)
+        assert np.array_equal(got.sol(mid), ref.sol(mid), equal_nan=True)
+
+    @pytest.mark.parametrize("d, p, alpha", [
+        (5, 3.0, 0.5), (5, 3.0, 5.0), (5, 3.0, ALPHA_STAR[(5, 3.0)]),
+        (3, 2.0, 0.5), (3, 2.0, 5.0), (3, 2.0, ALPHA_STAR[(3, 2.0)]),
+        (11, 7.0, 0.5), (11, 7.0, 5.0)])
+    def test_profile(self, d, p, alpha):
+        params = derived_exponents(d, p)
+        r0 = profiles._start_rho(alpha, params)
+        self.assert_as_solve_ivp(profiles._rhs(params), (r0, 16.0),
+                                 series_start(alpha, params, r0), True)
+
+    @pytest.mark.parametrize("d, p, alpha, lam", [
+        (5, 3.0, ALPHA_STAR[(5, 3.0)], 0.0), (11, 7.0, 5.0, -3.2)])
+    def test_phase_and_eigenfunction_legs(self, monkeypatch, d, p, alpha, lam):
+        """The forward phase (4 components), the backward phase (2, on a
+        decreasing span) and both legs of solve_f, on the shooter's own
+        right-hand sides."""
+        sh = _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
+        rho_m = _matching_point(sh, lam, DEFAULT_GRID.nodes)
+        sh.potential                    # integrates the profile first
+        calls = []
+        real = profiles._dop853
+
+        def spy(rhs, span, y0, dense=False):
+            calls.append((rhs, span, y0, dense))
+            return real(rhs, span, y0, dense)
+
+        monkeypatch.setattr(spectral, "_dop853", spy)
+        sh.match_phases(lam, rho_m)
+        _reconstruct_eigenfunction(sh, lam, DEFAULT_GRID, rho_m)
+        sizes = [(len(y0), span[1] < span[0], dense)
+                 for _, span, y0, dense in calls]
+        assert sizes == [(4, False, False), (2, True, False),
+                         (2, False, True), (2, True, True)]
+        for call in calls:
+            self.assert_as_solve_ivp(*call)
+
+    @staticmethod
+    def harmonic(rho, y):
+        u, du = y.tolist()
+        return (du, -u)
+
+    @pytest.mark.parametrize("span", [(0.0, 14.0), (2.0, -12.0)])
+    def test_boundary_point_takes_the_earlier_step(self, span):
+        """A point on a step boundary takes the step with the lower index,
+        as OdeSolution picks it.  The two steps that meet there give the
+        same bits, so the right-hand side turns NaN around the first
+        interpolant node of the third step (rho_old + 0.1 h), where no stage
+        of a step lands: that step's interpolant is NaN at both its ends,
+        its neighbours' are not."""
+        t = profiles._dop853(self.harmonic, span, (1.0, 0.0)).t
+        ends = (t[2] + 0.09 * (t[3] - t[2]), t[2] + 0.11 * (t[3] - t[2]))
+
+        def rhs(rho, y):
+            if min(ends) < rho < max(ends):
+                return (math.nan, math.nan)
+            return self.harmonic(rho, y)
+
+        self.assert_as_solve_ivp(rhs, span, (1.0, 0.0), True)
+        sol = profiles._dop853(rhs, span, (1.0, 0.0), True).sol
+        assert np.isnan(sol(t[3])).all()
+        assert not np.isnan(sol(t[[1, 2, 4]])).any()
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_failing_run(self, dense):
+        """A right-hand side that turns NaN past rho = 3 fails as solve_ivp
+        fails: the step control rejects every NaN trial step until the step
+        underflows, at the same last rho, with the same message."""
+        def rhs(rho, y):
+            return self.harmonic(rho, y) if rho < 3.0 else (math.nan, math.nan)
+
+        self.assert_as_solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), dense)
+        got = profiles._dop853(rhs, (0.0, 10.0), (1.0, 0.0), dense)
+        assert not got.success and 2.5 < got.t[-1] < 3.0
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_run_failing_on_its_first_step(self, dense):
+        """No step is taken: t holds the start alone, and there is no
+        interpolant."""
+        def rhs(rho, y):
+            return self.harmonic(rho, y) if rho == 0.0 else (math.nan,) * 2
+
+        self.assert_as_solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), dense)
+        got = profiles._dop853(rhs, (0.0, 10.0), (1.0, 0.0), dense)
+        assert not got.success and got.t.tolist() == [0.0]
+
+
+def test_right_hand_sides_die_with_their_call(monkeypatch):
+    """No reference cycle keeps a right-hand side alive after its call:
+    with the collector off, every rhs that integrate_profile, match_phases
+    and solve_f hand to _dop853 is freed as soon as the call returns (a
+    solve_ivp solver and its wrapped rhs form a cycle, which kept whatever
+    the rhs closed over alive until a full collection)."""
+    refs = []
+    real = profiles._dop853
+
+    def spy(rhs, span, y0, dense=False):
+        refs.append(weakref.ref(rhs))
+        return real(rhs, span, y0, dense)
+
+    monkeypatch.setattr(profiles, "_dop853", spy)
+    monkeypatch.setattr(spectral, "_dop853", spy)
+    sh = _PhaseShooter(ALPHA_STAR[(5, 3.0)], derived_exponents(5, 3.0), 16.0)
+    gc.disable()
+    try:
+        for call in (lambda: integrate_profile(sh.alpha, sh.params, 16.0),
+                     lambda: sh.match_phases(0.0, 2.0),
+                     lambda: sh.solve_f(0.0, (16.0, 2.0), 1.0,
+                                        sh.decay_slope(0.0))):
+            before = len(refs)
+            call()
+            assert len(refs) > before
+            assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
