@@ -27,6 +27,14 @@ from expanderlab.semigroup import (
 )
 
 
+# the beta grid of the angular-factor tests: zero, the tiny and the huge,
+# a sweep of (0, 2), and both sides of 2 and 1e8
+ANGULAR_BETA = np.concatenate([
+    [0.0, 1e-300], np.logspace(-12.0, 12.0, 49), [2.0, 1e8],
+    np.linspace(0.1, 1.9, 19), np.nextafter([2.0, 1e8], 0.0),
+    np.nextafter([2.0, 1e8], np.inf)])
+
+
 @pytest.fixture(scope="module")
 def grid():
     return RadialGrid.uniform(16.0, 0.01)
@@ -281,11 +289,9 @@ class TestGaussianSemigroup:
 
 
 class TestQuadraturePath:
-    # above beta = 2, odd d <= 9 take the elementary branch of J; odd d > 9
-    # and every even d take scipy's ive
-    @pytest.mark.parametrize("d", [
-        4, 5, 6, *(pytest.param(d, marks=pytest.mark.slow)
-                   for d in (3, 7, 8, 9, 10, 11, 12))])
+    # J switches from its series to its large-beta expansion at beta_c: 2
+    # for odd d <= 9, 3.2 at d = 11 and 18 for even d
+    @pytest.mark.parametrize("d", range(3, 13))
     def test_matches_closed_form_on_gaussians(self, grid, d):
         params = derived_exponents(d, 3.0)
         g = GaussianDatum(1.3, 0.8)
@@ -343,18 +349,30 @@ class TestQuadraturePath:
             assert _angular_factor(0.0, d) == pytest.approx(
                 special.beta(0.5, nu + 1.0), rel=1e-12)
 
+    def test_angular_factor_at_zero_is_the_exact_beta(self):
+        # J(0) = B(1/2, nu + 1): correctly rounded for odd d, where it is
+        # rational, and within an ulp for even d, where it is pi times one
+        for d in range(3, 14):
+            with mpmath.workdps(40):
+                exact = float(mpmath.beta(0.5, mpmath.mpf(d - 1) / 2))
+            got = _angular_factor(0.0, d)
+            if d % 2:
+                assert got == exact, d
+            else:
+                assert abs(got - exact) <= math.ulp(exact), d
+
     def test_angular_factor_against_mpmath(self):
-        # 40-digit Kummer function, on both sides of the switches between
-        # the series and the Bessel forms at beta = 2, the Bessel and Kummer
-        # forms at 1e8 and at d = 63, and across the series' range (0, 2);
-        # at d = 100, 103 and 345 the Bessel form would lose or overflow
-        switches = [2.0, 1e8]
-        beta = np.concatenate([
-            [0.0, 1e-300], np.logspace(-12.0, 12.0, 49), switches,
-            np.linspace(0.1, 1.9, 19),
-            [np.nextafter(b, 0.0) for b in switches],
-            [np.nextafter(b, np.inf) for b in switches]])
-        for d in [*range(3, 13), 63, 64, 100, 103, 345]:
+        # 40-digit Kummer function on the shared grid and on both sides of
+        # the crossover beta_c between the series and the expansion; d = 63
+        # and 64 straddle the switch to hyp1f1, which alone serves d = 100,
+        # 103 and 345
+        for d in [*range(3, 14), 20, 40, 62, 63, 64, 100, 103, 345]:
+            beta = ANGULAR_BETA
+            if d <= 63:
+                beta_c = semigroup._angular_forms(d)[0]
+                beta = np.concatenate([beta, [
+                    beta_c, np.nextafter(beta_c, 0.0),
+                    np.nextafter(beta_c, np.inf)]])
             with mpmath.workdps(40):
                 nu = mpmath.mpf(d - 3) / 2
                 exact = [float(2 ** (2 * nu + 1) * mpmath.beta(nu + 1, nu + 1)
@@ -364,17 +382,34 @@ class TestQuadraturePath:
             np.testing.assert_allclose(_angular_factor(beta, d), exact,
                                        rtol=1e-12, err_msg=f"d = {d}")
 
+    def test_angular_factor_leaves_scipy_special_alone(self, monkeypatch):
+        # for d <= 63 both forms are summed in the package, so a quadrature
+        # in even d runs with scipy.special's Bessel, Kummer, Beta and Gamma
+        # functions made to raise
+        def refuse(*args):
+            raise AssertionError("scipy.special was called")
+
+        for name in ("ive", "hyp1f1", "beta", "gamma"):
+            monkeypatch.setattr(special, name, refuse)
+        for d in range(3, 64):
+            assert np.all(np.isfinite(_angular_factor(ANGULAR_BETA, d))), d
+        grid = RadialGrid.uniform(16.0, 0.1)
+        f = RadialFunction(grid=grid,
+                           values=GaussianDatum(1.3, 0.8).values_on(grid.nodes))
+        assert np.all(np.isfinite(
+            apply_S0(0.1, f, derived_exponents(4, 3.0)).values))
+
     def test_elementary_branch_against_mpmath(self):
-        # 40-digit Kummer function on the Bessel branch for odd d: the
-        # elementary sum (d <= 9) and scipy's ive past the cap (d = 11, 13).
-        # Just above beta = 2 the sum cancels as d grows: there the
-        # docstring's 3e-14 holds for the sum up to d = 9 only (1e-13 at
-        # d = 11, 2e-12 at d = 13), so a higher cap fails one of the checks
+        # 40-digit Kummer function from beta = 2 up.  For odd d the
+        # expansion's finite sum starts at beta_c and cancels most just
+        # above it: 3e-14 holds there for d <= 9 (beta_c = 2), while d = 11
+        # and 13 keep [2, 2.1] on the series (beta_c = 3.2 and 5).  Even d
+        # take the series up to beta_c = 18 and the asymptotic series past it
         near = np.linspace(2.0, 2.1, 101)
         beta = np.concatenate([
             near, np.geomspace(2.1, 64.0, 201), np.geomspace(64.0, 1e8, 41),
             [np.nextafter(2.0, 0.0), np.nextafter(2.0, np.inf)]])
-        for d in range(3, 14, 2):
+        for d in [*range(3, 14, 2), *range(4, 13, 2)]:
             with mpmath.workdps(40):
                 nu = mpmath.mpf(d - 3) / 2
                 scale = 2 ** (2 * nu + 1) * mpmath.beta(nu + 1, nu + 1)
