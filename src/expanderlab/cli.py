@@ -336,7 +336,7 @@ def _cmd_semigroup_check(cfg: RunConfig, writer: ArtifactWriter) -> int:
 
     samples = [GaussianDatum(1.0, float(v))
                for v in rng.uniform(0.3, 3.0, 3)]
-    report = verify_smoothing(1.0, 2.0, 1.0, 2.0, samples, params)
+    report = verify_smoothing(samples, params)
     ok = ok and report.passed
 
     # semigroup law spot check on the closed form

@@ -100,8 +100,8 @@ def _fd_weights(offsets, order: int) -> np.ndarray:
     return np.linalg.solve(van, rhs)
 
 
-def calibrated_beta(v: np.ndarray, h: float, params: ProblemParams,
-                    rho_max: float) -> float:
+def calibrated_beta(v: np.ndarray, grid: RadialGrid,
+                    params: ProblemParams) -> float:
     """Outer Robin coefficient read off the data's own tail.
 
     beta = -v'(rho_max)/v(rho_max) with a fourth-order one-sided
@@ -111,8 +111,8 @@ def calibrated_beta(v: np.ndarray, h: float, params: ProblemParams,
     """
     vmax = float(np.max(np.abs(v)))
     if v[-1] == 0.0 or abs(v[-1]) < 1e-10 * vmax:
-        return robin_beta(params, rho_max)
-    dv = float(np.dot(_EDGE_D1, v[-5:])) / h
+        return robin_beta(params, grid.rho_max)
+    dv = float(np.dot(_EDGE_D1, v[-5:])) / grid.drho
     return -dv / float(v[-1])
 
 
@@ -340,8 +340,7 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
     if not np.max(np.abs(v)) <= blowup:
         raise DomainError(f"initial data must be finite with max|v| <= "
                           f"{blowup:g}, the blow-up threshold")
-    beta = None if potential is not None else calibrated_beta(
-        v, grid.drho, params, grid.rho_max)
+    beta = None if potential is not None else calibrated_beta(v, grid, params)
     stepper = _CrankNicolson(grid, params, potential, beta)
     kit = _NormKit(grid, params)
 

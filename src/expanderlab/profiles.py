@@ -165,27 +165,19 @@ def series_coefficients(alpha: float, params: ProblemParams):
     return c2, c4
 
 
-def series_start(alpha: float, params: ProblemParams, rho0: float):
-    """Evaluate the fourth-order Taylor start (U, U') at rho0."""
+def series_start(alpha: float, params: ProblemParams):
+    """(rho0, U, U') of the fourth-order Taylor start, the one start of every
+    profile and phase integration at alpha.  rho0 is RHO0_DEFAULT, shrunk
+    when the curvature scale is below it so that the quadratic term stays a
+    tiny correction: |c2| rho0^2 <= 1e-9 max(alpha, 1)."""
     require_alpha(alpha)
-    if not 0.0 < rho0 < 1.0:
-        raise DomainError("rho0 must lie in (0, 1)")
     c2, c4 = series_coefficients(alpha, params)
+    rho0 = RHO0_DEFAULT
+    if c2 != 0.0:
+        rho0 = min(rho0, math.sqrt(1e-9 * max(abs(alpha), 1.0) / abs(c2)))
     u = alpha + c2 * rho0 ** 2 + c4 * rho0 ** 4
     du = 2.0 * c2 * rho0 + 4.0 * c4 * rho0 ** 3
-    return u, du
-
-
-def _start_rho(alpha: float, params: ProblemParams) -> float:
-    """Shrink rho0 when the curvature scale is below the default start.
-
-    The quadratic term must stay a tiny correction: |c2| rho0^2 <= 1e-9 alpha.
-    """
-    c2, _ = series_coefficients(alpha, params)
-    if c2 == 0.0:
-        return RHO0_DEFAULT
-    safe = math.sqrt(1e-9 * max(abs(alpha), 1.0) / abs(c2))
-    return min(RHO0_DEFAULT, safe)
+    return rho0, u, du
 
 
 def _rhs(params: ProblemParams):
@@ -271,7 +263,8 @@ def _dop853(rhs, span, y0, dense: bool = False) -> _Dop853Result:
     stay numpy dot products, which OpenBLAS rounds with fused
     multiply-adds; the step control runs on Python floats.  When the step
     falls below ten spacings of rho the run stops there: success False,
-    scipy's message, the last rho reached in t."""
+    scipy's message, the last rho reached in t.  A non-finite y0 or first
+    right-hand side (solve_ivp never returns on it) fails at t = [span[0]]."""
     t0, tf = float(span[0]), float(span[1])
     direction = 1.0 if tf >= t0 else -1.0
     y = np.asarray(y0, dtype=float)
@@ -284,6 +277,11 @@ def _dop853(rhs, span, y0, dense: bool = False) -> _Dop853Result:
 
     # select_initial_step
     K[0] = f0 = np.asarray(rhs(t0, y), dtype=float)
+    if not (np.isfinite(y).all() and np.isfinite(f0).all()):
+        # a NaN step size would never fall below the minimum step
+        return _Dop853Result(t=np.array([t0]), y=y[:, None], success=False,
+                             message=f"non-finite start at rho = {t0}",
+                             nfev=1, sol=None)
     scale = ATOL + np.abs(y) * RTOL
     d0 = _norm(y / scale) / n ** 0.5
     d1 = _norm(f0 / scale) / n ** 0.5
@@ -359,25 +357,22 @@ def _dop853(rhs, span, y0, dense: bool = False) -> _Dop853Result:
 
 
 def integrate_profile(alpha: float, params: ProblemParams, rho_end: float):
-    """Integrate the profile ODE once from rho0 = _start_rho(alpha, params)
-    to rho_end; returns the dense solution object and rho0."""
-    require_alpha(alpha)
+    """Integrate the profile ODE once from series_start's rho0 to rho_end;
+    returns the dense solution object (rho0 is its t[0])."""
     require_positive("rho_end", rho_end)
-    r0 = _start_rho(alpha, params)
-    y0 = series_start(alpha, params, r0)
+    r0, *y0 = series_start(alpha, params)
     sol = _dop853(_rhs(params), (r0, rho_end), y0, dense=True)
     if not sol.success or not np.all(np.isfinite(sol.y)):
         raise IntegrationError(
             f"profile integration failed at alpha={alpha}: {sol.message}",
-            last_rho=float(sol.t[-1]) if sol.t.size else r0)
-    return sol, r0
+            last_rho=float(sol.t[-1]))
+    return sol
 
 
 def profile_on_nodes(alpha: float, params: ProblemParams,
                      nodes: np.ndarray) -> np.ndarray:
     """Profile values U_alpha at arbitrary nodes in (0, rho_max]."""
-    sol, _ = integrate_profile(alpha, params, float(np.max(nodes)))
-    return sol.sol(nodes)[0]
+    return integrate_profile(alpha, params, float(np.max(nodes))).sol(nodes)[0]
 
 
 def _residual_max(grid: RadialGrid, u: np.ndarray, du: np.ndarray,
@@ -401,8 +396,8 @@ def _residual_max(grid: RadialGrid, u: np.ndarray, du: np.ndarray,
 def shoot_profile(alpha: float, params: ProblemParams,
                   grid: RadialGrid = DEFAULT_GRID) -> ExpanderProfile:
     """Shoot the profile for one alpha and sample it on the grid."""
-    sol, _ = integrate_profile(alpha, params, grid.rho_max)
-    return sample_profile(sol, alpha, params, grid)
+    return sample_profile(integrate_profile(alpha, params, grid.rho_max),
+                          alpha, params, grid)
 
 
 def sample_profile(sol, alpha: float, params: ProblemParams,

@@ -68,7 +68,6 @@ from .profiles import (
     ExpanderProfile,
     RadialGrid,
     _dop853,
-    _start_rho,
     integrate_profile,
     log_weight,
     require_alpha,
@@ -147,14 +146,22 @@ class _PhaseShooter:
     Every public call takes the one _shooter holds for its (alpha, params,
     rho_max), so separate calls at one alpha, and matrix_spectrum's
     profile, share one integration and one set of pairs.  Phase and
-    profile (integrate_profile) both start at rho0 = _start_rho(alpha, params).
+    profile (integrate_profile) both start from series_start's (rho0, U,
+    U'), taken here once with _eigen_series' terms V(0), V2 of V on the axis.
     """
 
     def __init__(self, alpha: float, params: ProblemParams, rho_max: float):
         self.alpha = require_alpha(alpha)
         self.params = params
         self.rho_max = require_positive("rho_max", rho_max)
-        self.rho0 = _start_rho(alpha, params)
+        self.rho0, self.u0, self.du0 = series_start(self.alpha, params)
+        p = params.p
+        if self.alpha > 0:
+            c2, _ = series_coefficients(self.alpha, params)
+            self._v0 = p * self.alpha ** (p - 1.0)
+            self._v2 = p * (p - 1.0) * self.alpha ** (p - 2.0) * c2
+        else:
+            self._v0 = self._v2 = 0.0
         self._dense = None
         self._potential = None
         self._theta_cache = {}
@@ -163,24 +170,17 @@ class _PhaseShooter:
     @property
     def _usol(self):
         if self._dense is None:
-            self._dense, _ = integrate_profile(self.alpha, self.params,
-                                               self.rho_max)
+            self._dense = integrate_profile(self.alpha, self.params,
+                                            self.rho_max)
         return self._dense
 
     def _eigen_series(self, lam: float):
         """Regular-solution Taylor start f = 1 + b2 rho^2 + b4 rho^4 at rho0:
         (f, f') and their lambda-derivatives."""
         d, p = self.params.d, self.params.p
-        alpha = self.alpha
-        if alpha > 0:
-            v0 = p * alpha ** (p - 1.0)
-            c2, _ = series_coefficients(alpha, self.params)
-            v2 = p * (p - 1.0) * alpha ** (p - 2.0) * c2
-        else:
-            v0 = v2 = 0.0
-        kappa0 = 1.0 / (p - 1.0) + v0 - lam
+        kappa0 = 1.0 / (p - 1.0) + self._v0 - lam
         b2 = -kappa0 / (2.0 * d)
-        b4 = -(b2 * (1.0 + kappa0) + v2) / (4.0 * d + 8.0)
+        b4 = -(b2 * (1.0 + kappa0) + self._v2) / (4.0 * d + 8.0)
         b2_lam = 1.0 / (2.0 * d)
         b4_lam = -(b2_lam * (1.0 + kappa0) - b2) / (4.0 * d + 8.0)
         r0 = self.rho0
@@ -270,8 +270,7 @@ class _PhaseShooter:
             return s * (c + 0.5 * w * s) > STOP_MARGIN
 
         f0, df0, _, _ = self._eigen_series(lam)
-        state0 = (math.atan2(f0, df0),
-                  *series_start(self.alpha, self.params, self.rho0))
+        state0 = (math.atan2(f0, df0), self.u0, self.du0)
         _, end = _integrate_to_end(
             rhs, (self.rho0, self.rho_max), state0, settled,
             f"phase integration (alpha={self.alpha}, lam={lam})")
@@ -312,10 +311,6 @@ class _PhaseShooter:
         return (-0.5 * self.rho_max
                 + 2.0 * (-lam - d / 2.0 + 1.0 / (p - 1.0)) / self.rho_max)
 
-    def theta_target(self, lam: float) -> float:
-        """Phase of the decaying branch at rho_max, principal value."""
-        return math.atan2(1.0, self.decay_slope(lam))
-
     @property
     def potential(self):
         """V(rho) = p |U(rho)|^(p-1) as a scalar function on [rho0, rho_max],
@@ -332,9 +327,9 @@ class _PhaseShooter:
 
         theta_fwd is the phase of the regular solution, integrated from rho0
         with the profile riding along as in theta_end; theta_bwd is the
-        phase of the decaying branch, integrated back from theta_target at
-        rho_max, where going backward is the stable direction.  Both carry
-        eta = dtheta/dlambda, which obeys
+        phase of the decaying branch, integrated back from its principal
+        value atan2(1, decay_slope) at rho_max, where going backward is the
+        stable direction.  Both carry eta = dtheta/dlambda, which obeys
 
             eta' = ((Qt - 1) sin 2 theta + W cos 2 theta) eta - sin^2 theta.
         """
@@ -357,15 +352,14 @@ class _PhaseShooter:
 
         f0, df0, f_lam, df_lam = self._eigen_series(lam)
         eta0 = (df0 * f_lam - f0 * df_lam) / (f0 * f0 + df0 * df0)
-        u0, du0 = series_start(self.alpha, self.params, self.rho0)
         slope = self.decay_slope(lam)
         eta_max = (2.0 / self.rho_max) / (1.0 + slope * slope)
         ends = []
         for rhs, span, state0 in (
                 (fwd, (self.rho0, rho_m),
-                 (math.atan2(f0, df0), eta0, u0, du0)),
+                 (math.atan2(f0, df0), eta0, self.u0, self.du0)),
                 (bwd, (self.rho_max, rho_m),
-                 (self.theta_target(lam), eta_max))):
+                 (math.atan2(1.0, slope), eta_max))):
             sol = _dop853(rhs, span, state0)
             if not sol.success:
                 raise IntegrationError(
@@ -376,7 +370,9 @@ class _PhaseShooter:
         return float(theta_f - theta_b), float(eta_f - eta_b)
 
     def solve_f(self, lam: float, rho_span, f0, df0):
-        """Raw (f, f') integration with the frozen potential."""
+        """Raw (f, f') integration with the frozen potential, forward from
+        rho0 or backward from rho_max; a failed run raises IntegrationError
+        naming that leg, lam and the last rho reached."""
         d = self.params.d
         c0 = 1.0 / (self.params.p - 1.0) - lam
         v = self.potential
@@ -388,9 +384,11 @@ class _PhaseShooter:
 
         sol = _dop853(rhs, rho_span, (f0, df0), dense=True)
         if not sol.success or not np.all(np.isfinite(sol.y)):
+            leg = ("forward from rho0" if rho_span[1] > rho_span[0]
+                   else "backward from rho_max")
             raise IntegrationError(
-                f"eigenfunction integration failed: {sol.message}",
-                last_rho=float(sol.t[-1]))
+                f"eigenfunction integration failed ({leg}, lam={lam}, last "
+                f"rho {sol.t[-1]}): {sol.message}", last_rho=float(sol.t[-1]))
         return sol
 
 
@@ -546,7 +544,7 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     with k interior zeros and is smooth and strictly decreasing in lambda;
     it has the sign of the same miss taken at rho_max = 16, the regular
     solution's phase there (run without theta_end's early stop) less k pi
-    and theta_target, which is nearly a step in lambda.  rho_m is the
+    and the decaying branch's phase, nearly a step in lambda.  rho_m is the
     turning point of _matching_point at the bracket midpoint.  Newton steps
     on m stay inside the sign-change bracket, fall back to bisection, and
     never step less than LAMBDA_TOL / 2, so a converged step lands past the
@@ -610,14 +608,13 @@ def _matching_point(sh: _PhaseShooter, lam: float, nodes) -> float:
 
         Q_eff = 1/(p-1) + V - lam - W^2/4 - W'/2
 
-    on [max(0.05, 2 rho0), rho_max / 2], or its argmax when it has none.
+    on [0.05, rho_max / 2], or its argmax when it has none.
     Past the last turning point the regular solution is exponential and
     its forward phase loses lambda; the backward phase stays clean down to
     it.
     """
     d, p = sh.params.d, sh.params.p
-    r = nodes[(nodes >= max(0.05, 2.0 * sh.rho0))
-              & (nodes <= 0.5 * sh.rho_max)]
+    r = nodes[(nodes >= 0.05) & (nodes <= 0.5 * sh.rho_max)]
     v = p * np.abs(sh._usol.sol(r)[0]) ** (p - 1.0)
     w = (d - 1.0) / r + 0.5 * r
     dw = 0.5 - (d - 1.0) / r ** 2

@@ -99,7 +99,7 @@ class TestStepImex:
         assert log.final.tau == 0.01
         # the self-calibrated Robin row, the nonlinearity as the source
         stepper = _CrankNicolson(grid, params53, beta=calibrated_beta(
-            u, grid.drho, params53, grid.rho_max))
+            u, grid, params53))
         np.testing.assert_array_equal(
             log.final.v, stepper.step(u, 0.01, odd_power(u, params53.p)))
 

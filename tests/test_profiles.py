@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import math
+import signal
 import weakref
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from scipy.integrate import simpson, solve_ivp
 
 from expanderlab import profiles, spectral
-from expanderlab.exceptions import DomainError
+from expanderlab.exceptions import DomainError, IntegrationError
 from expanderlab.exponents import derived_exponents
 from expanderlab.profiles import (
     ATOL,
@@ -92,7 +94,7 @@ class TestSeriesStart:
 
     def test_zero_alpha_is_zero_solution(self):
         params = derived_exponents(5, 3.0)
-        u, du = series_start(0.0, params, 1e-4)
+        _, u, du = series_start(0.0, params)
         assert u == 0.0 and du == 0.0
 
     def test_coefficient_identity_random_alpha(self):
@@ -106,7 +108,7 @@ class TestSeriesStart:
     def test_negative_alpha_rejected(self):
         params = derived_exponents(5, 3.0)
         with pytest.raises(DomainError):
-            series_start(-1.0, params, 1e-4)
+            series_start(-1.0, params)
 
 
 _P53 = derived_exponents(5, 3.0)
@@ -221,9 +223,10 @@ class TestShootProfile:
 
     def test_series_start_insensitive_to_rho0(self, monkeypatch):
         params = derived_exponents(5, 3.0)
-        sol_a, r0_a = integrate_profile(1.0, params, 16.0)
+        sol_a = integrate_profile(1.0, params, 16.0)
         monkeypatch.setattr(profiles, "RHO0_DEFAULT", 5e-5)
-        sol_b, r0_b = integrate_profile(1.0, params, 16.0)
+        sol_b = integrate_profile(1.0, params, 16.0)
+        r0_a, r0_b = sol_a.t[0], sol_b.t[0]
         assert r0_a == pytest.approx(8.2e-5, rel=0.01) and r0_b == 5e-5
         assert abs(sol_a.sol(8.0)[0] - sol_b.sol(8.0)[0]) < 1e-9
 
@@ -334,9 +337,8 @@ class TestDop853:
         (11, 7.0, 0.5), (11, 7.0, 5.0)])
     def test_profile(self, d, p, alpha):
         params = derived_exponents(d, p)
-        r0 = profiles._start_rho(alpha, params)
-        self.assert_as_solve_ivp(profiles._rhs(params), (r0, 16.0),
-                                 series_start(alpha, params, r0), True)
+        r0, *y0 = series_start(alpha, params)
+        self.assert_as_solve_ivp(profiles._rhs(params), (r0, 16.0), y0, True)
 
     @pytest.mark.parametrize("d, p, alpha, lam", [
         (5, 3.0, ALPHA_STAR[(5, 3.0)], 0.0), (11, 7.0, 5.0, -3.2)])
@@ -412,6 +414,62 @@ class TestDop853:
         self.assert_as_solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), dense)
         got = profiles._dop853(rhs, (0.0, 10.0), (1.0, 0.0), dense)
         assert not got.success and got.t.tolist() == [0.0]
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("y0, rhs", [
+        ((1.0, 0.0), lambda rho, y: (math.nan, math.nan)),
+        ((math.nan, 0.0), harmonic),
+        ((math.inf, 0.0), harmonic)], ids=["nan-rhs", "nan-y0", "inf-y0"])
+    def test_non_finite_start_fails_at_once(self, y0, rhs, dense):
+        """A start where y0 or the first right-hand side is not finite
+        fails at span[0] (solve_ivp never returns on it, so there is no
+        parity to check): its step size would be NaN, which no step-size
+        test ends."""
+        with deadline(5):
+            got = profiles._dop853(rhs, (0.0, 10.0), y0, dense)
+        assert not got.success and got.t.tolist() == [0.0]
+        assert got.sol is None and "non-finite start" in got.message
+        assert np.array_equal(got.y[:, 0], y0, equal_nan=True)
+
+    def test_non_finite_start_raises_in_callers(self):
+        """solve_f, here on a NaN start value, raises IntegrationError at
+        the start instead of hanging."""
+        sh = _PhaseShooter(1.0, derived_exponents(5, 3.0), 16.0)
+        with deadline(10), pytest.raises(IntegrationError,
+                                         match="non-finite start") as err:
+            sh.solve_f(0.0, (16.0, 2.0), math.nan, 0.0)
+        assert err.value.last_rho == 16.0
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block after seconds, so that a call that
+    never returns fails the test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("d, p, alpha", [
+    (5, 3.0, ALPHA_STAR[(5, 3.0)]), (3, 2.0, ALPHA_STAR[(3, 2.0)]),
+    (11, 7.0, 5.0), (5, 3.0, 0.0)])
+def test_shooter_and_profile_share_one_start(d, p, alpha):
+    """The shooter's phase start and integrate_profile's first point are
+    one series_start, bit for bit."""
+    params = derived_exponents(d, p)
+    sh = _PhaseShooter(alpha, params, 16.0)
+    sol = integrate_profile(alpha, params, 16.0)
+    assert sh.rho0 == sol.t[0]
+    assert (sh.u0, sh.du0) == tuple(sol.y[:, 0])
+    if alpha == 0.0:
+        assert sh.rho0 == profiles.RHO0_DEFAULT
 
 
 def test_right_hand_sides_die_with_their_call(monkeypatch):

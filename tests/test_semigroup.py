@@ -525,19 +525,12 @@ class TestQuadraturePath:
 
 
 class TestSmoothing:
-    def test_degenerate_reduces_to_growth_check(self):
-        params = derived_exponents(5, 3.0)
-        samples = [GaussianDatum(1.0, v) for v in (0.3, 1.0, 3.0)]
-        rep = verify_smoothing(2.0, 2.0, 4.0, 4.0, samples, params)
-        assert rep.passed
-        assert rep.fitted_M == pytest.approx(1.0, abs=0.1)
-
     def test_gaussian_family_bounded(self, monkeypatch):
         params = derived_exponents(5, 3.0)
         samples = [GaussianDatum(1.0, v) for v in (0.3, 1.0, 3.0)]
         monkeypatch.setattr(semigroup, "_SMOOTHING_TAUS",
                             [2.0 ** (-k) for k in range(1, 11)])
-        rep = verify_smoothing(1.0, 2.0, 1.0, 2.0, samples, params)
+        rep = verify_smoothing(samples, params)
         assert rep.passed
         assert rep.refined_max <= 10.0 * rep.fitted_M
         d = rep.as_dict()
@@ -554,14 +547,7 @@ class TestSmoothing:
 
         monkeypatch.setattr(semigroup, "apply_S0_gaussian", counted)
         monkeypatch.setattr(semigroup, "_SMOOTHING_TAUS", [0.5, 0.25, 0.125])
-        rep = verify_smoothing(1.0, 2.0, 1.0, 2.0, samples, params)
+        rep = verify_smoothing(samples, params)
         assert rep.passed and rep.tau_list == [0.5, 0.25, 0.125]
         # the refined pass evaluates only the two midpoints
         assert taus == [0.5, 0.25, 0.125, 0.375, 0.1875]
-
-    def test_exponent_relation_enforced(self):
-        params = derived_exponents(5, 3.0)
-        with pytest.raises(DomainError):
-            verify_smoothing(1.0, 2.0, 1.0, 3.0, [], params)
-        with pytest.raises(DomainError):
-            verify_smoothing(2.0, 1.0, 2.0, 1.0, [], params)

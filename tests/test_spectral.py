@@ -20,7 +20,6 @@ from expanderlab.profiles import (
     RadialGrid,
     profile_on_nodes,
     series_coefficients,
-    series_start,
     shoot_profile,
 )
 from expanderlab.spectral import (
@@ -214,7 +213,7 @@ def reference_theta_end(sh, lam, rho_end=None):
                 du, -w * du - u / (p - 1.0) - math.copysign(au ** p, u))
 
     f0, df0, _, _ = sh._eigen_series(lam)
-    state0 = (math.atan2(f0, df0), *series_start(sh.alpha, sh.params, sh.rho0))
+    state0 = (math.atan2(f0, df0), sh.u0, sh.du0)
     sol = solve_ivp(rhs, (sh.rho0, rho_end or sh.rho_max), state0,
                     method="DOP853", rtol=spectral.RTOL, atol=spectral.ATOL)
     assert sol.success
@@ -498,7 +497,7 @@ class TestShooterSlot:
             assert np.array_equal(pair.f, ref.f)
             assert (pair.zero_count, pair.l2w_norm, pair.match_defect) == (
                 ref.zero_count, ref.l2w_norm, ref.match_defect)
-        fresh, _ = integrate_profile(alpha, params53, grid.rho_max)
+        fresh = integrate_profile(alpha, params53, grid.rho_max)
         assert np.array_equal(held.sol(grid.nodes), fresh.sol(grid.nodes))
 
     def test_crossval_resolved_matrix_grid_integrates_once(self, params117,
