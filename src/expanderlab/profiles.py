@@ -11,11 +11,13 @@ ell(alpha) = lim rho^(2/(p-1)) U(rho).  Shooting starts from a fourth-order
 Taylor expansion at a small rho_0 (the (d-1)/rho coefficient is singular at
 the origin) and integrates with an adaptive embedded Runge-Kutta method:
 _dop853, the arithmetic of scipy's solve_ivp DOP853 bit for bit in a lean
-loop, which the spectral module's phase matching and eigenfunctions share.
+loop.  The spectral module's phase integrations share its tableau and step
+control, with stages generated on Python floats here (_count_step).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -311,12 +313,14 @@ class _Dop853Result:
 
 
 class _DenseSteps:
-    """The dense output of a _dop853 run: per step its start t_old, width h,
+    """The dense output of a DOP853 run (_dop853, or the spectral module's
+    _integrate_to_end with dense): per step its start t_old, width h,
     start state y_old and DOP853's 7 interpolant rows F, stacked so that a
     call evaluates all its points at once.  A point takes its step as
     scipy's OdeSolution picks it (on a step boundary the step with the
     lower index, outside the span the end step), and the rows are summed in
-    Dop853DenseOutput's order, so every value is scipy's to the bit."""
+    Dop853DenseOutput's order, so on _dop853's rows every value is scipy's
+    to the bit."""
 
     def __init__(self, ts, t_old, h, y_old, rows):
         self._ascending = ts[-1] >= ts[0]
@@ -390,11 +394,82 @@ def _step_update(h_abs: float, e5: float, e3: float, n: int,
     return False, h_abs * max(0.2, 0.9 * error_norm ** -0.125)
 
 
-def _dop853(rhs, span, y0, dense: bool = False) -> _Dop853Result:
+def _sum(coefs, i: int) -> str:
+    """Source of the sum of coefs[j] * k{j}_{i} over the nonzero coefs, one
+    term a line: short lines keep a code object's location table small."""
+    return "\n + ".join(f"{float(c)!r} * k{j}_{i}"
+                        for j, c in enumerate(coefs) if c)
+
+
+def _items(n: int, *names) -> str:
+    """Source of the items name_0, ..., name_{n-1} of each name, one a
+    line, each followed by a comma."""
+    return "".join(f"{name}_{i},\n" for name in names for i in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _count_step(n: int):
+    """step(rhs, t, h, y, f): one DOP853 trial step of width h from a state
+    y of n Python floats at t, f = rhs(t, y), the trial step of the
+    spectral module's phase integrations (spectral._integrate_to_end),
+    generated once per n.  Returns the new state, rhs there, the squared
+    norms of the 5th- and 3rd-order error estimates, scaled as scipy's
+    DOP853 scales them, and the 13 stages, flat, for _dense_steps.  Every
+    sum is written out over the nonzero entries of the tableau, as
+    dataclasses writes out an __init__; with the sums looped over the
+    coefficients six (5,3) counts took 23 ms instead of 7.4."""
+    last = DOP853.n_stages
+    body = [f"({_items(n, 'y')}) = y", f"({_items(n, 'k0')}) = f"]
+    for s in range(1, last):
+        state = "".join(f"y_{i} + ({_sum(DOP853.A[s, :s], i)}) * h,\n"
+                        for i in range(n))
+        body.append(f"({_items(n, f'k{s}')}) = "
+                    f"rhs(t + {float(DOP853.C[s])!r} * h, ({state}))")
+    body += [f"n_{i} = y_{i} + h * ({_sum(DOP853.B, i)})" for i in range(n)]
+    body.append(f"({_items(n, f'k{last}')}) = f_new = "
+                f"rhs(t + h, ({_items(n, 'n')}))")
+    for i in range(n):
+        body += [f"s_{i} = {ATOL!r} + max(abs(y_{i}), abs(n_{i})) * {RTOL!r}",
+                 f"e5_{i} = ({_sum(DOP853.E5, i)}) / s_{i}",
+                 f"e3_{i} = ({_sum(DOP853.E3, i)}) / s_{i}"]
+    e5, e3 = ("\n + ".join(f"{e}_{i} * {e}_{i}" for i in range(n))
+              for e in ("e5", "e3"))
+    stages = _items(n, *(f"k{j}" for j in range(last + 1)))
+    body.append(f"return (({_items(n, 'n')}), f_new, ({e5}), ({e3}), "
+                f"({stages}))")
+    namespace = {}
+    exec("def step(rhs, t, h, y, f):\n"
+         + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace["step"]
+
+
+def _dense_steps(rhs, ts, ys, ks) -> _DenseSteps:
+    """The DOP853 interpolant of a run of accepted steps from ts[i], ys[i]
+    to ts[i + 1], ys[i + 1], ks[i] the 13 stages of step i, shape (steps,
+    13, n): the 3 extra stages and the 7 rows of every step at once, each
+    extra stage's states summed across the steps by numpy and rhs called
+    on each as a float and a tuple of floats."""
+    t_old, h, y_old = ts[:-1], np.diff(ts), ys[:-1]
+    K = np.empty((h.size, DOP853.n_stages + 4, ys.shape[1]))
+    K[:, :DOP853.n_stages + 1] = ks
+    for s, a, c in _EXTRA:
+        states = y_old + h[:, None] * (K[:, :s].transpose(0, 2, 1) @ a)
+        K[:, s] = [rhs(rho, tuple(y)) for rho, y in zip(
+            (t_old + c * h).tolist(), states.tolist())]
+    delta = ys[1:] - y_old
+    rows = np.empty((h.size, 7, ys.shape[1]))
+    rows[:, 0] = delta
+    rows[:, 1] = h[:, None] * K[:, 0] - delta
+    rows[:, 2] = 2 * delta - h[:, None] * (K[:, DOP853.n_stages] + K[:, 0])
+    rows[:, 3:] = h[:, None, None] * (DOP853.D @ K)
+    return _DenseSteps(ts, t_old, h, y_old, rows)
+
+
+def _dop853(rhs, span, y0) -> _Dop853Result:
     """y' = rhs(rho, y) from y0 at span[0] to span[1] != span[0] by the
     floating-point operations of scipy's solve_ivp(method="DOP853",
-    rtol=RTOL, atol=ATOL): the same initial step, stages, error estimate
-    and step control, and with dense the same interpolant (None when no
+    rtol=RTOL, atol=ATOL, dense_output=True): the same initial step,
+    stages, error estimate, step control and interpolant (None when no
     step was taken), so every result bit is scipy's.  rhs gets rho as a
     float and the state as an array and returns a sequence of floats; nfev
     counts its calls as scipy does.  The stage, error and interpolant sums
@@ -452,16 +527,15 @@ def _dop853(rhs, span, y0, dense: bool = False) -> _Dop853Result:
         else:
             message = DOP853.TOO_SMALL_STEP
             break
-        if dense:
-            for s, k_t, a, c in extra:
-                K_ext[s] = rhs(t + c * h, y + k_t.dot(a) * h_arr)
-            nfev += 3
-            F = np.empty((7, n))
-            F[0] = delta_y = y_new - y
-            F[1] = h_arr * K[0] - delta_y
-            F[2] = 2 * delta_y - h_arr * (K[-1] + K[0])
-            F[3:] = h_arr * DOP853.D.dot(K_ext)
-            steps.append((t, h, y, F))
+        for s, k_t, a, c in extra:
+            K_ext[s] = rhs(t + c * h, y + k_t.dot(a) * h_arr)
+        nfev += 3
+        F = np.empty((7, n))
+        F[0] = delta_y = y_new - y
+        F[1] = h_arr * K[0] - delta_y
+        F[2] = 2 * delta_y - h_arr * (K[-1] + K[0])
+        F[3:] = h_arr * DOP853.D.dot(K_ext)
+        steps.append((t, h, y, F))
         K[0] = K[-1]
         t, y = t_new, y_new
         ts.append(t)
@@ -479,7 +553,7 @@ def integrate_profile(alpha: float, params: ProblemParams, rho_end: float):
     returns the dense solution object (rho0 is its t[0])."""
     require_positive("rho_end", rho_end)
     r0, *y0 = series_start(alpha, params)
-    sol = _dop853(_rhs(params), (r0, rho_end), y0, dense=True)
+    sol = _dop853(_rhs(params), (r0, rho_end), y0)
     if not sol.success or not np.all(np.isfinite(sol.y)):
         raise IntegrationError(
             f"profile integration failed at alpha={alpha}: {sol.message}",

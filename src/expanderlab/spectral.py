@@ -27,11 +27,11 @@ independent routes are implemented:
   point rho_m, where the miss is smooth in lambda.  Safeguarded Newton
   steps on it, with the lambda-derivatives carried along both
   integrations, converge in a few evaluations (the matching-point method,
-  Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).  Counts
-  run on a DOP853 written out on Python floats for their 3-component state
-  (_integrate_to_end), with the step control of profiles._dop853; the
-  matching and the eigenfunctions run on profiles._dop853 itself, which
-  repeats scipy's solve_ivp DOP853 bit for bit.
+  Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).  Counts,
+  matching and eigenfunctions all run on one DOP853 written out on Python
+  floats for their n-component states (_integrate_to_end), with the
+  tableau and step control of profiles._dop853, which integrates the
+  profile and repeats scipy's solve_ivp DOP853 bit for bit.
 
 * a symmetric finite-difference matrix.  The substitution g = sqrt(w) f
   turns the conservative discretization of (1/w)(w f')' into a symmetric
@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,7 +68,10 @@ from .profiles import (
     RTOL,
     ExpanderProfile,
     RadialGrid,
-    _dop853,
+    _REACHED_END,
+    _Dop853Result,
+    _count_step,
+    _dense_steps,
     _initial_step,
     _step_update,
     integrate_profile,
@@ -231,15 +235,13 @@ class _PhaseShooter:
         branch back in (near rho = 11 in double precision).  The profile
         rides along as an augmented state so the right-hand side stays pure
         arithmetic on Python floats; interpolating a precomputed profile per
-        evaluation is several times slower.  A count needs only the end
-        phase, so this runs on _integrate_to_end: the steps of
+        evaluation is several times slower.  This runs on
+        _integrate_to_end, as match_phases and solve_f do: the steps of
         profiles._dop853, scipy's step control at the same tolerances, with
         every stage sum written out on Python floats, about three times as
-        cheap (4.6 against 13.6 ms for a full-domain (5,3) count).  The
-        two phases differ by rounding only (2e-15 on that count), and a
-        count only reads floor(theta / pi).  match_phases and solve_f run
-        on profiles._dop853, scipy's DOP853 arithmetic bit for bit: their
-        phases set the low bits of each eigenvalue.
+        cheap (4.6 against 13.6 ms for a full-domain (5,3) count).  Its
+        phase and scipy's differ by rounding only (2e-15 on that count),
+        and a count only reads floor(theta / pi).
         """
         key = float(lam)
         if key in self._theta_cache:
@@ -288,7 +290,7 @@ class _PhaseShooter:
         state0 = (math.atan2(f0, df0), self.u0, self.du0)
         _, end = _integrate_to_end(
             rhs, (self.rho0, self.rho_max), state0, settled,
-            f"phase integration (alpha={self.alpha}, lam={lam})")
+            f"phase integration failed (alpha={self.alpha}, lam={lam})")
         theta = end[0]
         self._theta_cache[key] = theta
         return theta
@@ -347,6 +349,13 @@ class _PhaseShooter:
         stable direction.  Both carry eta = dtheta/dlambda, which obeys
 
             eta' = ((Qt - 1) sin 2 theta + W cos 2 theta) eta - sin^2 theta.
+
+        Both legs run on _integrate_to_end, the forward one on 4 floats and
+        the backward one on 2.  Its error estimates, small differences of
+        large stage terms, round otherwise than scipy's numpy sums, so its
+        step widths differ; the phases agree with scipy's DOP853 to about
+        1e-14 (profiles tests), but see eigenvalue_shoot where steps are
+        bound by stability.
         """
         d, p = self.params.d, float(self.params.p)
         c0 = 1.0 / (p - 1.0) - lam
@@ -354,14 +363,14 @@ class _PhaseShooter:
         v = self.potential
 
         def fwd(rho, y):
-            theta, eta, u, du = y.tolist()
+            theta, eta, u, du = y
             w = (d - 1.0) / rho + 0.5 * rho
             au = abs(u)
             rates = _phase_rates(theta, eta, c0 + p * au ** (p - 1.0), w)
             return (*rates, du, -w * du - u * pm1 - math.copysign(au ** p, u))
 
         def bwd(rho, y):
-            theta, eta = y.tolist()
+            theta, eta = y
             return _phase_rates(theta, eta, c0 + v(rho),
                                 (d - 1.0) / rho + 0.5 * rho)
 
@@ -369,41 +378,37 @@ class _PhaseShooter:
         eta0 = (df0 * f_lam - f0 * df_lam) / (f0 * f0 + df0 * df0)
         slope = self.decay_slope(lam)
         eta_max = (2.0 / self.rho_max) / (1.0 + slope * slope)
-        ends = []
-        for rhs, span, state0 in (
-                (fwd, (self.rho0, rho_m),
-                 (math.atan2(f0, df0), eta0, self.u0, self.du0)),
-                (bwd, (self.rho_max, rho_m),
-                 (math.atan2(1.0, slope), eta_max))):
-            sol = _dop853(rhs, span, state0)
-            if not sol.success:
-                raise IntegrationError(
-                    f"phase matching failed (alpha={self.alpha}, lam={lam}): "
-                    f"{sol.message}", last_rho=float(sol.t[-1]))
-            ends.append(sol.y[:2, -1])
-        (theta_f, eta_f), (theta_b, eta_b) = ends
-        return float(theta_f - theta_b), float(eta_f - eta_b)
+        what = f"phase matching failed (alpha={self.alpha}, lam={lam})"
+        _, (theta_f, eta_f, _, _) = _integrate_to_end(
+            fwd, (self.rho0, rho_m),
+            (math.atan2(f0, df0), eta0, self.u0, self.du0), None, what)
+        _, (theta_b, eta_b) = _integrate_to_end(
+            bwd, (self.rho_max, rho_m), (math.atan2(1.0, slope), eta_max),
+            None, what)
+        return theta_f - theta_b, eta_f - eta_b
 
     def solve_f(self, lam: float, rho_span, f0, df0):
         """Raw (f, f') integration with the frozen potential, forward from
-        rho0 or backward from rho_max; a failed run raises IntegrationError
-        naming that leg, lam and the last rho reached."""
+        rho0 or backward from rho_max, on _integrate_to_end with its dense
+        output; a failed run raises IntegrationError naming that leg, lam
+        and the last rho reached."""
         d = self.params.d
         c0 = 1.0 / (self.params.p - 1.0) - lam
         v = self.potential
 
         def rhs(rho, y):
-            f, df = y.tolist()
+            f, df = y
             w = (d - 1.0) / rho + 0.5 * rho
             return (df, -w * df - (c0 + v(rho)) * f)
 
-        sol = _dop853(rhs, rho_span, (f0, df0), dense=True)
-        if not sol.success or not np.all(np.isfinite(sol.y)):
-            leg = ("forward from rho0" if rho_span[1] > rho_span[0]
-                   else "backward from rho_max")
-            raise IntegrationError(
-                f"eigenfunction integration failed ({leg}, lam={lam}, last "
-                f"rho {sol.t[-1]}): {sol.message}", last_rho=float(sol.t[-1]))
+        leg = ("forward from rho0" if rho_span[1] > rho_span[0]
+               else "backward from rho_max")
+        what = f"eigenfunction integration failed ({leg}, lam={lam})"
+        sol = _integrate_to_end(rhs, rho_span, (f0, df0), None, what,
+                                dense=True)
+        if not np.isfinite(sol.y).all():
+            raise IntegrationError(f"{what} at rho = {sol.t[-1]}: non-finite "
+                                   "state", last_rho=float(sol.t[-1]))
         return sol
 
 
@@ -462,71 +467,36 @@ def _step_polynomial_potential(usol, p: float):
     return v
 
 
-def _build_count_step():
-    """_count_step(rhs, t, h, y, f): one DOP853 trial step of width h from
-    a state y of 3 Python floats at t, f = rhs(t, y).  Every stage sum is
-    written out over the nonzero entries of the tableau, as dataclasses
-    writes out an __init__; with the sums looped over the coefficients six
-    (5,3) counts took 23 ms instead of 7.4.  Returns the new state, rhs
-    there, and the squared norms of the 5th- and 3rd-order error estimates,
-    scaled as scipy's DOP853 scales them."""
-    comps = range(3)
-
-    def combo(coefs, i):
-        return " + ".join(f"{float(c)!r} * k{j}_{i}"
-                          for j, c in enumerate(coefs) if c)
-
-    def unpack(j):
-        return ", ".join(f"k{j}_{i}" for i in comps)
-
-    lines = ["def _count_step(rhs, t, h, y, f):",
-             "    y_0, y_1, y_2 = y",
-             f"    {unpack(0)} = f"]
-    for s in range(1, DOP853.n_stages):
-        state = ", ".join(f"y_{i} + ({combo(DOP853.A[s, :s], i)}) * h"
-                          for i in comps)
-        lines.append(f"    {unpack(s)} = rhs(t + {float(DOP853.C[s])!r} * h, "
-                     f"({state}))")
-    lines += [f"    n_{i} = y_{i} + h * ({combo(DOP853.B, i)})" for i in comps]
-    lines.append(f"    {unpack(DOP853.n_stages)} = f_new = "
-                 "rhs(t + h, (n_0, n_1, n_2))")
-    for i in comps:
-        lines += [f"    s_{i} = {ATOL!r} + max(abs(y_{i}), abs(n_{i})) * "
-                  f"{RTOL!r}",
-                  f"    e5_{i} = ({combo(DOP853.E5, i)}) / s_{i}",
-                  f"    e3_{i} = ({combo(DOP853.E3, i)}) / s_{i}"]
-    squares = [" + ".join(f"{e}_{i} * {e}_{i}" for i in comps)
-               for e in ("e5", "e3")]
-    lines.append(f"    return (n_0, n_1, n_2), f_new, {squares[0]}, "
-                 f"{squares[1]}")
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["_count_step"]
-
-
-_count_step = _build_count_step()
-
-
-def _integrate_to_end(rhs, span, state0, stop, what: str):
+def _integrate_to_end(rhs, span, state0, stop, what: str,
+                      dense: bool = False):
     """(rho, state) where y' = rhs(rho, y) from state0 at span[0] ends: at
-    span[1], or at the first accepted step, span[0] included, where
-    stop(rho, state) holds.  The state is a tuple of 3 floats, as rhs and
-    stop read it and rhs returns it.  The first step and the step control
-    are _dop853's, scipy's at RTOL, ATOL; each trial step is _count_step on
-    Python floats, with no numpy, and there is no dense output.  A failed
-    run of `what`, from a non-finite start or a step below ten spacings of
-    rho, raises IntegrationError at the last rho reached."""
+    span[1], or, given a stop, at the first accepted step, span[0]
+    included, where stop(rho, state) holds.  The state is a tuple of n
+    floats, as rhs and stop read it and rhs returns it.  The first step
+    and the step control are profiles._dop853's, scipy's at RTOL, ATOL;
+    each trial step is profiles._count_step(n), on Python floats with no
+    numpy.  With dense, for a run without a stop, it returns instead a
+    profiles._Dop853Result of the run: the accepted rho and states, and in
+    sol the DOP853 interpolant of every accepted step
+    (profiles._dense_steps; None when no step was taken).  A failed run,
+    from a non-finite start or a step below ten spacings of rho, raises
+    IntegrationError "{what} at rho = ...", at the last rho reached."""
     t, tf = float(span[0]), float(span[1])
-    y = tuple(state0)
-    if stop(t, y):
+    y = tuple(map(float, state0))
+    if stop is not None and stop(t, y):
         return t, y
     f = tuple(rhs(t, y))
     if not all(map(math.isfinite, y + f)):
-        raise IntegrationError(f"{what} failed: non-finite start at rho = {t}",
+        raise IntegrationError(f"{what} at rho = {t}: non-finite start",
                                last_rho=t)
+    n = len(y)
+    step = _count_step(n)
     direction = 1.0 if tf >= t else -1.0
     h_abs = _initial_step(lambda rho, v: rhs(rho, tuple(v.tolist())), t, tf,
                           np.array(y), np.array(f))
+    nfev = 2
+    # accepted steps of a dense run, packed, 8 bytes a float
+    ts, ys, ks = array("d", [t]), array("d", y), array("d")
     while direction * (t - tf) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -538,18 +508,32 @@ def _integrate_to_end(rhs, span, state0, stop, what: str):
                 t_new = tf
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, e5, e3 = _count_step(rhs, t, h, y, f)
-            accepted, h_abs = _step_update(h_abs, e5, e3, 3, rejected)
+            y_new, f_new, e5, e3, stages = step(rhs, t, h, y, f)
+            nfev += 12
+            accepted, h_abs = _step_update(h_abs, e5, e3, n, rejected)
             if accepted:
                 break
             rejected = True
         else:
-            raise IntegrationError(f"{what} failed: {DOP853.TOO_SMALL_STEP}",
-                                   last_rho=t)
+            raise IntegrationError(
+                f"{what} at rho = {t}: {DOP853.TOO_SMALL_STEP}", last_rho=t)
+        if dense:
+            ts.append(t_new)
+            ys.extend(y_new)
+            ks.extend(stages)
         t, y, f = t_new, y_new, f_new
-        if stop(t, y):
+        if stop is not None and stop(t, y):
             break
-    return t, y
+    if not dense:
+        return t, y
+    t_arr, y_arr = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, n)
+    sol = None
+    if ks:
+        sol = _dense_steps(rhs, t_arr, y_arr, np.frombuffer(ks).reshape(
+            -1, DOP853.n_stages + 1, n))
+    return _Dop853Result(t=t_arr, y=y_arr.T, success=True,
+                         message=_REACHED_END, nfev=nfev + 3 * (len(ts) - 1),
+                         sol=sol)
 
 
 def _phase_rates(theta, eta, qt, w):
@@ -640,9 +624,13 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     never step less than LAMBDA_TOL / 2, so a converged step lands past the
     root and closes the bracket: the result is the midpoint of a sign
     change of m no wider than LAMBDA_TOL, typically after 7 to 10 matching
-    evaluations, the two bracket ends included.  The eigenfunction is a
-    forward integration glued to a backward one from the decaying branch at
-    the same rho_m.
+    evaluations, the two bracket ends included.  m is only as smooth as the
+    step control at RTOL: where the backward leg's steps are bound by
+    stability, m can change sign several times across a band around the
+    root (7 times across 1.25e-10 at (3, 2, alpha = 5)), and the result is
+    one of those sign changes, which other rounding moves within the band.
+    The eigenfunction is a forward integration glued to a backward one
+    from the decaying branch at the same rho_m.
     """
     sh = _shooter(alpha, params, grid.rho_max)
     lo, hi = float(lambda_bracket[0]), float(lambda_bracket[1])
@@ -941,3 +929,12 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
     return SelectedExpander(alpha_star=star, alpha_bar=a_bar,
                             lambda_bar=pair.lam, profile=profile,
                             eigenpair=pair)
+
+
+# the trial steps of the counts (3 components) and of the matching and
+# eigenfunction legs (4 and 2), built at import, where their parses (0.3-0.8
+# MiB each, freed at once) precede every workload's own allocations: built
+# on first use instead, they raised crossval's median peak RSS by 0.13 MiB
+# more (two runs of 10 worker passes per tree)
+for _n in (2, 3, 4):
+    _count_step(_n)

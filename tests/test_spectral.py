@@ -23,6 +23,7 @@ from expanderlab.profiles import (
     shoot_profile,
 )
 from expanderlab.spectral import (
+    LAMBDA_TOL,
     _matching_point,
     _PhaseShooter,
     PotentialField,
@@ -332,7 +333,28 @@ class TestCountKernel:
         assert sh.count_above(lam1) >= sh.count_above(lam2)
 
 
+# top eigenvalues of the crossval benchmark cases as phase matching placed
+# them on scipy's DOP853 arithmetic bit for bit (numpy dot products), with
+# the distance each may move on other arithmetic: LAMBDA_TOL, the final
+# bracket, except at (3, 2, 5).  There the miss changes sign 7 times across
+# a band 1.25e-10 wide around the root on either arithmetic (step-control
+# noise of the rtol 1e-10 backward leg), and the value may sit anywhere in
+# it; the band runs from 1.2e-10 below the pinned value to 1e-11 above.
+CROSSVAL_TOP = [
+    (5, 3.0, 0.5, -1.6758570323461135, LAMBDA_TOL),
+    (5, 3.0, 5.0, 9.383276185139579, LAMBDA_TOL),
+    (3, 2.0, 0.5, -0.06230994969122894, LAMBDA_TOL),
+    (3, 2.0, 5.0, 2.8808630414968315, 1.3e-10),
+    (11, 7.0, 0.5, -5.279869491541199, LAMBDA_TOL),
+    (11, 7.0, 5.0, -3.2217765192022227, LAMBDA_TOL)]
+
+
 class TestEigenvalueShoot:
+    @pytest.mark.parametrize("d, p, alpha, lam, tol", CROSSVAL_TOP)
+    def test_crossval_top_eigenvalues_pinned(self, d, p, alpha, lam, tol):
+        pair = top_eigenpair(alpha, derived_exponents(d, p))
+        assert pair.lam == pytest.approx(lam, abs=tol)
+
     def test_lambda_zero_at_alpha_star(self, params53, alpha_star53):
         pair = top_eigenpair(alpha_star53.alpha_star, params53)
         assert abs(pair.lam) <= 1e-4
