@@ -14,7 +14,10 @@ which pins the semigroup law exactly and serves as the oracle for the
 quadrature path on general radial data.  On that path the angular part of
 the d-dimensional convolution is a Kummer function in closed form, so only
 the radius integral is computed numerically, by a nested Clenshaw-Curtis
-ladder on the cubic spline of the data.
+ladder on the cubic spline of the data, over panels of one lattice that
+every node shares (a window under two of them wide keeps panels of its
+own): the data factor is sampled once per panel and order, and only the
+kernel once per node.
 
 For d <= 63 it is summed in the package, to 1.6e-14 at 30-46 ns per
 element: its power series below beta_c, max(2, nu^2 / 5) for odd d and
@@ -209,9 +212,15 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), c * (1.0 - np.cos(np.outer(theta, 2 * k)) @ b)
 
 
-# nodes x panels x 49 (the second order of the radial ladder) per block:
-# keeps each quadrature temporary of a block near 1 MB even at order 384
+# nodes x panels x 49 (the second order of the radial ladder) per block,
+# of lattice panels its nodes share or, under _LATTICE_WINDOW, their own:
+# keeps each quadrature temporary of a block near 1 MB even at order 384.
+# The lattice's sample points and data factor are held once for all blocks
 _BLOCK_ELEMENTS = 2 ** 14
+# windows of 16 kernel widths from this up (tau >= 1.95e-3) share the
+# lattice: at tau = 1e-3 (0.72), 1601 nodes at d = 5 took 12 ms on panels
+# of their own, 18 ms on the lattice (medians of 12 runs, 2-vCPU box)
+_LATTICE_WINDOW = 1.0
 
 
 def _beta_half(d: int) -> float:
@@ -358,20 +367,31 @@ def _even_spline(f: RadialFunction) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _panels(x: np.ndarray, width: float, rho_max: float):
-    """Radial integration panels for the evaluation points x, one row each.
+    """Radial integration panels for the evaluation points x.
 
-    Row i covers [x_i - 8 width, x_i + 8 width] clipped to [0, rho_max],
-    where the data live.  The spline is only piecewise smooth, so the row
-    is cut into 0.5-wide chunks; shorter rows are padded with zero-width
-    panels, which carry zero weight.  Returns (left, right, panel count
-    per row).
+    Node i integrates over [x_i - 8 width, x_i + 8 width] clipped to [0,
+    rho_max], where the data live.  The spline is only piecewise smooth,
+    so from 16 width = _LATTICE_WINDOW up node i takes the panels first_i
+    to last_i - 1 of the lattice cut at 0, 0.5, 1, ... and rho_max, every
+    one that meets its window (none past rho_max).  A narrower window is
+    cut into 0.5-wide chunks from its left end, rows padded with zero-width
+    panels, which carry zero weight (first_i = 0, last_i = the most chunks
+    of any row): a panel of its own is the only layout that resolves the
+    kernel down to the float spacing of rho_max.  Returns (left, right,
+    first, last), the edges of shape (1, lattice panels) or (nodes, 1|2).
     """
     lo = np.minimum(np.maximum(0.0, x - 8.0 * width), rho_max)
     hi = np.minimum(x + 8.0 * width, rho_max)
-    chunks = np.maximum(np.ceil((hi - lo) / 0.5), 0.0).astype(int)[:, None]
-    k = np.arange(int(np.max(chunks)) + 1)
-    cuts = np.where(k < chunks, lo[:, None] + 0.5 * k, hi[:, None])
-    return cuts[:, :-1], cuts[:, 1:], chunks[:, 0]
+    if 16.0 * width < _LATTICE_WINDOW:
+        chunks = np.ceil((hi - lo) / 0.5).astype(int)[:, None]
+        k = np.arange(int(np.max(chunks)) + 1)
+        cuts = np.where(k < chunks, lo[:, None] + 0.5 * k, hi[:, None])
+        first = np.zeros(x.size, dtype=int)
+        return cuts[:, :-1], cuts[:, 1:], first, first + k[-1]
+    cuts = np.append(np.arange(0.0, rho_max, 0.5), rho_max)
+    first = (2.0 * lo).astype(int)
+    last = np.where(hi > lo, np.ceil(2.0 * hi).astype(int), first)
+    return cuts[None, :-1], cuts[None, 1:], first, last
 
 
 def apply_S0(tau: float, f: RadialFunction,
@@ -381,14 +401,16 @@ def apply_S0(tau: float, f: RadialFunction,
     The d-dimensional convolution reduces to a radius integral against
     e^(-(x-s)^2/(4a)) J(xs/(2a)) s^(d-1); the angular factor J is a
     confluent hypergeometric function in closed form.  The radius integral
-    runs over 0.5-wide panels within 8 kernel widths of each evaluation
-    point (see _panels), doubling the Clenshaw-Curtis order from 24 to 384
-    until two orders agree to 1e-8 relative, plus a floor tied to the
-    output scale, node by node.  The rules nest, so each order after the
-    first evaluates the integrand only at its new nodes.  Nodes are
-    integrated in blocks of at most _BLOCK_ELEMENTS / (49 * panels) rows,
-    one vectorised order ladder per block; a node leaves its block once it
-    has converged.
+    runs over the panels of _panels, shared lattice panels unless the
+    window is under two of them wide, doubling the Clenshaw-Curtis order
+    from 24 to 384 until two orders agree to 1e-8 relative, plus a floor
+    tied to the output scale, node by node.  The rules nest, so each order
+    after the first evaluates the integrand only at its new nodes.  Runs
+    of nodes with the same panels are integrated in blocks of at most
+    _BLOCK_ELEMENTS / (49 * panels) rows, one vectorised order ladder per
+    block; a node leaves its block once it has converged.  On the lattice,
+    the sample points and the data factor f(s) s^(d-1) are computed once
+    per panel and order and read by every block as views.
     """
     if not math.isfinite(tau) or tau < 0.0:
         raise DomainError("tau must be finite and nonnegative")
@@ -420,45 +442,58 @@ def apply_S0(tau: float, f: RadialFunction,
     floor = 2e-8 * float(np.max(np.abs(f.values))) * unit_total
 
     x = math.exp(0.5 * tau) * f.grid.nodes
-    left, right, counts = _panels(x, width, rho_max)
-    rows = max(1, _BLOCK_ELEMENTS // (49 * max(1, left.shape[1])))
+    left, right, first, last = _panels(x, width, rho_max)
+    half = 0.5 * (right - left)
+    shared = left.shape[0] == 1
+    # per order, the lattice's sample points and data factor at its new
+    # nodes; a panel of a node's own is sampled by its block alone
+    table = {}
     out = np.empty_like(x)
-    for start in range(0, x.size, rows):
-        idx = np.arange(start, min(start + rows, x.size))
-        cols = int(np.max(counts[idx]))
-        xs = x[idx, None, None]
-        pa = left[idx, :cols, None]
-        half = 0.5 * (right[idx, :cols, None] - pa)
-        # spline interpolants are only C^2, so convergence is algebraic;
-        # 1e-8 agreement leaves two orders of margin on the 1e-6 contract
-        prev = samples = None
-        for n in _ORDERS:
-            x_cc, w_cc = _clenshaw_curtis(n)
-            s = half * ((x_cc if samples is None else x_cc[1::2]) + 1.0) + pa
-            fresh = (evaluate(s) * s ** (d - 1.0)
-                     * np.exp(-(xs - s) ** 2 / (4.0 * a))
-                     * _angular_factor(xs * s / (2.0 * a), d))
-            if samples is None:
-                samples = fresh
+    runs = [0, *(np.flatnonzero(np.diff(first) | np.diff(last)) + 1), x.size]
+    for run, end in zip(runs, runs[1:]):
+        j, k = first[run], last[run]
+        rows = max(1, _BLOCK_ELEMENTS // (49 * max(1, k - j)))
+        for start in range(run, end, rows):
+            idx = np.arange(start, min(start + rows, end))
+            # spline interpolants are only C^2, so convergence is algebraic;
+            # 1e-8 agreement leaves two orders of margin on the 1e-6 contract
+            prev = samples = None
+            for n in _ORDERS:
+                x_cc, w_cc = _clenshaw_curtis(n)
+                own = slice(None) if shared else idx
+                data = table.get(n)
+                if data is None:
+                    s = left[own, :, None] + half[own, :, None] * (
+                        (x_cc if samples is None else x_cc[1::2]) + 1.0)
+                    data = s, evaluate(s) * s ** (d - 1.0)
+                    if shared:
+                        table[n] = data
+                s, g = (v[:, j:k] for v in data)
+                xs = x[idx, None, None]
+                fresh = (g * np.exp(-(xs - s) ** 2 / (4.0 * a))
+                         * _angular_factor(xs * s / (2.0 * a), d))
+                if samples is None:
+                    samples = fresh
+                else:
+                    both = np.empty(fresh.shape[:2] + (n + 1,))
+                    both[..., ::2] = samples
+                    both[..., 1::2] = fresh
+                    samples = both
+                total = np.einsum("ijk,ijk->i", half[own, j:k, None] * w_cc,
+                                  samples)
+                if prev is not None:
+                    miss = np.abs(total - prev)
+                    done = miss <= 1e-8 * np.abs(total) + floor
+                    out[idx[done]] = prefactor * total[done]
+                    if done.all():
+                        break
+                    idx, total, samples = (
+                        v[~done] for v in (idx, total, samples))
+                prev = total
             else:
-                both = np.empty(fresh.shape[:2] + (n + 1,))
-                both[..., ::2] = samples
-                both[..., 1::2] = fresh
-                samples = both
-            total = np.einsum("ijk,ijk->i", half * w_cc, samples)
-            if prev is not None:
-                miss = np.abs(total - prev)
-                done = miss <= 1e-8 * np.abs(total) + floor
-                out[idx[done]] = prefactor * total[done]
-                if done.all():
-                    break
-                idx, xs, pa, half, total, samples = (
-                    v[~done] for v in (idx, xs, pa, half, total, samples))
-            prev = total
-        else:
-            raise QuadratureAccuracyError(
-                "radial quadrature did not converge",
-                achieved=float(np.max(miss[~done])))
+                raise QuadratureAccuracyError(
+                    "radial quadrature did not converge",
+                    achieved=float(np.max(miss[~done])))
 
     return RadialFunction(grid=f.grid, values=out)
 

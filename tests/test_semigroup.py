@@ -82,8 +82,11 @@ def heat_step_oracle(values, h, steps, dt, d):
 
 def per_node_S0(tau, f, params):
     """apply_S0 one node at a time: the same panels, order ladder and
-    convergence test as the library, with no blocks and no padding, and
-    every order's rule evaluated at all of its nodes."""
+    convergence test as the library, with no blocks, no padding and no
+    shared samples, and every order's rule evaluated at all of its nodes.
+    A window under 16 kernel widths = _LATTICE_WINDOW is cut into 0.5-wide
+    chunks from its left end; a wider one takes every panel of the lattice
+    0, 0.5, 1, ..., rho_max that meets it."""
     d = params.d
     a = math.expm1(tau)
     width = math.sqrt(2.0 * a)
@@ -96,8 +99,13 @@ def per_node_S0(tau, f, params):
         x = math.exp(0.5 * tau) * rho
         lo = min(max(0.0, x - 8.0 * width), rho_max)
         hi = min(x + 8.0 * width, rho_max)
-        cuts = [*np.arange(lo, hi, 0.5), hi]
-        spans = [(pa, pb) for pa, pb in zip(cuts, cuts[1:]) if pb > pa]
+        if 16.0 * width < semigroup._LATTICE_WINDOW:
+            cuts = [*np.arange(lo, hi, 0.5), hi]
+            spans = [(pa, pb) for pa, pb in zip(cuts, cuts[1:]) if pb > pa]
+        else:
+            cuts = [*np.arange(0.0, rho_max, 0.5), rho_max]
+            spans = [(pa, pb) for pa, pb in zip(cuts, cuts[1:])
+                     if pa < hi and pb > lo]
         prev = None
         for n in _ORDERS:
             x_cc, w_cc = _clenshaw_curtis(n)
@@ -424,21 +432,74 @@ class TestQuadraturePath:
                                        rtol=3e-14, err_msg=f"d = {d}")
 
     def test_blocks_match_per_node_reference(self):
-        # coarse grid; the algebraic datum is nonzero at rho_max, so the
-        # panels of the outer nodes are clipped there
+        # coarse grids; the algebraic datum is nonzero at rho_max, so the
+        # panels of the outer nodes are clipped there.  tau = 1e-4 and 1e-3
+        # lie under the lattice switch (one and two panels of a node's own),
+        # 0.1 and 2 on the lattice, whose last panel is 0.3 wide at rho_max
+        # = 15.3
         grid = RadialGrid.uniform(16.0, 0.1)
-        rho = grid.nodes
-        data = [(5, GaussianDatum(1.3, 0.8).values_on(rho)),
-                (4, np.where(rho < 1.0, (1.0 - rho ** 2) ** 2, 0.0)),
-                (5, 1.0 / (1.0 + rho ** 2))]
-        for d, values in data:
+        short = RadialGrid.uniform(15.3, 0.1)
+        cases = [(grid, 5, lambda rho: GaussianDatum(1.3, 0.8).values_on(rho)),
+                 (grid, 4, lambda rho: np.where(rho < 1.0,
+                                                (1.0 - rho ** 2) ** 2, 0.0)),
+                 (grid, 5, lambda rho: 1.0 / (1.0 + rho ** 2)),
+                 (short, 5, lambda rho: 1.0 / (1.0 + rho ** 2))]
+        for g, d, values in cases:
             params = derived_exponents(d, 3.0)
-            f = RadialFunction(grid=grid, values=values)
-            for tau in [1e-3, 0.1, 2.0]:
+            f = RadialFunction(grid=g, values=values(g.nodes))
+            for tau in [1e-4, 1e-3, 0.1, 2.0]:
                 out = apply_S0(tau, f, params).values
                 ref = per_node_S0(tau, f, params)
                 err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
-                assert err <= 1e-12, (d, tau, err)
+                assert err <= 1e-12, (g.rho_max, d, tau, err)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_matches_closed_form_across_the_lattice_switch(self, grid, d):
+        # a relative 1e-6 either side of the tau at which 16 kernel widths
+        # reach _LATTICE_WINDOW: below it every node integrates panels of
+        # its own, above it the nodes share the lattice
+        params = derived_exponents(d, 3.0)
+        g = GaussianDatum(1.3, 0.8)
+        fin = RadialFunction(grid=grid, values=g.values_on(grid.nodes))
+        switch = math.log1p((semigroup._LATTICE_WINDOW / 16.0) ** 2 / 2.0)
+        for tau, rows in [(switch * (1.0 - 1e-6), grid.nodes.size),
+                          (switch * (1.0 + 1e-6), 1)]:
+            x = math.exp(0.5 * tau) * grid.nodes
+            width = math.sqrt(2.0 * math.expm1(tau))
+            left = semigroup._panels(x, width, grid.rho_max)[0]
+            assert left.shape[0] == rows
+            out = apply_S0(tau, fin, params)
+            exact = apply_S0_gaussian(tau, g, params).values_on(grid.nodes)
+            err = np.max(np.abs(out.values - exact)) / np.max(np.abs(exact))
+            assert err <= 1e-6
+
+    def test_spline_sampled_once_per_lattice_panel(self, grid, monkeypatch):
+        # on the lattice the data factor is computed once per panel and
+        # order and only the kernel once per node: at tau = 2 on the
+        # semigroup workload's inputs the spline takes under 1% of the
+        # samples the angular factor takes (as many, when each node cut
+        # panels of its own)
+        counts = {"spline": 0, "angular": 0}
+        spline, angular = semigroup._even_spline, semigroup._angular_factor
+
+        def counted_spline(f):
+            evaluate = spline(f)
+
+            def counted(s):
+                counts["spline"] += np.size(s)
+                return evaluate(s)
+            return counted
+
+        def counted_angular(beta, d):
+            counts["angular"] += np.size(beta)
+            return angular(beta, d)
+
+        monkeypatch.setattr(semigroup, "_even_spline", counted_spline)
+        monkeypatch.setattr(semigroup, "_angular_factor", counted_angular)
+        values = GaussianDatum(1.3, 0.8).values_on(grid.nodes)
+        apply_S0(2.0, RadialFunction(grid=grid, values=values),
+                 derived_exponents(5, 3.0))
+        assert 0 < counts["spline"] <= 0.01 * counts["angular"]
 
     def test_window_past_the_grid(self):
         # at tau = 3 the outer nodes' windows start past rho_max, where
