@@ -9,16 +9,18 @@ solves
 Every alpha > 0 gives a bounded profile with a finite tail limit
 ell(alpha) = lim rho^(2/(p-1)) U(rho).  Shooting starts from a fourth-order
 Taylor expansion at a small rho_0 (the (d-1)/rho coefficient is singular at
-the origin) and integrates with an adaptive embedded Runge-Kutta method:
-_dop853, the arithmetic of scipy's solve_ivp DOP853 bit for bit in a lean
-loop.  The spectral module's phase integrations share its tableau and step
-control, with stages generated on Python floats here (_count_step).
+the origin) and integrates with an adaptive embedded Runge-Kutta method,
+the package's one DOP853 driver (_integrate_to_end): scipy's tableau,
+first step and step control, with each trial step generated on Python
+floats (_count_step).  The spectral module's phase and eigenfunction
+integrations run on it too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -185,7 +187,7 @@ def _rhs(params: ProblemParams):
     d, p = params.d, float(params.p)
 
     def f(rho, y):
-        u, du = y.tolist()
+        u, du = y
         nl = math.copysign(abs(u) ** p, u)
         return (du, -((d - 1.0) / rho + 0.5 * rho) * du - u / (p - 1.0) - nl)
 
@@ -290,37 +292,30 @@ class DOP853:
     C_EXTRA = np.array([0.1, 0.2, 0.7777777777777778])
 
 
-# each stage s >= 1 with its row cut to the first s entries and its node, for
-# the 12 stages of a step and the 3 more of its interpolant
-_STAGES = [(s, DOP853.A[s, :s], float(DOP853.C[s]))
-           for s in range(1, DOP853.n_stages)]
+# each extra stage s of the interpolant with its row cut to the first s
+# entries and its node
 _EXTRA = [(s, a[:s], float(c)) for s, (a, c) in enumerate(
     zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
-_REACHED_END = ("The solver successfully reached the end of the integration "
-                "interval.")
 
 
 @dataclass
 class _Dop853Result:
-    """What solve_ivp returns, as far as the package reads it."""
+    """A dense run of _integrate_to_end: the accepted rho and states, the
+    right-hand side calls and the interpolant."""
 
     t: np.ndarray
     y: np.ndarray
-    success: bool
-    message: str
     nfev: int
     sol: Optional["_DenseSteps"]
 
 
 class _DenseSteps:
-    """The dense output of a DOP853 run (_dop853, or the spectral module's
-    _integrate_to_end with dense): per step its start t_old, width h,
-    start state y_old and DOP853's 7 interpolant rows F, stacked so that a
-    call evaluates all its points at once.  A point takes its step as
-    scipy's OdeSolution picks it (on a step boundary the step with the
-    lower index, outside the span the end step), and the rows are summed in
-    Dop853DenseOutput's order, so on _dop853's rows every value is scipy's
-    to the bit."""
+    """The dense output of a DOP853 run (_integrate_to_end with dense): per
+    step its start t_old, width h, start state y_old and DOP853's 7
+    interpolant rows F, stacked so that a call evaluates all its points at
+    once.  A point takes its step as scipy's OdeSolution picks it (on a step
+    boundary the step with the lower index, outside the span the end step),
+    and the rows are summed in Dop853DenseOutput's order."""
 
     def __init__(self, ts, t_old, h, y_old, rows):
         self._ascending = ts[-1] >= ts[0]
@@ -347,28 +342,26 @@ class _DenseSteps:
         return y[:, 0] if t.ndim == 0 else y
 
 
-def _norm(x: np.ndarray) -> float:
-    """np.linalg.norm of a vector, as scipy's step control takes it."""
-    return math.sqrt(x.dot(x))
-
-
-def _initial_step(rhs, t0: float, tf: float, y: np.ndarray,
-                  f0: np.ndarray) -> float:
-    """scipy's select_initial_step for DOP853 at RTOL, ATOL from y at t0
-    toward tf, f0 = rhs(t0, y): the width of the first trial step, found
-    with one more call of rhs.  Where the first derivative is 0 and the
-    second call NaN, max(d1, d2) is 0 and its bound inf, as numpy's
-    division gives it to scipy."""
-    n = y.size
+def _initial_step(rhs, t0: float, tf: float, y: tuple, f0: tuple) -> float:
+    """scipy's select_initial_step for DOP853 at RTOL, ATOL from the state y
+    at t0 toward tf, f0 = rhs(t0, y), both tuples of floats: the width of
+    the first trial step, found with one more call of rhs.  Where the first
+    derivative is 0 and the second call NaN, max(d1, d2) is 0 and its bound
+    inf, as in scipy."""
+    n = len(y)
     direction = 1.0 if tf >= t0 else -1.0
-    scale = ATOL + np.abs(y) * RTOL
-    d0 = _norm(y / scale) / n ** 0.5
-    d1 = _norm(f0 / scale) / n ** 0.5
+    scale = [ATOL + abs(v) * RTOL for v in y]
+
+    def rms(values):
+        return math.sqrt(sum(v * v for v in values)) / n ** 0.5
+
+    d0 = rms(v / s for v, s in zip(y, scale))
+    d1 = rms(f / s for f, s in zip(f0, scale))
     length = abs(tf - t0)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    f1 = np.asarray(rhs(t0 + h0 * direction, y + h0 * direction * f0),
-                    dtype=float)
-    d2 = _norm((f1 - f0) / scale) / n ** 0.5 / h0
+    f1 = rhs(t0 + h0 * direction,
+             tuple(v + h0 * direction * f for v, f in zip(y, f0)))
+    d2 = rms((g - f) / s for g, f, s in zip(f1, f0, scale)) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -465,41 +458,35 @@ def _dense_steps(rhs, ts, ys, ks) -> _DenseSteps:
     return _DenseSteps(ts, t_old, h, y_old, rows)
 
 
-def _dop853(rhs, span, y0) -> _Dop853Result:
-    """y' = rhs(rho, y) from y0 at span[0] to span[1] != span[0] by the
-    floating-point operations of scipy's solve_ivp(method="DOP853",
-    rtol=RTOL, atol=ATOL, dense_output=True): the same initial step,
-    stages, error estimate, step control and interpolant (None when no
-    step was taken), so every result bit is scipy's.  rhs gets rho as a
-    float and the state as an array and returns a sequence of floats; nfev
-    counts its calls as scipy does.  The stage, error and interpolant sums
-    stay numpy dot products, which OpenBLAS rounds with fused
-    multiply-adds; the step control runs on Python floats.  When the step
-    falls below ten spacings of rho the run stops there: success False,
-    scipy's message, the last rho reached in t.  A non-finite y0 or first
-    right-hand side (solve_ivp never returns on it) fails at t = [span[0]]."""
-    t0, tf = float(span[0]), float(span[1])
-    direction = 1.0 if tf >= t0 else -1.0
-    y = np.asarray(y0, dtype=float)
-    n = y.size
-    K_ext = np.empty((DOP853.n_stages + 4, n))
-    K = K_ext[:DOP853.n_stages + 1]
-    K_T, KB_T = K.T, K_ext[:DOP853.n_stages].T
-    stages = [(s, K_ext[:s].T, a, c) for s, a, c in _STAGES]
-    extra = [(s, K_ext[:s].T, a, c) for s, a, c in _EXTRA]
-
-    K[0] = f0 = np.asarray(rhs(t0, y), dtype=float)
-    if not (np.isfinite(y).all() and np.isfinite(f0).all()):
-        # a NaN step size would never fall below the minimum step
-        return _Dop853Result(t=np.array([t0]), y=y[:, None], success=False,
-                             message=f"non-finite start at rho = {t0}",
-                             nfev=1, sol=None)
-    h_abs = _initial_step(rhs, t0, tf, y, f0)
+def _integrate_to_end(rhs, span, state0, stop, what: str,
+                      dense: bool = False):
+    """(rho, state) where y' = rhs(rho, y) from state0 at span[0] ends: at
+    span[1], or, given a stop, at the first accepted step, span[0]
+    included, where stop(rho, state) holds.  The state is a tuple of n
+    floats, as rhs and stop read it and rhs returns it.  The package's one
+    DOP853 driver: scipy's first step and step control at RTOL, ATOL, each
+    trial step _count_step(n), on Python floats with no numpy.  With dense,
+    for a run without a stop, it returns instead a _Dop853Result of the run:
+    the accepted rho and states, the calls of rhs, and in sol the DOP853
+    interpolant of every accepted step (_dense_steps; None when no step was
+    taken).  A failed run, from a non-finite start or a step below ten
+    spacings of rho, raises IntegrationError "{what} at rho = ...", at the
+    last rho reached."""
+    t, tf = float(span[0]), float(span[1])
+    y = tuple(map(float, state0))
+    if stop is not None and stop(t, y):
+        return t, y
+    f = tuple(rhs(t, y))
+    if not all(map(math.isfinite, y + f)):
+        raise IntegrationError(f"{what} at rho = {t}: non-finite start",
+                               last_rho=t)
+    n = len(y)
+    step = _count_step(n)
+    direction = 1.0 if tf >= t else -1.0
+    h_abs = _initial_step(rhs, t, tf, y, f)
     nfev = 2
-
-    t = t0
-    ts, ys, steps = [t0], [y], []
-    message = _REACHED_END
+    # accepted steps of a dense run, packed, 8 bytes a float
+    ts, ys, ks = array("d", [t]), array("d", y), array("d")
     while direction * (t - tf) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -511,53 +498,44 @@ def _dop853(rhs, span, y0) -> _Dop853Result:
                 t_new = tf
             h = t_new - t
             h_abs = abs(h)
-            h_arr = np.array(h)     # multiplies an array faster than h
-            for s, k_t, a, c in stages:
-                K[s] = rhs(t + c * h, y + k_t.dot(a) * h_arr)
-            y_new = y + h_arr * KB_T.dot(DOP853.B)
-            K[-1] = rhs(t + h, y_new)
+            y_new, f_new, e5, e3, stages = step(rhs, t, h, y, f)
             nfev += 12
-            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            e5 = _norm(K_T.dot(DOP853.E5) / scale) ** 2
-            e3 = _norm(K_T.dot(DOP853.E3) / scale) ** 2
             accepted, h_abs = _step_update(h_abs, e5, e3, n, rejected)
             if accepted:
                 break
             rejected = True
         else:
-            message = DOP853.TOO_SMALL_STEP
+            raise IntegrationError(
+                f"{what} at rho = {t}: {DOP853.TOO_SMALL_STEP}", last_rho=t)
+        if dense:
+            ts.append(t_new)
+            ys.extend(y_new)
+            ks.extend(stages)
+        t, y, f = t_new, y_new, f_new
+        if stop is not None and stop(t, y):
             break
-        for s, k_t, a, c in extra:
-            K_ext[s] = rhs(t + c * h, y + k_t.dot(a) * h_arr)
-        nfev += 3
-        F = np.empty((7, n))
-        F[0] = delta_y = y_new - y
-        F[1] = h_arr * K[0] - delta_y
-        F[2] = 2 * delta_y - h_arr * (K[-1] + K[0])
-        F[3:] = h_arr * DOP853.D.dot(K_ext)
-        steps.append((t, h, y, F))
-        K[0] = K[-1]
-        t, y = t_new, y_new
-        ts.append(t)
-        ys.append(y)
+    if not dense:
+        return t, y
+    t_arr, y_arr = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, n)
     sol = None
-    if steps:
-        sol = _DenseSteps(np.array(ts), *map(np.array, zip(*steps)))
-    return _Dop853Result(t=np.array(ts), y=np.array(ys).T,
-                         success=message is _REACHED_END, message=message,
-                         nfev=nfev, sol=sol)
+    if ks:
+        sol = _dense_steps(rhs, t_arr, y_arr, np.frombuffer(ks).reshape(
+            -1, DOP853.n_stages + 1, n))
+    return _Dop853Result(t=t_arr, y=y_arr.T, nfev=nfev + 3 * (len(ts) - 1),
+                         sol=sol)
 
 
 def integrate_profile(alpha: float, params: ProblemParams, rho_end: float):
     """Integrate the profile ODE once from series_start's rho0 to rho_end;
-    returns the dense solution object (rho0 is its t[0])."""
+    returns the dense run of _integrate_to_end (rho0 is its t[0])."""
     require_positive("rho_end", rho_end)
     r0, *y0 = series_start(alpha, params)
-    sol = _dop853(_rhs(params), (r0, rho_end), y0)
-    if not sol.success or not np.all(np.isfinite(sol.y)):
-        raise IntegrationError(
-            f"profile integration failed at alpha={alpha}: {sol.message}",
-            last_rho=float(sol.t[-1]))
+    what = f"profile integration failed at alpha={alpha}"
+    sol = _integrate_to_end(_rhs(params), (r0, rho_end), y0, None, what,
+                            dense=True)
+    if not np.isfinite(sol.y).all():
+        raise IntegrationError(f"{what} at rho = {sol.t[-1]}: non-finite "
+                               "state", last_rho=float(sol.t[-1]))
     return sol
 
 
@@ -704,3 +682,12 @@ def sweep_ell(alpha_list: Sequence[float], params: ProblemParams,
     for (_, e1), (_, e2) in zip(good, good[1:]):
         jump = max(jump, abs(e2 - e1))
     return EllSweep(rows=rows, continuity_jump=jump)
+
+
+# the trial steps of the profile and the eigenfunction legs (2 components),
+# the counts (3) and the forward matching leg (4), built at import, where
+# their parses (0.3-0.8 MiB each, freed at once) precede every workload's
+# own allocations: built on first use instead, they raised crossval's median
+# peak RSS by 0.13 MiB more (two runs of 10 worker passes per tree)
+for _n in (2, 3, 4):
+    _count_step(_n)

@@ -28,10 +28,9 @@ independent routes are implemented:
   steps on it, with the lambda-derivatives carried along both
   integrations, converge in a few evaluations (the matching-point method,
   Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).  Counts,
-  matching and eigenfunctions all run on one DOP853 written out on Python
-  floats for their n-component states (_integrate_to_end), with the
-  tableau and step control of profiles._dop853, which integrates the
-  profile and repeats scipy's solve_ivp DOP853 bit for bit.
+  matching and eigenfunctions all run on the profile's integrator,
+  profiles._integrate_to_end, a DOP853 written out on Python floats for
+  their n-component states.
 
 * a symmetric finite-difference matrix.  The substitution g = sqrt(w) f
   turns the conservative discretization of (1/w)(w f')' into a symmetric
@@ -45,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,18 +60,10 @@ from .exceptions import (
 )
 from .exponents import ProblemParams
 from .profiles import (
-    ATOL,
     DEFAULT_GRID,
-    DOP853,
-    RTOL,
     ExpanderProfile,
     RadialGrid,
-    _REACHED_END,
-    _Dop853Result,
-    _count_step,
-    _dense_steps,
-    _initial_step,
-    _step_update,
+    _integrate_to_end,
     integrate_profile,
     log_weight,
     require_alpha,
@@ -236,12 +226,12 @@ class _PhaseShooter:
         rides along as an augmented state so the right-hand side stays pure
         arithmetic on Python floats; interpolating a precomputed profile per
         evaluation is several times slower.  This runs on
-        _integrate_to_end, as match_phases and solve_f do: the steps of
-        profiles._dop853, scipy's step control at the same tolerances, with
-        every stage sum written out on Python floats, about three times as
-        cheap (4.6 against 13.6 ms for a full-domain (5,3) count).  Its
-        phase and scipy's differ by rounding only (2e-15 on that count),
-        and a count only reads floor(theta / pi).
+        _integrate_to_end, as match_phases and solve_f do: scipy's DOP853
+        steps and step control at the same tolerances, with every stage sum
+        written out on Python floats, about three times as cheap as numpy
+        stage sums (4.6 against 13.6 ms for a full-domain (5,3) count).
+        Its phase and scipy's differ by rounding only (2e-15 on that
+        count), and a count only reads floor(theta / pi).
         """
         key = float(lam)
         if key in self._theta_cache:
@@ -465,75 +455,6 @@ def _step_polynomial_potential(usol, p: float):
         return p * abs(u) ** (p - 1.0)
 
     return v
-
-
-def _integrate_to_end(rhs, span, state0, stop, what: str,
-                      dense: bool = False):
-    """(rho, state) where y' = rhs(rho, y) from state0 at span[0] ends: at
-    span[1], or, given a stop, at the first accepted step, span[0]
-    included, where stop(rho, state) holds.  The state is a tuple of n
-    floats, as rhs and stop read it and rhs returns it.  The first step
-    and the step control are profiles._dop853's, scipy's at RTOL, ATOL;
-    each trial step is profiles._count_step(n), on Python floats with no
-    numpy.  With dense, for a run without a stop, it returns instead a
-    profiles._Dop853Result of the run: the accepted rho and states, and in
-    sol the DOP853 interpolant of every accepted step
-    (profiles._dense_steps; None when no step was taken).  A failed run,
-    from a non-finite start or a step below ten spacings of rho, raises
-    IntegrationError "{what} at rho = ...", at the last rho reached."""
-    t, tf = float(span[0]), float(span[1])
-    y = tuple(map(float, state0))
-    if stop is not None and stop(t, y):
-        return t, y
-    f = tuple(rhs(t, y))
-    if not all(map(math.isfinite, y + f)):
-        raise IntegrationError(f"{what} at rho = {t}: non-finite start",
-                               last_rho=t)
-    n = len(y)
-    step = _count_step(n)
-    direction = 1.0 if tf >= t else -1.0
-    h_abs = _initial_step(lambda rho, v: rhs(rho, tuple(v.tolist())), t, tf,
-                          np.array(y), np.array(f))
-    nfev = 2
-    # accepted steps of a dense run, packed, 8 bytes a float
-    ts, ys, ks = array("d", [t]), array("d", y), array("d")
-    while direction * (t - tf) < 0:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while not h_abs < min_step:     # scipy's test, NaN included
-            t_new = t + h_abs * direction
-            if direction * (t_new - tf) > 0:
-                t_new = tf
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, f_new, e5, e3, stages = step(rhs, t, h, y, f)
-            nfev += 12
-            accepted, h_abs = _step_update(h_abs, e5, e3, n, rejected)
-            if accepted:
-                break
-            rejected = True
-        else:
-            raise IntegrationError(
-                f"{what} at rho = {t}: {DOP853.TOO_SMALL_STEP}", last_rho=t)
-        if dense:
-            ts.append(t_new)
-            ys.extend(y_new)
-            ks.extend(stages)
-        t, y, f = t_new, y_new, f_new
-        if stop is not None and stop(t, y):
-            break
-    if not dense:
-        return t, y
-    t_arr, y_arr = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, n)
-    sol = None
-    if ks:
-        sol = _dense_steps(rhs, t_arr, y_arr, np.frombuffer(ks).reshape(
-            -1, DOP853.n_stages + 1, n))
-    return _Dop853Result(t=t_arr, y=y_arr.T, success=True,
-                         message=_REACHED_END, nfev=nfev + 3 * (len(ts) - 1),
-                         sol=sol)
 
 
 def _phase_rates(theta, eta, qt, w):
@@ -930,11 +851,3 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
                             lambda_bar=pair.lam, profile=profile,
                             eigenpair=pair)
 
-
-# the trial steps of the counts (3 components) and of the matching and
-# eigenfunction legs (4 and 2), built at import, where their parses (0.3-0.8
-# MiB each, freed at once) precede every workload's own allocations: built
-# on first use instead, they raised crossval's median peak RSS by 0.13 MiB
-# more (two runs of 10 worker passes per tree)
-for _n in (2, 3, 4):
-    _count_step(_n)

