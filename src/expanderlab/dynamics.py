@@ -41,7 +41,7 @@ from .exponents import (
     odd_power,
 )
 from .profiles import DEFAULT_GRID, RadialGrid, estimate_ell, require_positive
-from .semigroup import lebesgue_norms, sphere_area
+from .semigroup import _NormKit  # bench/instrument.py wraps this name
 from .spectral import (
     PotentialField,
     matrix_spectrum,
@@ -52,6 +52,9 @@ STABILITY_C = 0.5
 MAX_STEPS = 10 ** 7     # a run of more nominal steps is refused up front
 BLOWUP = 1e6            # a run stops once max|v| passes this, or
                         # 2^(1000/p) where |v|^p would near overflow first
+# a run logs its states a block of this many elements at a time; 2^14 ran
+# faster, but its scratch raised the benchmark's peak RSS by 0.2 MiB
+LOG_ELEMENTS = 2 ** 13
 
 
 @dataclass
@@ -288,23 +291,6 @@ class TrajectoryLog:
                    *(repr(float(col[i])) for col in self.norms.values()))
 
 
-class _NormKit:
-    """Per-step norms against the grid's Simpson weights."""
-
-    def __init__(self, grid: RadialGrid, params: ProblemParams):
-        self.w_meas = grid.measure_weights(params.d)
-        self.sphere = sphere_area(params.d)
-        self.w_l2w = grid.l2w_weights(params.d)
-
-    def lebesgue(self, v: np.ndarray,
-                 gammas: tuple) -> tuple[list[float], float]:
-        """The L^gamma norms of v for each gamma in gammas, and max|v|."""
-        return lebesgue_norms(self.w_meas, v, gammas, self.sphere)
-
-    def weighted_l2(self, v: np.ndarray) -> float:
-        return float(math.sqrt(np.dot(self.w_l2w, v * v)))
-
-
 def _check_window(tau0: float, tau1: float, dtau: float) -> float:
     """dtau, checked to step from tau0 up to tau1 in MAX_STEPS or fewer."""
     if not tau1 > tau0:
@@ -326,44 +312,33 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
             source_fn: Optional[Callable[[np.ndarray], np.ndarray]],
             columns: dict) -> TrajectoryLog:
     """Step v0 from tau0 to tau1, logging columns after every step: each
-    name maps, in order, to an exponent gamma (logs the L^gamma norm) or a
-    function (logs f(v, tau)).  The exponents, each taken once, share one
-    lebesgue_norms pass per state, which also gives max|v| for the
-    stability cap and the blow-up test.  With a frozen potential the field
-    decays and the outer row is Dirichlet, otherwise the Robin condition
-    calibrated on v0's tail."""
+    name maps, in order, to a column spec of _NormKit.log_rows.  States
+    are logged LOG_ELEMENTS // n at a time and at the end, one array per
+    block, joined once; max|v|, for the cap and the blow-up test, is taken
+    every step.  With a frozen potential the field decays and the outer
+    row is Dirichlet, otherwise the Robin condition calibrated on v0's
+    tail."""
     dtau = _check_window(tau0, tau1, dtau)
     v = np.asarray(v0, dtype=float).copy()
     if v.shape != grid.nodes.shape:
         raise DomainError("initial data must live on the grid")
     blowup = min(BLOWUP, 2.0 ** (1000.0 / params.p))
-    if not np.max(np.abs(v)) <= blowup:
+    vmax = float(max(v.max(), -v.min()))
+    if not vmax <= blowup:
         raise DomainError(f"initial data must be finite with max|v| <= "
                           f"{blowup:g}, the blow-up threshold")
     beta = None if potential is not None else calibrated_beta(v, grid, params)
     stepper = _CrankNicolson(grid, params, potential, beta)
     kit = _NormKit(grid, params)
+    buf = np.empty((4, max(1, LOG_ELEMENTS // v.size), v.size))
+    block = buf[0]      # the rest is log_rows' scratch
+    tau, taus, block[0], parts = tau0, [tau0], v, []
 
-    # split the columns once, not per step
-    taus = []
-    norms = {k: [] for k in columns}
-    exps = {k: g for k, g in columns.items() if not callable(g)}
-    gammas = tuple(dict.fromkeys(exps.values()))
-    slots = [(norms[k].append, gammas.index(g)) for k, g in exps.items()]
-    fns = [(norms[k].append, f) for k, f in columns.items() if callable(f)]
+    def log_block():
+        rows = (len(taus) - 1) % len(block) + 1
+        parts.append(kit.log_rows(block[:rows], taus[-rows:], columns,
+                                  buf[1:, :rows]))
 
-    def log_state(tau, v):
-        """Log v's columns at tau and return max|v|."""
-        taus.append(tau)
-        values, vmax = kit.lebesgue(v, gammas)
-        for add, i in slots:
-            add(values[i])
-        for add, f in fns:
-            add(f(v, tau))
-        return vmax
-
-    tau = tau0
-    vmax = log_state(tau, v)
     while tau < tau1 - 1e-12:
         dt = min(dtau, tau1 - tau)
         if source_fn is not None:
@@ -373,26 +348,30 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
         source = source_fn(v) if source_fn is not None else None
         v = stepper.step(v, dt, source)
         tau += dt
-        vmax = log_state(tau, v)
+        i = len(taus) % len(block)
+        if not i:
+            log_block()
+        block[i] = v
+        taus.append(tau)
+        vmax = float(max(v.max(), -v.min()))
         if vmax > blowup:
             break
+    log_block()
+    table = np.concatenate(parts, axis=1)
 
     return TrajectoryLog(
         taus=np.array(taus),
-        norms={k: np.array(a) for k, a in norms.items()},
+        norms={k: table[j] for j, k in enumerate(columns)},
         blown_up=vmax > blowup, final=EvolutionState(tau=tau, v=v))
 
 
-def _columns(grid: RadialGrid, params: ProblemParams, q, r,
+def _columns(params: ProblemParams, q, r,
              reference: Optional[np.ndarray] = None) -> dict:
     """The columns of a full trajectory: L^1, L^q, L^r, L^(pr), l2w and
     dist_ref, the L^r distance to reference (without one, the L^r norm)."""
     q, r = _default_exponents(params, q, r)
-    kit = _NormKit(grid, params)
-    return {"l1": 1.0, "lq": q, "lr": r, "lpr": params.p * r,
-            "l2w": lambda v, tau: kit.weighted_l2(v),
-            "dist_ref": r if reference is None else (
-                lambda v, tau: kit.lebesgue(v - reference, (r,))[0][0])}
+    return {"l1": 1.0, "lq": q, "lr": r, "lpr": params.p * r, "l2w": "l2w",
+            "dist_ref": r if reference is None else (r, reference, 1.0, 0.0)}
 
 
 def _default_exponents(params: ProblemParams, q, r):
@@ -421,7 +400,7 @@ def evolve_similarity(v0: np.ndarray, tau0: float, tau1: float,
     """
     return _evolve(v0, grid, params, tau0, tau1, dtau, None,
                    lambda v: odd_power(v, params.p),
-                   _columns(grid, params, q, r, reference))
+                   _columns(params, q, r, reference))
 
 
 def linearized_evolve(w0: np.ndarray, potential: PotentialField,
@@ -439,14 +418,14 @@ def evolve_perturbation(psi0: np.ndarray, potential: PotentialField,
                         tau0: float, tau1: float,
                         dtau: float = 0.01, q: Optional[float] = None,
                         r: Optional[float] = None,
-                        extra_norm=None) -> TrajectoryLog:
+                        mode_gap: Optional[tuple] = None) -> TrajectoryLog:
     """Evolve the deviation from a frozen profile under the full flow.
 
     The linearized generator is implicit; only the quadratic-order
     remainder of the nonlinearity is explicit, so the profile itself is an
     exact fixed point of the scheme up to its own discretization defect.
-    The parameters are the potential's profile's.  extra_norm(psi, tau),
-    if given, is logged as one more column.
+    The parameters are the potential's profile's.  mode_gap = (f, eps,
+    lam) logs one more column, the L^r norm of psi - eps e^(lam tau) f.
     """
     prof = potential.profile
     params = prof.params
@@ -457,9 +436,9 @@ def evolve_perturbation(psi0: np.ndarray, potential: PotentialField,
     def remainder(psi):
         return (odd_power(u_bar + psi, params.p) - n_bar - v_pot * psi)
 
-    columns = _columns(prof.grid, params, q, r)
-    if extra_norm is not None:
-        columns["extra_norm"] = extra_norm
+    columns = _columns(params, q, r)
+    if mode_gap is not None:
+        columns["mode_gap"] = (columns["lr"], *mode_gap)
     return _evolve(psi0, prof.grid, params, tau0, tau1, dtau, v_pot,
                    remainder, columns)
 
@@ -495,20 +474,14 @@ def ancient_branch(potential: PotentialField, eigmode: np.ndarray,
         raise DomainError("ancient branch needs a positive top eigenvalue")
     prof = potential.profile
     q, r = _default_exponents(params, q, r)
-    kit = _NormKit(prof.grid, params)
-    (mode_r,), _ = kit.lebesgue(eigmode, (r,))
-
-    def mode_gap(v, tau):
-        return kit.lebesgue(
-            v - epsilon * math.exp(lambda_bar * tau) * eigmode, (r,))[0][0]
-
+    (mode_r,), _ = _NormKit(prof.grid, params).lebesgue(eigmode, (r,))
     psi0 = epsilon * math.exp(lambda_bar * tau0) * eigmode
-    log = evolve_perturbation(psi0, potential, tau0, tau1,
-                              dtau=dtau, q=q, r=r, extra_norm=mode_gap)
+    log = evolve_perturbation(psi0, potential, tau0, tau1, dtau=dtau, q=q,
+                              r=r, mode_gap=(eigmode, epsilon, lambda_bar))
 
     taus = log.taus
     lower = 0.5 * epsilon * np.exp(lambda_bar * taus) * mode_r
-    gap = log.norms.pop("extra_norm")      # its CSV keeps eight columns
+    gap = log.norms.pop("mode_gap")        # its CSV keeps eight columns
     window = taus >= tau0 + 0.2 * (tau1 - tau0)
     good = window & (gap > 1e-13 * np.max(gap))
     slope = r2 = math.nan

@@ -528,8 +528,8 @@ def _integrate_to_end(rhs, span, state0, stop, what: str,
 def integrate_profile(alpha: float, params: ProblemParams, rho_end: float):
     """Integrate the profile ODE once from series_start's rho0 to rho_end;
     returns the dense run of _integrate_to_end (rho0 is its t[0])."""
-    require_positive("rho_end", rho_end)
     r0, *y0 = series_start(alpha, params)
+    require_positive("rho_end - rho0", rho_end - r0)
     what = f"profile integration failed at alpha={alpha}"
     sol = _integrate_to_end(_rhs(params), (r0, rho_end), y0, None, what,
                             dense=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -90,45 +90,100 @@ class RadialFunction:
 
 
 def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
-                   gammas: Sequence[float],
-                   sphere: float) -> tuple[list[float], float]:
-    """(sphere sum_i w_meas_i |f_i|^gamma)^(1/gamma) for each gamma in
-    gammas, and max|f|: |f| and its maximum are taken once for all of them.
-
-    Nodes with |f| < 2^(-1000/gamma) are left out of the sum: their terms
-    lie below 2^-1000, and pow is some 50x slower on a subnormal result.
-    When min|f| reaches the cut, pow runs without the mask and the fill,
-    a third of a per-step norm log; a cut node, a NaN node or an all-zero
-    field takes the masked call.  A field whose largest power would leave
-    [2^-500, 2^900] is first divided by its maximum, so a tiny one keeps
-    its relative precision and a huge one does not overflow; other fields
-    are summed unscaled, to the plain formula's last bit.  If the cut
-    leaves only nodes of weight 0 (the axis, at huge gamma), the norm is
-    taken again with them set to 0; the new maximum escapes the cut.  A
-    NaN node makes every norm NaN.
+                   gammas: Sequence[float], sphere: float,
+                   work: Optional[np.ndarray] = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(sphere sum_i w_meas_i |f_i|^gamma)^(1/gamma) for each row f of
+    values (k, n) and gamma in gammas, shape (k, len(gammas)), and each
+    row's max|f|; a row's norms are its one-row call's.  work, (2, k, n)
+    scratch, spares a caller of many blocks a heap trim per call.  Nodes
+    with |f| < 2^(-1000/gamma) are left out: their terms lie below 2^-1000,
+    and pow is some 50x slower on a subnormal result.  An integer gamma >= 3
+    is taken by binary powering, whose products then stay normal, within
+    1.5 ulp of pow's norm; other gammas by pow.  A row whose largest power
+    would leave [2^-500, 2^900] is first divided by its maximum.  Sums are
+    np.dot's bits (np.vecdot, not a matrix product), roots Python floats'.
+    If the cut leaves only nodes of weight 0 (the axis, at huge gamma), the
+    norm is taken again with them set to 0.  NaN nodes give NaN norms.
     """
-    a = np.abs(values)
-    top = float(a.max())
-    low = float(a.min())
-    power = np.empty_like(a)
-    norms = []
-    for gamma in gammas:
-        scaled, unit = a, 1.0
-        if 0.0 < top and not -500.0 <= gamma * math.log2(top) <= 900.0:
-            scaled, unit = a / top, top
+    power, base = np.empty((2, *values.shape)) if work is None else work
+    np.abs(values, out=power)
+    tops = power.max(axis=1)
+    top_list, lows = tops.tolist(), power.min(axis=1).tolist()
+    norms = np.empty((len(values), len(gammas)))
+    for j, gamma in enumerate(gammas):
+        units = [t if 0.0 < t and not -500.0 <= gamma * math.log2(t) <= 900.0
+                 else 1.0 for t in top_list]
+        if j:
+            np.abs(values, out=power)
+        if units != [1.0] * len(units):
+            power /= np.array(units)[:, None]
         cut = 2.0 ** (-1000.0 / gamma)
-        if low / unit >= cut:
-            np.power(scaled, gamma, out=power)
+        if not all(low / unit >= cut for low, unit in zip(lows, units)):
+            np.copyto(power, 0.0, where=power < cut)
+        if gamma >= 3.0 and float(gamma).is_integer():
+            base[...] = power       # binary powering, left to right
+            for bit in bin(int(gamma))[3:]:
+                np.multiply(power, power, out=power)
+                if bit == "1":
+                    np.multiply(power, base, out=power)
         else:
-            power.fill(0.0)
-            np.power(scaled, gamma, out=power, where=~(scaled < cut))
-        total = float(np.dot(w_meas, power))
-        if total == 0.0 < top:
-            norms += lebesgue_norms(w_meas, np.where(w_meas > 0.0, a, 0.0),
-                                    (gamma,), sphere)[0]
-        else:
-            norms.append(unit * (sphere * total) ** (1.0 / gamma))
-    return norms, top
+            np.power(power, gamma, out=power)
+        for i, total in enumerate(np.vecdot(power, w_meas).tolist()):
+            if total == 0.0 < top_list[i]:
+                norms[i, j] = lebesgue_norms(
+                    w_meas, np.where(w_meas > 0.0, values[i], 0.0)[None],
+                    (gamma,), sphere)[0][0, 0]
+            else:
+                norms[i, j] = units[i] * (sphere * total) ** (1.0 / gamma)
+    return norms, tops
+
+
+class _NormKit:
+    """Norms against the grid's Simpson weights, of one state or of a block
+    of states logged along a trajectory (dynamics._evolve)."""
+
+    def __init__(self, grid: RadialGrid, params: ProblemParams):
+        self.w_meas = grid.measure_weights(params.d)
+        self.sphere = sphere_area(params.d)
+        self.w_l2w = grid.l2w_weights(params.d)
+
+    def lebesgue(self, v: np.ndarray,
+                 gammas: tuple) -> tuple[list[float], float]:
+        """The L^gamma norms of v for each gamma in gammas, and max|v|."""
+        norms, tops = lebesgue_norms(self.w_meas, v[None], gammas,
+                                     self.sphere)
+        return norms[0].tolist(), float(tops[0])
+
+    def weighted_l2(self, v: np.ndarray) -> float:
+        return float(math.sqrt(np.dot(self.w_l2w, v * v)))
+
+    def log_rows(self, block: np.ndarray, taus: list, columns: dict,
+                 work: np.ndarray) -> np.ndarray:
+        """One row per column spec, one value per state in block, logged at
+        taus, as each state's own calls would give it: a spec is an exponent
+        gamma (the L^gamma norm), "l2w" (weighted_l2) or (gamma, f, amp,
+        rate) (the L^gamma norm of v - amp e^(rate tau) f); work is (3, k,
+        n) scratch."""
+        gammas = tuple(dict.fromkeys(
+            g for g in columns.values() if not isinstance(g, (str, tuple))))
+        norms, _ = lebesgue_norms(self.w_meas, block, gammas, self.sphere,
+                                  work[1:])
+        out = np.empty((len(columns), len(block)))
+        for row, spec in zip(out, columns.values()):
+            if isinstance(spec, str):
+                np.sqrt(np.vecdot(np.multiply(block, block, out=work[0]),
+                                  self.w_l2w), out=row)
+            elif isinstance(spec, tuple):
+                gamma, f, amp, rate = spec
+                np.multiply([[amp * math.exp(rate * t)] for t in taus], f,
+                            out=work[0])
+                row[:] = lebesgue_norms(
+                    self.w_meas, np.subtract(block, work[0], out=work[0]),
+                    (gamma,), self.sphere, work[1:])[0][:, 0]
+            else:
+                row[:] = norms[:, gammas.index(spec)]
+        return out
 
 
 def lq_norm(f: RadialFunction, gamma: float, d: int) -> float:
@@ -136,8 +191,8 @@ def lq_norm(f: RadialFunction, gamma: float, d: int) -> float:
     weights against the rho^(d-1) measure, with f zero past rho_max."""
     if not gamma >= 1.0:
         raise DomainError("Lebesgue exponent must be >= 1")
-    return lebesgue_norms(f.grid.measure_weights(d), f.values, (gamma,),
-                          sphere_area(d))[0][0]
+    return float(lebesgue_norms(f.grid.measure_weights(d), f.values[None],
+                                (gamma,), sphere_area(d))[0][0, 0])
 
 
 def apply_S0_gaussian(tau: float, g: GaussianDatum,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
-from expanderlab import dynamics
+from expanderlab import dynamics, semigroup
 from expanderlab.exceptions import DomainError, NoUnstableExpanderError
 from expanderlab.exponents import derived_exponents, odd_power
 from expanderlab.profiles import RadialGrid
@@ -349,28 +349,99 @@ class TestLinearizedEvolve:
         assert e1 / e2 == pytest.approx(4.0, abs=0.3)
 
 
-def test_demo_drift_run_takes_one_norm_pass_per_state(monkeypatch,
+def test_demo_drift_run_takes_one_norm_pass_per_block(monkeypatch,
                                                       params53):
     # the drift run reads only final.v: its dist_ref is its lr column,
-    # so each logged state costs one _NormKit.lebesgue call
+    # so each block of logged states costs one lebesgue_norms call
     passes, logs = [], []
-    lebesgue, evolve = _NormKit.lebesgue, dynamics.evolve_similarity
+    evolve = dynamics.evolve_similarity
 
-    def counted(self, v, gammas):
-        passes.append(gammas)
-        return lebesgue(self, v, gammas)
+    def counted(w_meas, values, gammas, sphere, work=None):
+        passes.append((len(values), gammas))
+        return lebesgue_norms(w_meas, values, gammas, sphere, work)
 
     def drift_run(*args, **kwargs):
         with monkeypatch.context() as m:
-            m.setattr(_NormKit, "lebesgue", counted)
+            m.setattr(semigroup, "lebesgue_norms", counted)
             logs.append(evolve(*args, **kwargs))
         return logs[-1]
 
     monkeypatch.setattr(dynamics, "evolve_similarity", drift_run)
     nonuniqueness_demo(params53, q=2.0, r=10.0)
     assert len(logs) == 1
-    assert len(passes) == logs[0].taus.size
-    assert passes[0] == (1.0, 2.0, 10.0, 30.0)
+    rows = dynamics.LOG_ELEMENTS // logs[0].final.v.size
+    assert len(passes) == math.ceil(logs[0].taus.size / rows)
+    assert [n for n, _ in passes[:-1]] == [rows] * (len(passes) - 1)
+    assert {g for _, g in passes} == {(1.0, 2.0, 10.0, 30.0)}
+
+
+def logged_states(monkeypatch, v0):
+    """The list the run's states go to: v0, then each CN step's result."""
+    states, step = [np.array(v0, dtype=float)], _CrankNicolson.step
+
+    def recorded(self, v, dtau, source=None):
+        states.append(step(self, v, dtau, source).copy())
+        return states[-1].copy()
+
+    monkeypatch.setattr(_CrankNicolson, "step", recorded)
+    return states
+
+
+def assert_rows_are_one_row_calls(log, states, kit, columns):
+    """Each logged value is, bit for bit, the single-state call the
+    per-state logger made for it."""
+    assert len(states) == log.taus.size
+    for name, spec in columns.items():
+        col = log.norms[name]
+        assert col.flags.c_contiguous
+        for v, tau, got in zip(states, log.taus, col):
+            if isinstance(spec, str):
+                want = kit.weighted_l2(v)
+            elif isinstance(spec, tuple):
+                gamma, f, amp, rate = spec
+                want = kit.lebesgue(v - amp * math.exp(rate * tau) * f,
+                                    (gamma,))[0][0]
+            else:
+                want = kit.lebesgue(v, (spec,))[0][0]
+            assert got == want, (name, tau)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_logged_rows_are_one_row_calls(monkeypatch, params53, profile53,
+                                       potential53, mode53, selected53,
+                                       extra):
+    # runs of one row short of a block, a block, and a row past it; the
+    # reference and the mode gap are the columns of v minus a shift
+    grid, u = profile53.grid, profile53.u
+    rows = dynamics.LOG_ELEMENTS // grid.nodes.size + extra
+    kit = _NormKit(grid, params53)
+    states = logged_states(monkeypatch, 1.2 * u)
+    log = evolve_similarity(1.2 * u, 0.0, 0.01 * (rows - 1), params53, grid,
+                            dtau=0.01, q=2.5, r=10.0, reference=u)
+    assert_rows_are_one_row_calls(
+        log, states, kit, dynamics._columns(params53, 2.5, 10.0, u))
+    gap = (mode53, 0.01, selected53.lambda_bar)
+    states = logged_states(monkeypatch, 0.01 * mode53)
+    log = evolve_perturbation(0.01 * mode53, potential53, 0.0,
+                              0.01 * (rows - 1), q=2.5, r=10.0, mode_gap=gap)
+    columns = dynamics._columns(params53, 2.5, 10.0)
+    columns["mode_gap"] = (10.0, *gap)
+    assert_rows_are_one_row_calls(log, states, kit, columns)
+
+
+@pytest.mark.parametrize("scale, dtau", [(1.1, 0.02), (1.2, 0.5)])
+def test_capped_blowup_rows_are_one_row_calls(monkeypatch, params53,
+                                              profile53, scale, dtau):
+    # cut short by the stability cap, the run blows up in mid-block; at
+    # dtau 0.5 it takes 121 steps where the log's table was sized for 15
+    grid, v0 = profile53.grid, scale * profile53.u
+    states = logged_states(monkeypatch, v0)
+    log = evolve_similarity(v0, 0.0, 5.0, params53, grid, dtau=dtau, q=2.5)
+    assert log.blown_up
+    assert log.taus.size % (dynamics.LOG_ELEMENTS // grid.nodes.size)
+    assert np.sum(np.diff(log.taus) < 0.999 * dtau) > 100
+    assert_rows_are_one_row_calls(log, states, _NormKit(grid, params53),
+                                  dynamics._columns(params53, 2.5, None))
 
 
 class TestEvolvePerturbation:
@@ -531,15 +602,19 @@ def test_norm_kit_matches_lq_norm(params53, gamma):
 def test_norm_kit_bitwise_where_tail_powers_underflow(params53,
                                                       grid_default):
     # exp(-rho^2)^gamma is subnormal or zero past rho ~ 8.4 at gamma 10
-    # and past rho ~ 4.9 at gamma 30: the nodes dropped there change nothing
+    # and past rho ~ 4.9 at gamma 30: the nodes dropped there change
+    # nothing; integer gammas >= 3, taken by products, land within 4 ulp
     kit = _NormKit(grid_default, params53)
     v = np.exp(-grid_default.nodes ** 2) * np.cos(grid_default.nodes)
-    gammas = (10.0, 30.0)
+    gammas = (2.0, 12.5, 10.0, 30.0)
     norms, _ = kit.lebesgue(v, gammas)
     for gamma, nrm in zip(gammas, norms):
         plain = float((kit.sphere * np.dot(
             kit.w_meas, np.abs(v) ** gamma)) ** (1.0 / gamma))
-        assert nrm == plain
+        if gamma.is_integer() and gamma >= 3.0:
+            assert nrm == pytest.approx(plain, rel=4 * 2.0 ** -52, abs=0.0)
+        else:
+            assert nrm == plain
 
 
 def test_tiny_field_norm_is_not_zero(params53, grid_default):
@@ -563,6 +638,6 @@ def test_large_field_norm_is_finite(grid_default):
     exact = c * (sphere_area(d) * grid_default.rho_max ** d / d) ** (
         1.0 / gamma)
     field = np.full(grid_default.nodes.size, c)
-    got = lebesgue_norms(grid_default.measure_weights(d), field, (gamma,),
-                         sphere_area(d))[0][0]
+    got = lebesgue_norms(grid_default.measure_weights(d), field[None],
+                         (gamma,), sphere_area(d))[0][0, 0]
     assert got == pytest.approx(exact, rel=1e-12)

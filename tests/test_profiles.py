@@ -132,9 +132,12 @@ _P53 = derived_exponents(5, 3.0)
     (RadialGrid.uniform, (16.0, 0.0)),
     (RadialGrid.uniform, (16.0, math.nan)),
     (RadialGrid.uniform, (16.0, -0.01)),
+    (integrate_profile, (0.0, _P53, 1e-4)),     # zero span at rho0
+    (integrate_profile, (1.0, _P53, 5e-5)),     # ends before rho0
 ])
 def test_bad_domain_end_or_alpha_rejected(call, args):
-    # a non-finite end used to hang the integrator instead of failing
+    # a non-finite end used to hang the integrator instead of failing, and
+    # an end at the series start divided by a zero first step
     with pytest.raises(DomainError):
         call(*args)
 

@@ -157,23 +157,47 @@ class TestLqNorm:
         v = np.ldexp(rng.standard_normal(grid.nodes.size)
                      * np.exp(-grid.nodes ** 2 / 8.0), k)
         w, sphere = grid.measure_weights(5), sphere_area(5)
-        norms, top = semigroup.lebesgue_norms(w, v, gammas, sphere)
-        assert top == np.max(np.abs(v))
-        assert norms == [semigroup.lebesgue_norms(w, v, (g,), sphere)[0][0]
-                         for g in gammas]
-        # the unmasked power (no node cut: the first field, and the
-        # rescaled tiny and huge ones) and the masked one (the Gaussian's
-        # tail, the NaN node, the zero field) equal the masked formula
+        norms, tops = semigroup.lebesgue_norms(w, v[None], gammas, sphere)
+        assert tops[0] == np.max(np.abs(v))
+        assert norms[0].tolist() == [
+            semigroup.lebesgue_norms(w, v[None], (g,), sphere)[0][0, 0]
+            for g in gammas]
+        # one block of the uncut field, the Gaussian's tail, a NaN node and
+        # the tiny, huge and zero fields: each row is its one-row call, and
+        # the masked formula's bits but where an integer gamma >= 3 is taken
+        # by products, within 4 ulp
         rho = grid.nodes
         flat = 1.0 + 0.5 * np.cos(rho)
         nan = flat.copy()
         nan[7] = math.nan
-        for f in (v, flat, np.exp(-4.0 * rho ** 2), nan, 1e-200 * flat,
-                  1e250 * flat, np.zeros_like(rho)):
-            norms, _ = semigroup.lebesgue_norms(w, f, gammas, sphere)
-            assert np.array_equal(norms, masked_norms(w, f, gammas, sphere),
-                                  equal_nan=True)
-            assert np.all(np.isnan(norms)) == (f is nan)
+        block = np.array([v, flat, np.exp(-4.0 * rho ** 2), nan,
+                          1e-200 * flat, 1e250 * flat, np.zeros_like(rho)])
+        norms, _ = semigroup.lebesgue_norms(w, block, gammas, sphere)
+        for i, (f, row) in enumerate(zip(block, norms)):
+            one, _ = semigroup.lebesgue_norms(w, f[None], gammas, sphere)
+            assert np.array_equal(row, one[0], equal_nan=True)
+            assert np.all(np.isnan(row)) == (i == 3)
+            for g, got, want in zip(gammas, row,
+                                    masked_norms(w, f, gammas, sphere)):
+                if g >= 3.0 and g.is_integer():
+                    assert got == pytest.approx(want, rel=4 * 2.0 ** -52,
+                                                abs=0.0, nan_ok=True)
+                else:
+                    assert got == want or math.isnan(got) == math.isnan(want)
+
+    @pytest.mark.parametrize("gamma", [3.0, 10.0, 30.0, 220.0])
+    def test_integer_powers_within_4_ulp_of_pow(self, grid, gamma):
+        # binary powering rounds once per product; over 300 fields of the
+        # family above the worst norm was 1.25 ulp from pow's
+        rng = np.random.default_rng(int(gamma))
+        w, sphere = grid.measure_weights(5), sphere_area(5)
+        fields = np.ldexp(rng.standard_normal((60, grid.nodes.size))
+                          * np.exp(-grid.nodes ** 2 / 8.0),
+                          rng.integers(-1100, 1000, (60, 1)))
+        norms, _ = semigroup.lebesgue_norms(w, fields, (gamma,), sphere)
+        want = [masked_norms(w, f, (gamma,), sphere)[0] for f in fields]
+        assert norms[:, 0] == pytest.approx(want, rel=4 * 2.0 ** -52,
+                                            abs=0.0)
 
 
     @pytest.mark.parametrize("gamma", [6000.0, 1e6, 9e6, 1e9, 1e15])
