@@ -41,7 +41,8 @@ from .exponents import (
     odd_power,
 )
 from .profiles import DEFAULT_GRID, RadialGrid, estimate_ell, require_positive
-from .semigroup import _NormKit  # bench/instrument.py wraps this name
+# _NormKit stays bound here: bench/instrument.py wraps this name
+from .semigroup import _NormKit, lebesgue_norms
 from .spectral import (
     PotentialField,
     matrix_spectrum,
@@ -276,7 +277,8 @@ def stability_cap(vmax: float, params: ProblemParams) -> float:
 
 @dataclass
 class TrajectoryLog:
-    """Per-step record of a trajectory: norms holds its columns, in order."""
+    """Per-step record of a trajectory: norms holds its columns, in order,
+    each one contiguous array over taus, logged a block of states at a time."""
 
     taus: np.ndarray
     norms: dict
@@ -289,6 +291,34 @@ class TrajectoryLog:
         for i, tau in enumerate(self.taus):
             yield (repr(float(tau)), repr(float(math.exp(tau))),
                    *(repr(float(col[i])) for col in self.norms.values()))
+
+
+def _log_rows(kit: _NormKit, block: np.ndarray, taus: list, columns: dict,
+              work: np.ndarray) -> np.ndarray:
+    """One row per column spec, one value per state in block, logged at
+    taus, as each state's own calls would give it: a spec is an exponent
+    gamma (the L^gamma norm), "l2w" (weighted_l2) or (gamma, f, amp,
+    rate) (the L^gamma norm of v - amp e^(rate tau) f); work is (3, k,
+    n) scratch."""
+    gammas = tuple(dict.fromkeys(
+        g for g in columns.values() if not isinstance(g, (str, tuple))))
+    norms, _ = lebesgue_norms(kit.w_meas, block, gammas, kit.sphere,
+                              work[1:])
+    out = np.empty((len(columns), len(block)))
+    for row, spec in zip(out, columns.values()):
+        if isinstance(spec, str):
+            np.sqrt(np.vecdot(np.multiply(block, block, out=work[0]),
+                              kit.w_l2w), out=row)
+        elif isinstance(spec, tuple):
+            gamma, f, amp, rate = spec
+            np.multiply([[amp * math.exp(rate * t)] for t in taus], f,
+                        out=work[0])
+            row[:] = lebesgue_norms(
+                kit.w_meas, np.subtract(block, work[0], out=work[0]),
+                (gamma,), kit.sphere, work[1:])[0][:, 0]
+        else:
+            row[:] = norms[:, gammas.index(spec)]
+    return out
 
 
 def _check_window(tau0: float, tau1: float, dtau: float) -> float:
@@ -312,7 +342,7 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
             source_fn: Optional[Callable[[np.ndarray], np.ndarray]],
             columns: dict) -> TrajectoryLog:
     """Step v0 from tau0 to tau1, logging columns after every step: each
-    name maps, in order, to a column spec of _NormKit.log_rows.  States
+    name maps, in order, to a column spec of _log_rows.  States
     are logged LOG_ELEMENTS // n at a time and at the end, one array per
     block, joined once; max|v|, for the cap and the blow-up test, is taken
     every step.  With a frozen potential the field decays and the outer
@@ -331,13 +361,13 @@ def _evolve(v0: np.ndarray, grid: RadialGrid, params: ProblemParams,
     stepper = _CrankNicolson(grid, params, potential, beta)
     kit = _NormKit(grid, params)
     buf = np.empty((4, max(1, LOG_ELEMENTS // v.size), v.size))
-    block = buf[0]      # the rest is log_rows' scratch
+    block = buf[0]      # the rest is _log_rows' scratch
     tau, taus, block[0], parts = tau0, [tau0], v, []
 
     def log_block():
         rows = (len(taus) - 1) % len(block) + 1
-        parts.append(kit.log_rows(block[:rows], taus[-rows:], columns,
-                                  buf[1:, :rows]))
+        parts.append(_log_rows(kit, block[:rows], taus[-rows:], columns,
+                               buf[1:, :rows]))
 
     while tau < tau1 - 1e-12:
         dt = min(dtau, tau1 - tau)

@@ -140,8 +140,7 @@ def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
 
 
 class _NormKit:
-    """Norms against the grid's Simpson weights, of one state or of a block
-    of states logged along a trajectory (dynamics._evolve)."""
+    """Norms against the grid's Simpson weights, one state at a time."""
 
     def __init__(self, grid: RadialGrid, params: ProblemParams):
         self.w_meas = grid.measure_weights(params.d)
@@ -157,33 +156,6 @@ class _NormKit:
 
     def weighted_l2(self, v: np.ndarray) -> float:
         return float(math.sqrt(np.dot(self.w_l2w, v * v)))
-
-    def log_rows(self, block: np.ndarray, taus: list, columns: dict,
-                 work: np.ndarray) -> np.ndarray:
-        """One row per column spec, one value per state in block, logged at
-        taus, as each state's own calls would give it: a spec is an exponent
-        gamma (the L^gamma norm), "l2w" (weighted_l2) or (gamma, f, amp,
-        rate) (the L^gamma norm of v - amp e^(rate tau) f); work is (3, k,
-        n) scratch."""
-        gammas = tuple(dict.fromkeys(
-            g for g in columns.values() if not isinstance(g, (str, tuple))))
-        norms, _ = lebesgue_norms(self.w_meas, block, gammas, self.sphere,
-                                  work[1:])
-        out = np.empty((len(columns), len(block)))
-        for row, spec in zip(out, columns.values()):
-            if isinstance(spec, str):
-                np.sqrt(np.vecdot(np.multiply(block, block, out=work[0]),
-                                  self.w_l2w), out=row)
-            elif isinstance(spec, tuple):
-                gamma, f, amp, rate = spec
-                np.multiply([[amp * math.exp(rate * t)] for t in taus], f,
-                            out=work[0])
-                row[:] = lebesgue_norms(
-                    self.w_meas, np.subtract(block, work[0], out=work[0]),
-                    (gamma,), self.sphere, work[1:])[0][:, 0]
-            else:
-                row[:] = norms[:, gammas.index(spec)]
-        return out
 
 
 def lq_norm(f: RadialFunction, gamma: float, d: int) -> float:

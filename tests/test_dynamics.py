@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
-from expanderlab import dynamics, semigroup
+from expanderlab import dynamics
 from expanderlab.exceptions import DomainError, NoUnstableExpanderError
 from expanderlab.exponents import derived_exponents, odd_power
 from expanderlab.profiles import RadialGrid
@@ -362,7 +362,7 @@ def test_demo_drift_run_takes_one_norm_pass_per_block(monkeypatch,
 
     def drift_run(*args, **kwargs):
         with monkeypatch.context() as m:
-            m.setattr(semigroup, "lebesgue_norms", counted)
+            m.setattr(dynamics, "lebesgue_norms", counted)
             logs.append(evolve(*args, **kwargs))
         return logs[-1]
 
@@ -432,8 +432,8 @@ def test_logged_rows_are_one_row_calls(monkeypatch, params53, profile53,
 @pytest.mark.parametrize("scale, dtau", [(1.1, 0.02), (1.2, 0.5)])
 def test_capped_blowup_rows_are_one_row_calls(monkeypatch, params53,
                                               profile53, scale, dtau):
-    # cut short by the stability cap, the run blows up in mid-block; at
-    # dtau 0.5 it takes 121 steps where the log's table was sized for 15
+    # cap-bound runs that take more steps than the nominal count (at dtau
+    # 0.5, 121 against 10) and stop, blown up, in the middle of a block
     grid, v0 = profile53.grid, scale * profile53.u
     states = logged_states(monkeypatch, v0)
     log = evolve_similarity(v0, 0.0, 5.0, params53, grid, dtau=dtau, q=2.5)

@@ -183,7 +183,7 @@ class TestLqNorm:
                     assert got == pytest.approx(want, rel=4 * 2.0 ** -52,
                                                 abs=0.0, nan_ok=True)
                 else:
-                    assert got == want or math.isnan(got) == math.isnan(want)
+                    assert got == want or math.isnan(got) and math.isnan(want)
 
     @pytest.mark.parametrize("gamma", [3.0, 10.0, 30.0, 220.0])
     def test_integer_powers_within_4_ulp_of_pow(self, grid, gamma):
