@@ -85,23 +85,13 @@ def robin_beta(params: ProblemParams, rho_max: float) -> float:
 # fourth-order one-sided first-derivative weights at the last node,
 # offsets -4..0 in units of h
 _EDGE_D1 = np.array([3.0, -16.0, 36.0, -48.0, 25.0]) / 12.0
+# fourth-order second- and first-derivative weights at node n-1, offsets
+# -3..1 in units of h
+_EDGE_D2_BIASED = np.array([-1.0, 4.0, 6.0, -20.0, 11.0]) / 12.0
+_EDGE_D1_BIASED = np.array([-1.0, 6.0, -18.0, 10.0, 3.0]) / 12.0
 # band-storage slots of row n-1's entries in columns n-4 .. n; row n's
 # are one band row lower
 _EDGE = (np.arange(5, 0, -1), np.arange(-5, 0))
-
-
-def _fd_weights(offsets, order: int) -> np.ndarray:
-    """Finite-difference weights for the given derivative at offset 0.
-
-    Solves the Vandermonde moment system on integer offsets (in units of
-    the spacing); exact for polynomials up to len(offsets) - 1.
-    """
-    offs = np.asarray(offsets, dtype=float)
-    k = offs.size
-    rhs = np.zeros(k)
-    rhs[order] = math.factorial(order)
-    van = np.vander(offs, k, increasing=True).T
-    return np.linalg.solve(van, rhs)
 
 
 def calibrated_beta(v: np.ndarray, grid: RadialGrid,
@@ -163,8 +153,7 @@ def operator_bands(grid: RadialGrid, params: ProblemParams,
     # biased fourth-order next-to-boundary row over the last five nodes;
     # any defect here is amplified by the slow tail quasi-mode
     wm = (d - 1.0) / nodes[n - 1] + 0.5 * nodes[n - 1]
-    offs = np.array([-3.0, -2.0, -1.0, 0.0, 1.0])
-    edge = _fd_weights(offs, 2) / (h * h) + wm * _fd_weights(offs, 1) / h
+    edge = _EDGE_D2_BIASED / (h * h) + wm * _EDGE_D1_BIASED / h
     edge[3] += c[n - 1]
     ab[_EDGE] = edge
     return ab
@@ -178,7 +167,11 @@ class _CrankNicolson:
     derivative, or homogeneous Dirichlet for fields in the decaying class.
     Enforcing it as a constraint instead of a ghost keeps the boundary
     model error out of the PDE rows, where the 1/h^2 scaling would
-    amplify it through the slow tail quasi-mode.
+    amplify it through the slow tail quasi-mode.  _bc is the condition
+    itself; the matrix carries it times 1 / (1/h + h/dtau), whose entries,
+    at most 4 dtau / (h^2 + dtau), stay below the diagonal
+    1 + 1.25 dtau/h^2 of the rows they meet, so the factorization never
+    swaps the boundary row in.
     """
 
     def __init__(self, grid: RadialGrid, params: ProblemParams,
@@ -186,6 +179,7 @@ class _CrankNicolson:
                  beta: Optional[float] = None):
         """beta is the Robin coefficient; None selects Dirichlet."""
         self.ab = operator_bands(grid, params, potential)
+        self._h = grid.drho
         if beta is None:
             self._bc = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
         else:
@@ -194,40 +188,31 @@ class _CrankNicolson:
         self._lu = None
 
     def _factorized(self, dtau: float):
-        """LU factors of I - dtau/2 A with its boundary row, refactored
-        only when dtau changes, in dgbtrf's layout: the (4, 2) band under
-        4 fill-in rows.  Unless a row swap lies before the last 5 rows,
-        sweep is (lower, swaps, band), see step: lower views lu from row 6
-        on as dtbsv's unit-lower band, without a copy, and swaps and band
-        hold those rows' swaps and columns.  Else sweep is None and step
-        calls dgbtrs."""
+        """(lu, piv, lower, row): the LU factors of I - dtau/2 A with its
+        scaled boundary row, refactored only when dtau changes, in
+        dgbtrf's layout (the (4, 2) band under 4 fill-in rows), and row,
+        the boundary row as factored.  If no row was swapped, lower views
+        lu from row 6 on as dtbsv's unit-lower band, without a copy, for
+        step's two sweeps; else it is None and step calls dgbtrs."""
         if self._dtau != dtau:
             n = self.ab.shape[1]
+            row = self._bc / (1.0 / self._h + self._h / dtau)
             buf = np.zeros(11 * n + 6)
             ab = buf[:11 * n].reshape((11, n), order="F")
             ab[4:] = -0.5 * dtau * self.ab
             ab[6] += 1.0
-            ab[5 + _EDGE[0], _EDGE[1]] = self._bc    # boundary row n
+            ab[5 + _EDGE[0], _EDGE[1]] = row    # boundary row n
             if not np.all(np.isfinite(ab)):
                 raise ValueError("array must not contain infs or NaNs")
             # lu is ab, in place in buf: 6 spare slots hold lower's view
             lu, piv, info = dgbtrf(ab, 4, 2, overwrite_ab=True)
             if info != 0:
                 raise LinAlgError("singular matrix")
-            sweep = None
+            lower = None
             # bytes, not an int32 ufunc, whose code no other step pages in
-            if (piv[:n - 5].tobytes()
-                    == np.arange(n - 5, dtype=piv.dtype).tobytes()):
-                swaps = [(j, int(piv[j])) for j in range(n - 5, n - 1)
-                         if piv[j] != j]
-                band = np.array(lu[6:, n - 5:], order="F")
-                for j, p in swaps:
-                    for i in range(n - 5, j):
-                        col = band[:, i - n + 5]
-                        col[j - i], col[p - i] = col[p - i], col[j - i]
-                lu[7:, n - 5:] = 0.0
-                sweep = (buf[6:].reshape((11, n), order="F"), swaps, band)
-            self._lu = (lu, piv, sweep)
+            if piv.tobytes() == np.arange(n, dtype=piv.dtype).tobytes():
+                lower = buf[6:].reshape((11, n), order="F")
+            self._lu = (lu, piv, lower, row)
             self._dtau = dtau
         return self._lu
 
@@ -236,31 +221,26 @@ class _CrankNicolson:
         """x solving (I - dtau/2 A) x = (I + dtau/2 A) v + dtau source with
         the boundary row's condition.  That is the same system as
         (I - dtau/2 A)(x + v) = 2 v + dtau source, so the step solves for
-        x + v, with bc . v on the boundary row, and applies no band
-        product; bc . x = 0 then holds to roundoff.
+        x + v, with row . v on the (scaled) boundary row, and applies no
+        band product; bc . x = 0 then holds to roundoff.
 
-        With a sweep, the forward solve is dtbsv over all but the last
-        5 columns, then the swaps, then dtbsv over those columns, whose
-        multipliers the later swaps permute in _factorized.  Each entry
-        meets dgbtrs's operations in its order, and OpenBLAS's dger and
-        dtbsv share the daxpy kernel, so x is solve_banded's bit for bit,
-        up to the sign of an exact zero."""
+        Without row swaps the solve is two dtbsv sweeps, unit-lower then
+        upper.  dgbtrs runs the same upper dtbsv, and its forward solve
+        applies L with one dger call per column; OpenBLAS's dger and dtbsv
+        share the daxpy kernel, so x is solve_banded's bit for bit, up to
+        the sign of an exact zero."""
+        lu, piv, lower, row = self._factorized(dtau)
         rhs = 2.0 * v
         if source is not None:
             rhs += dtau * source
-        rhs[-1] = np.dot(self._bc, v[-5:])
+        rhs[-1] = np.dot(row, v[-5:])
         if not np.all(np.isfinite(rhs)):
             raise ValueError("array must not contain infs or NaNs")
-        lu, piv, sweep = self._factorized(dtau)
-        if sweep is None:
+        if lower is None:
             x, _ = dgbtrs(lu, 4, 2, rhs, piv, overwrite_b=True)
         else:
-            lower, swaps, band = sweep
             # (k, a, x, incx, offx, lower, trans, diag, overwrite_x)
             x = dtbsv(4, lower, rhs, 1, 0, 1, 0, 1, 1)
-            for j, p in swaps:
-                x[j], x[p] = x[p], x[j]
-            dtbsv(4, band, x, 1, x.size - 5, 1, 0, 1, 1)
             x = dtbsv(6, lu, x, 1, 0, 0, 0, 0, 1)
         x -= v
         return x
@@ -302,8 +282,7 @@ def _log_rows(kit: _NormKit, block: np.ndarray, taus: list, columns: dict,
     n) scratch."""
     gammas = tuple(dict.fromkeys(
         g for g in columns.values() if not isinstance(g, (str, tuple))))
-    norms, _ = lebesgue_norms(kit.w_meas, block, gammas, kit.sphere,
-                              work[1:])
+    norms = lebesgue_norms(kit.w_meas, block, gammas, kit.sphere, work[1:])
     out = np.empty((len(columns), len(block)))
     for row, spec in zip(out, columns.values()):
         if isinstance(spec, str):
@@ -315,7 +294,7 @@ def _log_rows(kit: _NormKit, block: np.ndarray, taus: list, columns: dict,
                         out=work[0])
             row[:] = lebesgue_norms(
                 kit.w_meas, np.subtract(block, work[0], out=work[0]),
-                (gamma,), kit.sphere, work[1:])[0][:, 0]
+                (gamma,), kit.sphere, work[1:])[:, 0]
         else:
             row[:] = norms[:, gammas.index(spec)]
     return out
@@ -504,7 +483,7 @@ def ancient_branch(potential: PotentialField, eigmode: np.ndarray,
         raise DomainError("ancient branch needs a positive top eigenvalue")
     prof = potential.profile
     q, r = _default_exponents(params, q, r)
-    (mode_r,), _ = _NormKit(prof.grid, params).lebesgue(eigmode, (r,))
+    (mode_r,) = _NormKit(prof.grid, params).lebesgue(eigmode, (r,))
     psi0 = epsilon * math.exp(lambda_bar * tau0) * eigmode
     log = evolve_perturbation(psi0, potential, tau0, tau1, dtau=dtau, q=q,
                               r=r, mode_gap=(eigmode, epsilon, lambda_bar))
@@ -550,19 +529,6 @@ def quadratic_mode_coupling(potential: PotentialField,
     num = float(np.dot(w_l2w, curv * mode ** 3))
     den = float(np.dot(w_l2w, mode ** 2))
     return num / den
-
-
-def to_physical_norm(similarity_norm: float, tau: float, gamma: float,
-                     params: ProblemParams):
-    """Convert a similarity-frame norm to physical variables at t = e^tau.
-
-    The L^gamma norms scale with t^(-1/(p-1) + d/(2 gamma)); at the
-    scaling-critical exponent the conversion is the identity.
-    """
-    if not gamma >= 1.0:
-        raise DomainError("Lebesgue exponent must be >= 1")
-    t = math.exp(tau)
-    return t, t ** -params.growth_exponent(gamma) * similarity_norm
 
 
 @dataclass
@@ -655,7 +621,7 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
     potential = PotentialField.from_profile(sel.profile)
     mode = sel.eigenpair.f
     kit = _NormKit(grid, params)
-    (mode_pr,), _ = kit.lebesgue(mode, (params.p * r,))
+    (mode_pr,) = kit.lebesgue(mode, (params.p * r,))
     lin_log = linearized_evolve(mode, potential, 0.0, 5.0,
                                 dtau=rate_dtau, q=q, r=r)
     rate, _ = fit_log_slope(lin_log.taus, np.log(lin_log.norms["lr"]))
@@ -665,7 +631,7 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
         # profile-relative cap: the branch endpoint stays at 5% of the
         # profile in the strong norm, taken on the grid: the tail beyond
         # rho_max would add a few parts in 1e15
-        (u_bar_pr,), _ = kit.lebesgue(sel.profile.u, (params.p * r,))
+        (u_bar_pr,) = kit.lebesgue(sel.profile.u, (params.p * r,))
         eps_cap = 0.05 * u_bar_pr / (math.exp(lam * tau1) * mode_pr)
         # mode-feedback cap: the quadratic self-coupling g2 distorts the
         # growth rate by g2 a / lambda, so the endpoint amplitude must
@@ -678,12 +644,11 @@ def nonuniqueness_demo(params: ProblemParams, q: Optional[float] = None,
     branch = ancient_branch(potential, mode, lam, epsilon, tau0, tau1,
                             params, dtau=dtau, q=q, r=r)
 
-    # physical divergence of the two solutions from the common datum
-    taus = branch.taus     # log t = tau
-    diff_phys = np.array([
-        to_physical_norm(nrm, tau, r, params)[1]
-        for nrm, tau in zip(branch.norms["lr"], taus)])
-    slope, r2 = fit_log_slope(taus, np.log(diff_phys))
+    # physical divergence of the two solutions from the common datum: the
+    # L^r norm scales with t^(-growth_exponent(r)), and log t = tau
+    taus = branch.taus
+    slope, r2 = fit_log_slope(
+        taus, np.log(branch.norms["lr"]) - params.growth_exponent(r) * taus)
     predicted = -feas.slack
     decades = (tau1 - tau0) / math.log(10.0)
     slope_ok = abs(slope - predicted) <= 0.1 * abs(predicted)

@@ -91,14 +91,13 @@ class RadialFunction:
 
 def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
                    gammas: Sequence[float], sphere: float,
-                   work: Optional[np.ndarray] = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   work: Optional[np.ndarray] = None) -> np.ndarray:
     """(sphere sum_i w_meas_i |f_i|^gamma)^(1/gamma) for each row f of
-    values (k, n) and gamma in gammas, shape (k, len(gammas)), and each
-    row's max|f|; a row's norms are its one-row call's.  work, (2, k, n)
-    scratch, spares a caller of many blocks a heap trim per call.  Nodes
-    with |f| < 2^(-1000/gamma) are left out: their terms lie below 2^-1000,
-    and pow is some 50x slower on a subnormal result.  An integer gamma >= 3
+    values (k, n) and gamma in gammas, shape (k, len(gammas)); a row's
+    norms are its one-row call's.  work, (2, k, n) scratch, spares a
+    caller of many blocks a heap trim per call.  Nodes with
+    |f| < 2^(-1000/gamma) are left out: their terms lie below 2^-1000, and
+    pow is some 50x slower on a subnormal result.  An integer gamma >= 3
     is taken by binary powering, whose products then stay normal, within
     1.5 ulp of pow's norm; other gammas by pow.  A row whose largest power
     would leave [2^-500, 2^900] is first divided by its maximum.  Sums are
@@ -108,8 +107,7 @@ def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
     """
     power, base = np.empty((2, *values.shape)) if work is None else work
     np.abs(values, out=power)
-    tops = power.max(axis=1)
-    top_list, lows = tops.tolist(), power.min(axis=1).tolist()
+    top_list, lows = power.max(axis=1).tolist(), power.min(axis=1).tolist()
     norms = np.empty((len(values), len(gammas)))
     for j, gamma in enumerate(gammas):
         units = [t if 0.0 < t and not -500.0 <= gamma * math.log2(t) <= 900.0
@@ -133,10 +131,10 @@ def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
             if total == 0.0 < top_list[i]:
                 norms[i, j] = lebesgue_norms(
                     w_meas, np.where(w_meas > 0.0, values[i], 0.0)[None],
-                    (gamma,), sphere)[0][0, 0]
+                    (gamma,), sphere)[0, 0]
             else:
                 norms[i, j] = units[i] * (sphere * total) ** (1.0 / gamma)
-    return norms, tops
+    return norms
 
 
 class _NormKit:
@@ -147,12 +145,10 @@ class _NormKit:
         self.sphere = sphere_area(params.d)
         self.w_l2w = grid.l2w_weights(params.d)
 
-    def lebesgue(self, v: np.ndarray,
-                 gammas: tuple) -> tuple[list[float], float]:
-        """The L^gamma norms of v for each gamma in gammas, and max|v|."""
-        norms, tops = lebesgue_norms(self.w_meas, v[None], gammas,
-                                     self.sphere)
-        return norms[0].tolist(), float(tops[0])
+    def lebesgue(self, v: np.ndarray, gammas: tuple) -> list[float]:
+        """The L^gamma norms of v for each gamma in gammas."""
+        return lebesgue_norms(self.w_meas, v[None], gammas,
+                              self.sphere)[0].tolist()
 
     def weighted_l2(self, v: np.ndarray) -> float:
         return float(math.sqrt(np.dot(self.w_l2w, v * v)))
@@ -164,7 +160,7 @@ def lq_norm(f: RadialFunction, gamma: float, d: int) -> float:
     if not gamma >= 1.0:
         raise DomainError("Lebesgue exponent must be >= 1")
     return float(lebesgue_norms(f.grid.measure_weights(d), f.values[None],
-                                (gamma,), sphere_area(d))[0][0, 0])
+                                (gamma,), sphere_area(d))[0, 0])
 
 
 def apply_S0_gaussian(tau: float, g: GaussianDatum,

@@ -425,6 +425,13 @@ class TestDynamicsCommands:
         assert capsys.readouterr().out.startswith(
             "demo PASS: lambda_bar=0.097089")
 
+    def test_demo_window_where_exp_tau_underflows(self, tmp_path, capsys):
+        # e^tau is 0.0 below tau ~ -745: the slope is fitted on
+        # log ||.||_r - growth_exponent(r) tau, never on t itself
+        assert run(tmp_path, "demo", "--d", "5", "--p", "3", "--tau0",
+                   "-800", "--tau1", "-790", "--dtau", "0.05") == 0
+        assert capsys.readouterr().out.startswith("demo PASS")
+
     @pytest.mark.parametrize("argv, message", [
         (("--tau0", "-2", "--tau1", "-12"), "need tau1 > tau0"),
         (("--dtau", "1e-9"), "from tau0=-12.0 to tau1=-2.0"),

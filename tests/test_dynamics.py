@@ -28,7 +28,6 @@ from expanderlab.dynamics import (
     quadratic_mode_coupling,
     robin_beta,
     stability_cap,
-    to_physical_norm,
 )
 
 
@@ -129,11 +128,13 @@ class TestStepImex:
 
 
 def cn_band(stepper, dtau):
-    """I - dtau/2 A with the boundary row, in solve_banded's (4, 2) layout."""
+    """I - dtau/2 A with the boundary row as factored, in solve_banded's
+    (4, 2) layout."""
     ab = -0.5 * dtau * stepper.ab
     ab[2] += 1.0
+    row = stepper._factorized(dtau)[3]
     for k in range(5):      # boundary row n over columns n-4 .. n
-        ab[6 - k, k - 5] = stepper._bc[k]
+        ab[6 - k, k - 5] = row[k]
     return ab
 
 
@@ -170,10 +171,9 @@ class TestCrankNicolsonFactor:
 
     @pytest.mark.parametrize("robin", [True, False])
     def test_step_matches_solve_banded_bitwise(self, params53, robin):
-        # the default grid, whose factors swap rows only in the boundary
-        # rows (4 of them for Robin at dtau 1e-4, none for Dirichlet), so
-        # step runs the two sweeps; drho 0.0025, whose factors at dtau 0.01
-        # swap interior rows, so step runs dgbtrs; d = 11 under a dtau that
+        # the default grid, whose factors swap no rows, so step runs the
+        # two sweeps; drho 0.0025, whose factors at dtau 0.01 swap
+        # interior rows, so step runs dgbtrs; d = 11 under a dtau that
         # changes every step, as under the stability cap
         cases = [(params53, 0.01, (0.01, 0.005, 0.01, 1e-4)),
                  (params53, 0.0025, (0.01, 1e-4)),
@@ -190,10 +190,11 @@ class TestCrankNicolsonFactor:
             for dtau in dtaus:
                 source = 0.2 * v ** 3
                 band = cn_band(stepper, dtau)
-                # (I - B)(x + v) = 2 v + dtau s, B = dtau/2 A, with bc . v
+                lu, _, lower, row = stepper._factorized(dtau)
+                # (I - B)(x + v) = 2 v + dtau s, B = dtau/2 A, with row . v
                 # on the boundary row
                 rhs = 2.0 * v + dtau * source
-                rhs[-1] = np.dot(stepper._bc, v[-5:])
+                rhs[-1] = np.dot(row, v[-5:])
                 expected = solve_banded((4, 2), band, rhs) - v
                 # the same x from (I - B) x = (I + B) v + dtau s
                 rhs_plus = (v + 0.5 * dtau * band_matvec(stepper.ab, v)
@@ -201,20 +202,44 @@ class TestCrankNicolsonFactor:
                 rhs_plus[-1] = 0.0
                 two_term = solve_banded((4, 2), band, rhs_plus)
                 x = stepper.step(v, dtau, source)
-                assert stepper._dtau == dtau
                 assert np.array_equal(x, expected)
                 # the two forms round apart by O(eps dtau / h^2)
                 np.testing.assert_allclose(x, two_term,
                                            rtol=1e-13 * (0.01 / drho) ** 2)
-                lu, _, sweep = stepper._factorized(dtau)
-                # None for dgbtrs, else the count of boundary-row swaps
-                paths.add(None if sweep is None else len(sweep[1]))
+                paths.add("dgbtrs" if lower is None else "sweep")
                 # the sweeps read lu itself, not a copy of its band
-                assert sweep is None or np.shares_memory(sweep[0], lu)
+                assert lower is None or np.shares_memory(lower, lu)
                 v = x
-        # every path ran: dgbtrs, and the sweeps with 4 boundary-row swaps
-        # (Robin) or none (Dirichlet)
-        assert {None, 4 if robin else 0} <= paths
+        assert paths == {"sweep", "dgbtrs"}
+
+    def test_boundary_row_never_pivots(self, params53, potential53):
+        # the scaled boundary row stays below the diagonals it meets, so
+        # without interior swaps the factors have identity pivots and step
+        # takes the two sweeps: for the Robin row at the calibrated, zero
+        # and a large beta, and for the Dirichlet row under the profile's
+        # potential; drho 0.0025 at dtau 0.01 swaps interior rows and
+        # keeps dgbtrs
+        prof = potential53.profile
+        betas = (calibrated_beta(prof.u, prof.grid, params53), 0.0, 5.0,
+                 None)
+        for drho, dtau_max in ((0.02, 0.04), (0.01, 0.04), (0.005, 0.01),
+                               (0.0025, None)):
+            grid = RadialGrid.uniform(16.0, drho)
+            rho = grid.nodes
+            for beta in betas:
+                potential = None if beta is not None else np.interp(
+                    rho, prof.grid.nodes, potential53.v)
+                stepper = _CrankNicolson(grid, params53, potential, beta)
+                if dtau_max is None:
+                    _, piv, lower, _ = stepper._factorized(0.01)
+                    assert lower is None
+                    assert not np.array_equal(piv, np.arange(rho.size))
+                    continue
+                for dtau in np.geomspace(1e-6, dtau_max, 25).tolist():
+                    _, piv, lower, _ = stepper._factorized(dtau)
+                    assert np.array_equal(piv, np.arange(rho.size)), (
+                        drho, beta, dtau)
+                    assert lower is not None
 
     def test_non_finite_rhs_raises(self, params53, grid_default):
         stepper = _CrankNicolson(grid_default, params53, beta=None)
@@ -302,7 +327,7 @@ class TestEvolveSimilarity:
         # the same bits as the distance to an explicit zero reference
         v = log.final.v
         kit = _NormKit(profile53.grid, params53)
-        (dist,), _ = kit.lebesgue(v - np.zeros_like(v), (2.0 * params53.q_c,))
+        (dist,) = kit.lebesgue(v - np.zeros_like(v), (2.0 * params53.q_c,))
         assert log.norms["dist_ref"][-1] == dist
 
 
@@ -400,9 +425,9 @@ def assert_rows_are_one_row_calls(log, states, kit, columns):
             elif isinstance(spec, tuple):
                 gamma, f, amp, rate = spec
                 want = kit.lebesgue(v - amp * math.exp(rate * tau) * f,
-                                    (gamma,))[0][0]
+                                    (gamma,))[0]
             else:
-                want = kit.lebesgue(v, (spec,))[0][0]
+                want = kit.lebesgue(v, (spec,))[0]
             assert got == want, (name, tau)
 
 
@@ -517,35 +542,6 @@ class TestAncientBranch:
         assert np.all(log.final.v == 0.0)
 
 
-class TestPhysicalNorm:
-    def test_critical_exponent_is_identity(self, params53):
-        t, val = to_physical_norm(3.7, -1.3, params53.q_c, params53)
-        assert t == pytest.approx(math.exp(-1.3))
-        assert val == pytest.approx(3.7)
-
-    def test_static_profile_supercritical_divergence(self, params53):
-        # constant similarity norm diverges like t^-(1/(p-1) - d/(2r))
-        taus = np.linspace(-8.0, -2.0, 13)
-        r = 10.0
-        vals = [to_physical_norm(1.0, tau, r, params53)[1] for tau in taus]
-        slope, r2 = fit_log_slope(taus, np.log(vals))
-        assert slope == pytest.approx(
-            -(1.0 / (params53.p - 1.0) - params53.d / (2 * r)), abs=1e-12)
-        assert r2 == pytest.approx(1.0)
-
-    def test_subcritical_vanishes_at_zero(self, params53):
-        q = 2.0  # below q_c: positive exponent, norm -> 0 as t -> 0
-        _, val_small = to_physical_norm(1.0, -20.0, q, params53)
-        _, val_tiny = to_physical_norm(1.0, -40.0, q, params53)
-        assert val_small < 1e-6
-        assert val_tiny < val_small
-
-    def test_rejects_bad_exponent(self, params53):
-        for gamma in (0.5, math.nan):
-            with pytest.raises(DomainError):
-                to_physical_norm(1.0, 0.0, gamma, params53)
-
-
 class TestDemo:
     def test_demo_passes_all_checks(self, demo53):
         assert demo53.passed
@@ -595,7 +591,7 @@ def test_norm_kit_matches_lq_norm(params53, gamma):
     bump = np.where(grid.nodes < 1.0, (1.0 - grid.nodes ** 2) ** 2, 0.0)
     expected = lq_norm(RadialFunction(grid=grid, values=bump), gamma,
                        params53.d)
-    (got,), _ = _NormKit(grid, params53).lebesgue(bump, (gamma,))
+    (got,) = _NormKit(grid, params53).lebesgue(bump, (gamma,))
     assert got == pytest.approx(expected, rel=1e-14)
 
 
@@ -607,7 +603,7 @@ def test_norm_kit_bitwise_where_tail_powers_underflow(params53,
     kit = _NormKit(grid_default, params53)
     v = np.exp(-grid_default.nodes ** 2) * np.cos(grid_default.nodes)
     gammas = (2.0, 12.5, 10.0, 30.0)
-    norms, _ = kit.lebesgue(v, gammas)
+    norms = kit.lebesgue(v, gammas)
     for gamma, nrm in zip(gammas, norms):
         plain = float((kit.sphere * np.dot(
             kit.w_meas, np.abs(v) ** gamma)) ** (1.0 / gamma))
@@ -624,7 +620,7 @@ def test_tiny_field_norm_is_not_zero(params53, grid_default):
     exact = c * (sphere_area(d) * grid_default.rho_max ** d / d) ** (
         1.0 / gamma)
     field = np.full(grid_default.nodes.size, c)
-    (got,), _ = _NormKit(grid_default, params53).lebesgue(field, (gamma,))
+    (got,) = _NormKit(grid_default, params53).lebesgue(field, (gamma,))
     assert got == pytest.approx(exact, rel=1e-14)
     assert lq_norm(RadialFunction(grid=grid_default, values=field), gamma,
                    d) == got
@@ -639,5 +635,5 @@ def test_large_field_norm_is_finite(grid_default):
         1.0 / gamma)
     field = np.full(grid_default.nodes.size, c)
     got = lebesgue_norms(grid_default.measure_weights(d), field[None],
-                         (gamma,), sphere_area(d))[0][0, 0]
+                         (gamma,), sphere_area(d))[0, 0]
     assert got == pytest.approx(exact, rel=1e-12)
