@@ -175,12 +175,6 @@ def _json_text(payload: dict, cfg: RunConfig) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(rows, cfg: RunConfig) -> str:
-    lines = [f"# {k}={v}" for k, v in sorted(cfg.as_dict().items())]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 class ArtifactWriter:
     def __init__(self, cfg: RunConfig, eigenfunctions: bool = False):
         self.cfg = cfg
@@ -198,7 +192,12 @@ class ArtifactWriter:
     def csv(self, name: str, rows):
         if self.cfg.format in ("csv", "both"):
             path = self.outdir / f"{name}.csv"
-            path.write_text(_csv_text(rows, self.cfg))
+            # a line at a time: built as one string, the demo's trajectory
+            # was the peak of a demo run's memory
+            with path.open("w") as out:
+                out.writelines(f"# {k}={v}\n"
+                               for k, v in sorted(self.cfg.as_dict().items()))
+                out.writelines(",".join(map(str, row)) + "\n" for row in rows)
             self.written.append(str(path))
 
     def meta(self):

@@ -24,6 +24,7 @@ the two solutions compared against the predicted exponent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
@@ -202,7 +203,7 @@ class _CrankNicolson:
             ab[4:] = -0.5 * dtau * self.ab
             ab[6] += 1.0
             ab[5 + _EDGE[0], _EDGE[1]] = row    # boundary row n
-            if not np.all(np.isfinite(ab)):
+            if not np.isfinite(ab).all():
                 raise ValueError("array must not contain infs or NaNs")
             # lu is ab, in place in buf: 6 spare slots hold lower's view
             lu, piv, info = dgbtrf(ab, 4, 2, overwrite_ab=True)
@@ -234,7 +235,7 @@ class _CrankNicolson:
         if source is not None:
             rhs += dtau * source
         rhs[-1] = np.dot(row, v[-5:])
-        if not np.all(np.isfinite(rhs)):
+        if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
         if lower is None:
             x, _ = dgbtrs(lu, 4, 2, rhs, piv, overwrite_b=True)
@@ -268,8 +269,14 @@ class TrajectoryLog:
 
     def to_csv_rows(self):
         yield ("tau", "t", *self.norms)
-        for i, tau in enumerate(self.taus):
-            yield (repr(float(tau)), repr(float(math.exp(tau))),
+        for i, tau in enumerate(self.taus.tolist()):
+            t = math.exp(tau)
+            if t < sys.float_info.min:
+                # a subnormal t loses digits or reads 0.0: a 17-digit
+                # decimal instead, whose import costs 0.3 MiB of RSS
+                import decimal
+                t = decimal.Context(prec=17).exp(decimal.Decimal(tau))
+            yield (repr(tau), str(t),
                    *(repr(float(col[i])) for col in self.norms.values()))
 
 

@@ -94,40 +94,42 @@ def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
                    work: Optional[np.ndarray] = None) -> np.ndarray:
     """(sphere sum_i w_meas_i |f_i|^gamma)^(1/gamma) for each row f of
     values (k, n) and gamma in gammas, shape (k, len(gammas)); a row's
-    norms are its one-row call's.  work, (2, k, n) scratch, spares a
-    caller of many blocks a heap trim per call.  Nodes with
-    |f| < 2^(-1000/gamma) are left out: their terms lie below 2^-1000, and
-    pow is some 50x slower on a subnormal result.  An integer gamma >= 3
-    is taken by binary powering, whose products then stay normal, within
-    1.5 ulp of pow's norm; other gammas by pow.  A row whose largest power
-    would leave [2^-500, 2^900] is first divided by its maximum.  Sums are
+    norms are its one-row call's, in any order of gammas.  work, (2, k, n)
+    scratch, spares a caller of many blocks a heap trim per call and any
+    block-sized allocation.  Nodes with |f| < 2^(-1000/gamma) are left
+    out: their terms lie below 2^-1000, and pow is some 50x slower on a
+    subnormal result.  The cut grows with gamma, so |f|, taken once, is
+    cut in place, gammas in ascending order.  gamma 1 sums |f|; an integer
+    gamma >= 2 is taken by binary powering, whose products then stay
+    normal, within 1.5 ulp of pow's norm; other gammas by pow.  A row
+    whose largest power would leave [2^-500, 2^900] (then also at every
+    larger gamma) has |f| taken again and divided by its maximum.  Sums are
     np.dot's bits (np.vecdot, not a matrix product), roots Python floats'.
     If the cut leaves only nodes of weight 0 (the axis, at huge gamma), the
     norm is taken again with them set to 0.  NaN nodes give NaN norms.
     """
-    power, base = np.empty((2, *values.shape)) if work is None else work
-    np.abs(values, out=power)
-    top_list, lows = power.max(axis=1).tolist(), power.min(axis=1).tolist()
+    power, mag = np.empty((2, *values.shape)) if work is None else work
+    np.abs(values, out=mag)
+    top_list, lows = mag.max(axis=1).tolist(), mag.min(axis=1).tolist()
     norms = np.empty((len(values), len(gammas)))
-    for j, gamma in enumerate(gammas):
+    for gamma, j in sorted((g, j) for j, g in enumerate(gammas)):
         units = [t if 0.0 < t and not -500.0 <= gamma * math.log2(t) <= 900.0
                  else 1.0 for t in top_list]
-        if j:
-            np.abs(values, out=power)
-        if units != [1.0] * len(units):
-            power /= np.array(units)[:, None]
+        for i, unit in enumerate(units):
+            if unit != 1.0:
+                np.divide(np.abs(values[i], out=mag[i]), unit, out=mag[i])
         cut = 2.0 ** (-1000.0 / gamma)
         if not all(low / unit >= cut for low, unit in zip(lows, units)):
-            np.copyto(power, 0.0, where=power < cut)
-        if gamma >= 3.0 and float(gamma).is_integer():
-            base[...] = power       # binary powering, left to right
-            for bit in bin(int(gamma))[3:]:
-                np.multiply(power, power, out=power)
+            np.copyto(mag, 0.0, where=mag < cut)
+        terms = mag
+        if gamma >= 2.0 and float(gamma).is_integer():
+            for bit in bin(int(gamma))[3:]:     # left to right, from |f|
+                terms = np.multiply(terms, terms, out=power)
                 if bit == "1":
-                    np.multiply(power, base, out=power)
-        else:
-            np.power(power, gamma, out=power)
-        for i, total in enumerate(np.vecdot(power, w_meas).tolist()):
+                    np.multiply(power, mag, out=power)
+        elif gamma != 1.0:
+            terms = np.power(mag, gamma, out=power)
+        for i, total in enumerate(np.vecdot(terms, w_meas).tolist()):
             if total == 0.0 < top_list[i]:
                 norms[i, j] = lebesgue_norms(
                     w_meas, np.where(w_meas > 0.0, values[i], 0.0)[None],

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -431,6 +432,13 @@ class TestDynamicsCommands:
         assert run(tmp_path, "demo", "--d", "5", "--p", "3", "--tau0",
                    "-800", "--tau1", "-790", "--dtau", "0.05") == 0
         assert capsys.readouterr().out.startswith("demo PASS")
+        # nor does the t column read 0.0 there: below the normal floats it
+        # is a 17-digit decimal e^tau
+        rows = [ln.split(",") for ln in (tmp_path / "demo_trajectory.csv")
+                .read_text().splitlines() if not ln.startswith("#")]
+        assert rows[0][:2] == ["tau", "t"]
+        assert rows[1][:2] == ["-800.0", "3.6678745841776872E-348"]
+        assert all(Decimal(row[1]) > 0 for row in rows[1:])
 
     @pytest.mark.parametrize("argv, message", [
         (("--tau0", "-2", "--tau1", "-12"), "need tau1 > tau0"),

@@ -249,6 +249,19 @@ class TestCrankNicolsonFactor:
         with pytest.raises(ValueError):
             stepper.step(v, 0.01)
 
+    @pytest.mark.parametrize("bad, where", [
+        (math.inf, "v"), (-math.inf, "v"), (math.nan, "source")],
+        ids=["inf-v", "minus-inf-v", "nan-source"])
+    def test_non_finite_input_raises(self, params53, grid_default, bad,
+                                     where):
+        stepper = _CrankNicolson(grid_default, params53, beta=None)
+        v = np.exp(-grid_default.nodes ** 2)
+        source = np.zeros_like(v)
+        stepper.step(v, 0.01, source)
+        (v if where == "v" else source)[10] = bad
+        with pytest.raises(ValueError):
+            stepper.step(v, 0.01, source)
+
     def test_singular_matrix_raises(self, params53, grid_default):
         stepper = _CrankNicolson(grid_default, params53, beta=None)
         stepper._bc = np.zeros(5)      # an empty boundary row

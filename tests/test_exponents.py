@@ -1,8 +1,10 @@
 import math
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expanderlab.exceptions import DomainError
 from expanderlab.exponents import (
@@ -11,6 +13,7 @@ from expanderlab.exponents import (
     check_feasibility,
     contraction_remainder_gap,
     derived_exponents,
+    odd_power,
     taylor_remainder_gap,
 )
 
@@ -192,3 +195,30 @@ class TestRemainderBounds:
         p = rng.uniform(1.0 + 1e-6, 6.0, n)
         lhs, rhs = contraction_remainder_gap(x, y, z, p)
         assert np.all(lhs <= rhs * (1 + 1e-12) + 1e-12)
+
+
+class TestOddPower:
+    # v |v|^(p-1): a square at p = 3, a copy at p = 2, a sqrt at p = 1.5,
+    # one pow otherwise; an array p is how taylor_remainder_gap calls it
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(p=st.sampled_from([1.5, 2.0, 2.5, 3.0, 5.0, None]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_odd_fixes_zeros_and_nan_within_2_ulp(self, p, seed):
+        rng = np.random.default_rng(seed)
+        if p is None:
+            p = rng.uniform(1.0 + 1e-6, 6.0, 67)
+        # |v| in 2^-150..2^150, so that every |v|^p at p < 6 is normal
+        v = np.ldexp(rng.standard_normal(64), rng.integers(-150, 150, 64))
+        v = np.concatenate([v, [0.0, -0.0, math.nan]])
+        got = odd_power(v, p)
+        # bit for bit, the signed zeros included (a NaN's sign is free)
+        assert np.array_equal(odd_power(-v, p)[:66].view(np.uint64),
+                              (-got[:66]).view(np.uint64))
+        assert np.array_equal(got[64:66].view(np.uint64),
+                              v[64:66].view(np.uint64))
+        assert math.isnan(got[66])
+        with mpmath.workdps(30):
+            for vi, pi, gi in zip(v[:64], np.broadcast_to(p, v.shape), got):
+                x = mpmath.mpf(float(vi))
+                want = float(mpmath.sign(x) * abs(x) ** mpmath.mpf(float(pi)))
+                assert abs(gi - want) <= 2.0 * math.ulp(want)

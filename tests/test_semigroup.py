@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -198,6 +199,43 @@ class TestLqNorm:
         assert norms[:, 0] == pytest.approx(want, rel=4 * 2.0 ** -52,
                                             abs=0.0)
 
+
+    def test_any_gamma_order_same_bits_no_block_allocated(self, grid):
+        # gammas are taken in ascending order, each cutting |f| in place,
+        # and a row divided by its maximum is divided in place.  Rows: a
+        # 1e-40 tail that the cuts reach from gamma ~7.5 on, the tiny and
+        # huge fields that are divided, and a 2^-400 row, undivided at
+        # gamma 1 but divided from 1.5 on, whose 2^-1010 nodes fall below
+        # gamma 1's cut 2^-1000 but not below 1.5's, 2^-400 2^-666.7
+        rho = grid.nodes
+        flat = 1.0 + 0.5 * np.cos(rho)
+        tail = np.exp(-rho ** 2 / 8.0) + 1e-40 * flat
+        mixed = np.ldexp(flat, -400)
+        mixed[100:110] = 2.0 ** -1010
+        block = np.array([tail, -3.0 * tail, 1e-200 * flat, 1e250 * flat,
+                          mixed])
+        gammas = (1.0, 1.5, 2.0, 2.5, 3.0, 10.0, 33.0)
+        w, sphere = grid.measure_weights(5), sphere_area(5)
+        work = np.empty((2, *block.shape))
+        norms = semigroup.lebesgue_norms(w, block, gammas, sphere, work)
+        for j, gamma in enumerate(gammas):
+            assert np.array_equal(norms[:, j], semigroup.lebesgue_norms(
+                w, block, (gamma,), sphere)[:, 0])
+            if not (gamma >= 3.0 and gamma.is_integer()):
+                assert norms[:, j].tolist() == [
+                    masked_norms(w, f, (gamma,), sphere)[0] for f in block]
+        rng = np.random.default_rng(34)
+        orders = [gammas[::-1], *(tuple(rng.permutation(gammas).tolist())
+                                  for _ in range(4))]
+        for order in orders:
+            got = semigroup.lebesgue_norms(w, block, order, sphere, work)
+            assert np.array_equal(got, norms[:, [gammas.index(g)
+                                                 for g in order]])
+        tracemalloc.start()
+        semigroup.lebesgue_norms(w, block, orders[-1], sphere, work)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < block.size * 8
 
     @pytest.mark.parametrize("gamma", [6000.0, 1e6, 9e6, 1e9, 1e15])
     def test_huge_exponent_norm(self, grid, gamma):
