@@ -684,8 +684,8 @@ def sweep_ell(alpha_list: Sequence[float], params: ProblemParams,
     return EllSweep(rows=rows, continuity_jump=jump)
 
 
-# the trial steps of the profile and the eigenfunction legs (2 components),
-# the counts (3) and the forward matching leg (4), built at import, where
+# the trial steps of the profile and the backward matching leg (2
+# components), the counts (3) and the forward one (4), built at import, where
 # their parses (0.3-0.8 MiB each, freed at once) precede every workload's
 # own allocations: built on first use instead, they raised crossval's median
 # peak RSS by 0.13 MiB more (two runs of 10 worker passes per tree)

@@ -232,8 +232,10 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     j = np.arange(n + 1)
     k = np.arange(1, n // 2 + 1)
     theta = np.pi * j / n
-    b = np.where(k == n // 2, 1.0, 2.0) / (4.0 * k ** 2 - 1.0)
-    c = np.where((j == 0) | (j == n), 1.0, 2.0) / n
+    b = 2.0 / (4.0 * k ** 2 - 1.0)
+    b[-1] /= 2.0
+    c = np.full(n + 1, 2.0 / n)
+    c[0] = c[-1] = 1.0 / n
     return np.cos(theta), c * (1.0 - np.cos(np.outer(theta, 2 * k)) @ b)
 
 

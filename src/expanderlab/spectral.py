@@ -27,10 +27,10 @@ independent routes are implemented:
   point rho_m, where the miss is smooth in lambda.  Safeguarded Newton
   steps on it, with the lambda-derivatives carried along both
   integrations, converge in a few evaluations (the matching-point method,
-  Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).  Counts,
-  matching and eigenfunctions all run on the profile's integrator,
-  profiles._integrate_to_end, a DOP853 written out on Python floats for
-  their n-component states.
+  Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).  Counts
+  and matching run on the profile's integrator, profiles._integrate_to_end,
+  a DOP853 written out on Python floats; the eigenfunction is read off the
+  matching legs in modified Pruefer form (f = r sin theta), never raw.
 
 * a symmetric finite-difference matrix.  The substitution g = sqrt(w) f
   turns the conservative discretization of (1/w)(w f')' into a symmetric
@@ -54,7 +54,6 @@ from .exceptions import (
     BadBracketError,
     DomainError,
     EmptyBracketError,
-    IntegrationError,
     NoUnstableExpanderError,
     ResolutionError,
 )
@@ -72,6 +71,7 @@ from .profiles import (
     series_coefficients,
     series_start,
 )
+from .semigroup import _clenshaw_curtis
 
 LAMBDA_TOL = 1e-11      # eigenvalue_shoot's final bracket width
 ALPHA_STAR_BRACKET = (0.1, 50.0)     # find_alpha_star's default
@@ -116,7 +116,7 @@ class EigenPair:
     f: np.ndarray
     zero_count: int
     l2w_norm: float
-    match_defect: float = 0.0     # log-derivative mismatch at the glue point
+    match_defect: float = 0.0     # phase miss at the glue point, mod pi
 
     def to_csv_rows(self, grid: RadialGrid):
         yield ("rho", "f")
@@ -226,10 +226,10 @@ class _PhaseShooter:
         rides along as an augmented state so the right-hand side stays pure
         arithmetic on Python floats; interpolating a precomputed profile per
         evaluation is several times slower.  This runs on
-        _integrate_to_end, as match_phases and solve_f do: scipy's DOP853
-        steps and step control at the same tolerances, with every stage sum
-        written out on Python floats, about three times as cheap as numpy
-        stage sums (4.6 against 13.6 ms for a full-domain (5,3) count).
+        _integrate_to_end, as match_phases and its dense legs do: scipy's
+        DOP853 steps and step control at the same tolerances, every stage
+        sum written out on Python floats, about three times as cheap as
+        numpy stage sums (4.6 against 13.6 ms for a full-domain (5,3) count).
         Its phase and scipy's differ by rounding only (2e-15 on that
         count), and a count only reads floor(theta / pi).
         """
@@ -311,17 +311,10 @@ class _PhaseShooter:
         neutral solution)."""
         return int(math.floor(self.theta_end(lam) / math.pi))
 
-    def decay_slope(self, lam: float) -> float:
-        """Log-derivative f'/f of the decaying branch at rho_max,
-        -rho/2 + 2(-lam - d/2 + 1/(p-1))/rho, correction O(rho^-3) dropped."""
-        d, p = self.params.d, self.params.p
-        return (-0.5 * self.rho_max
-                + 2.0 * (-lam - d / 2.0 + 1.0 / (p - 1.0)) / self.rho_max)
-
     @property
     def potential(self):
         """V(rho) = p |U(rho)|^(p-1) as a scalar function on [rho0, rho_max],
-        for the right-hand sides that cannot carry the profile along (it
+        for the backward phase leg, which cannot carry the profile along (it
         cannot be integrated backward); equal to the dense profile's value
         to rounding (see _step_polynomial_potential)."""
         if self._potential is None:
@@ -335,7 +328,7 @@ class _PhaseShooter:
         theta_fwd is the phase of the regular solution, integrated from rho0
         with the profile riding along as in theta_end; theta_bwd is the
         phase of the decaying branch, integrated back from its principal
-        value atan2(1, decay_slope) at rho_max, where going backward is the
+        value atan2(1, f'/f) at rho_max, where going backward is the
         stable direction.  Both carry eta = dtheta/dlambda, which obeys
 
             eta' = ((Qt - 1) sin 2 theta + W cos 2 theta) eta - sin^2 theta.
@@ -347,6 +340,16 @@ class _PhaseShooter:
         1e-14 (profiles tests), but see eigenvalue_shoot where steps are
         bound by stability.
         """
+        (_, (theta_f, eta_f, _, _)), (_, (theta_b, eta_b)) = self._legs(
+            lam, rho_m, False)
+        return theta_f - theta_b, eta_f - eta_b
+
+    def solve_f(self, lam: float, rho_m: float):
+        """match_phases' two legs at lam as dense runs (_Dop853Result), which
+        take a plain run's steps, so their end phases are the matched ones."""
+        return self._legs(lam, rho_m, True)
+
+    def _legs(self, lam: float, rho_m: float, dense: bool):
         d, p = self.params.d, float(self.params.p)
         c0 = 1.0 / (p - 1.0) - lam
         pm1 = 1.0 / (p - 1.0)
@@ -366,40 +369,18 @@ class _PhaseShooter:
 
         f0, df0, f_lam, df_lam = self._eigen_series(lam)
         eta0 = (df0 * f_lam - f0 * df_lam) / (f0 * f0 + df0 * df0)
-        slope = self.decay_slope(lam)
+        # log-derivative f'/f of the decaying branch at rho_max, -rho/2 +
+        # 2(-lam - d/2 + 1/(p-1))/rho, correction O(rho^-3) dropped
+        slope = (-0.5 * self.rho_max
+                 + 2.0 * (-lam - d / 2.0 + 1.0 / (p - 1.0)) / self.rho_max)
         eta_max = (2.0 / self.rho_max) / (1.0 + slope * slope)
         what = f"phase matching failed (alpha={self.alpha}, lam={lam})"
-        _, (theta_f, eta_f, _, _) = _integrate_to_end(
-            fwd, (self.rho0, rho_m),
-            (math.atan2(f0, df0), eta0, self.u0, self.du0), None, what)
-        _, (theta_b, eta_b) = _integrate_to_end(
-            bwd, (self.rho_max, rho_m), (math.atan2(1.0, slope), eta_max),
-            None, what)
-        return theta_f - theta_b, eta_f - eta_b
-
-    def solve_f(self, lam: float, rho_span, f0, df0):
-        """Raw (f, f') integration with the frozen potential, forward from
-        rho0 or backward from rho_max, on _integrate_to_end with its dense
-        output; a failed run raises IntegrationError naming that leg, lam
-        and the last rho reached."""
-        d = self.params.d
-        c0 = 1.0 / (self.params.p - 1.0) - lam
-        v = self.potential
-
-        def rhs(rho, y):
-            f, df = y
-            w = (d - 1.0) / rho + 0.5 * rho
-            return (df, -w * df - (c0 + v(rho)) * f)
-
-        leg = ("forward from rho0" if rho_span[1] > rho_span[0]
-               else "backward from rho_max")
-        what = f"eigenfunction integration failed ({leg}, lam={lam})"
-        sol = _integrate_to_end(rhs, rho_span, (f0, df0), None, what,
-                                dense=True)
-        if not np.isfinite(sol.y).all():
-            raise IntegrationError(f"{what} at rho = {sol.t[-1]}: non-finite "
-                                   "state", last_rho=float(sol.t[-1]))
-        return sol
+        return (_integrate_to_end(fwd, (self.rho0, rho_m),
+                                  (math.atan2(f0, df0), eta0, self.u0,
+                                   self.du0), None, what, dense),
+                _integrate_to_end(bwd, (self.rho_max, rho_m),
+                                  (math.atan2(1.0, slope), eta_max), None,
+                                  what, dense))
 
 
 @functools.lru_cache(maxsize=1)
@@ -550,8 +531,8 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     stability, m can change sign several times across a band around the
     root (7 times across 1.25e-10 at (3, 2, alpha = 5)), and the result is
     one of those sign changes, which other rounding moves within the band.
-    The eigenfunction is a forward integration glued to a backward one
-    from the decaying branch at the same rho_m.
+    The eigenfunction is read off both matching legs, run once more at the
+    result with dense output, and glued at the same rho_m.
     """
     sh = _shooter(alpha, params, grid.rho_max)
     lo, hi = float(lambda_bracket[0]), float(lambda_bracket[1])
@@ -594,11 +575,7 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
             a = x
         else:
             b = x
-    lam = 0.5 * (a + b)
-    f, zero_count, l2w, defect = _reconstruct_eigenfunction(sh, lam, grid,
-                                                            rho_m)
-    return EigenPair(lam=lam, f=f, zero_count=zero_count, l2w_norm=l2w,
-                     match_defect=defect)
+    return _reconstruct_eigenfunction(sh, 0.5 * (a + b), grid, rho_m)
 
 
 def _matching_point(sh: _PhaseShooter, lam: float, nodes) -> float:
@@ -623,26 +600,27 @@ def _matching_point(sh: _PhaseShooter, lam: float, nodes) -> float:
 
 
 def _reconstruct_eigenfunction(sh: _PhaseShooter, lam: float,
-                               grid: RadialGrid, rho_m: float):
-    """Eigenfunction on the grid (f = 1 on the axis), its zero count, its
-    weighted L2 norm and the log-derivative mismatch at the glue point
-    rho_m, where the forward and backward pieces are both clean."""
+                               grid: RadialGrid, rho_m: float) -> EigenPair:
+    """The eigenpair at lam, f = 1 on the axis, read off the dense matching
+    legs (_PhaseShooter.solve_f) as f = r sin(theta), log r summed between
+    a leg's knots and grid nodes: the forward r from hypot(f, f') at rho0,
+    the backward r equal to it at rho_m, signed (-1)^k.  No raw (f, f') can
+    overflow.  match_defect is |theta_fwd - theta_bwd - k pi| at rho_m."""
+    fwd, bwd = sh.solve_f(lam, rho_m)
+    gap = float(fwd.y[0, -1] - bwd.y[0, -1])
+    k = round(gap / math.pi)
     f0, df0, _, _ = sh._eigen_series(lam)
-    fwd = sh.solve_f(lam, (sh.rho0, rho_m), f0, df0)
-    bwd = sh.solve_f(lam, (grid.rho_max, rho_m), 1.0, sh.decay_slope(lam))
-
-    fm_f, dfm_f = fwd.y[:, -1]
-    fm_b, dfm_b = bwd.y[:, -1]
-    scale = fm_f / fm_b
-    defect = abs(dfm_f / fm_f - dfm_b / fm_b) / max(1.0, abs(dfm_f / fm_f))
-
-    f = np.empty_like(grid.nodes)
+    log_r = math.log(math.hypot(f0, df0))
+    f = np.ones_like(grid.nodes)
     inner = grid.nodes < rho_m
-    small = grid.nodes < sh.rho0
-    f[small] = 1.0
-    take = inner & ~small
-    f[take] = fwd.sol(grid.nodes[take])[0]
-    f[~inner] = scale * bwd.sol(grid.nodes[~inner])[0]
+    for leg, at in ((fwd, inner & (grid.nodes >= sh.rho0)), (bwd, ~inner)):
+        nodes = grid.nodes[at]
+        pts = np.array(sorted(leg.t.tolist() + nodes.tolist()))
+        log_r = log_r + _log_amplitude(sh, lam, leg, pts)
+        f[at] = np.sin(leg.sol(nodes)[0]) * np.exp(
+            log_r[np.searchsorted(pts, nodes)])
+        log_r = log_r[-1]
+    f[~inner] *= (-1.0) ** k
 
     fmax = np.max(np.abs(f))
     sig = np.where(np.abs(f) > 1e-12 * fmax, np.sign(f), 0.0)
@@ -650,7 +628,28 @@ def _reconstruct_eigenfunction(sh: _PhaseShooter, lam: float,
     zero_count = int(np.sum(sig[:-1] != sig[1:]))
 
     l2w = math.sqrt(np.dot(grid.l2w_weights(sh.params.d), f * f))
-    return f, zero_count, l2w, float(defect)
+    return EigenPair(lam=lam, f=f, zero_count=zero_count, l2w_norm=l2w,
+                     match_defect=abs(gap - k * math.pi))
+
+
+def _log_amplitude(sh: _PhaseShooter, lam: float, leg, pts):
+    """log r(pts) - log r(pts[0]) on a dense matching leg, where (log r)' =
+    (1 - Qt) sin(theta) cos(theta) - W cos^2(theta), U from the forward
+    leg's state or the profile, by the 9-node Clenshaw-Curtis rule on each
+    interval of pts, ascending, 32 at a time to bound the temporaries."""
+    d, p = sh.params.d, sh.params.p
+    x0, w = _clenshaw_curtis(8)
+    mid, half = 0.5 * (pts[1:] + pts[:-1]), 0.5 * np.diff(pts)
+    steps = np.zeros(pts.size)
+    for i in range(0, half.size, 32):
+        x = (mid[i:i + 32, None] + half[i:i + 32, None] * x0).ravel()
+        y = leg.sol(x)
+        u = y[2] if len(y) == 4 else sh._usol.sol(x)[0]
+        s, c = np.sin(y[0]), np.cos(y[0])
+        qt = 1.0 / (p - 1.0) + p * np.abs(u) ** (p - 1.0) - lam
+        rate = ((1.0 - qt) * s - ((d - 1.0) / x + 0.5 * x) * c) * c
+        steps[i + 1:i + 33] = half[i:i + 32] * (rate.reshape(-1, 9) @ w)
+    return np.cumsum(steps)
 
 
 def _bracket_top(sh: _PhaseShooter):
@@ -663,14 +662,13 @@ def _bracket_top(sh: _PhaseShooter):
     steps off the axis (at alpha = 300, (5,3), lam = 65533.75 ends at rho =
     0.013).
     """
-    p = sh.params.p
     floor = sh.params.growth_exponent(1.0) - 0.25
     if sh.count_above(floor) < 1:
         raise EmptyBracketError("no eigenvalue above the free-operator floor")
     # Rayleigh bound plus margin: the profile energy decays along rho and
     # is increasing in |U|, so |U| <= alpha everywhere and V is capped by
     # its axis value p alpha^(p-1)
-    ceiling = sh.params.growth_exponent(1.0) + p * sh.alpha ** (p - 1.0) + 1.0
+    ceiling = sh.params.growth_exponent(1.0) + sh._v0 + 1.0
     lo, step = floor, 1.0
     hi = lo + step
     while sh.count_above(hi) > 0:
@@ -747,7 +745,7 @@ def matrix_spectrum(alpha: float, params: ProblemParams, grid: RadialGrid,
         raise ResolutionError(f"grid spacing {grid.drho} too coarse for the "
                               "matrix route (max 0.05)")
     sh = _shooter(alpha, params, grid.rho_max)
-    v0 = params.p * sh.alpha ** (params.p - 1.0)
+    v0 = sh._v0
     m = max(grid.n, round(2.0 * grid.rho_max * math.sqrt(v0)))
     try:
         levels = [RadialGrid(k * m, grid.rho_max) for k in (1, 2)]

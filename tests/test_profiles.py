@@ -400,7 +400,8 @@ class TestDop853:
         (5, 3.0, ALPHA_STAR[(5, 3.0)], 0.0), (11, 7.0, 5.0, -3.2)])
     def test_phase_and_eigenfunction_legs(self, monkeypatch, d, p, alpha, lam):
         """The profile (2 components), the forward phase (4), the backward
-        phase (2, on a decreasing span) and both legs of solve_f all run on
+        phase (2, on a decreasing span) and the same two phase legs run
+        dense by solve_f, which the eigenfunction is read off, all run on
         the one driver and agree with solve_ivp's DOP853 on the same
         right-hand sides (assert_near_solve_ivp)."""
         calls = []
@@ -419,7 +420,7 @@ class TestDop853:
         sizes = [(len(y0), span[1] < span[0], dense)
                  for _, span, y0, dense in calls]
         assert sizes == [(2, False, True), (4, False, False),
-                         (2, True, False), (2, False, True), (2, True, True)]
+                         (2, True, False), (4, False, True), (2, True, True)]
         monkeypatch.undo()
         for rhs, span, y0, dense in calls:
             self.assert_near_solve_ivp(rhs, span, y0, dense)
@@ -495,13 +496,14 @@ class TestDop853:
         assert err.value.last_rho == 0.0
 
     def test_non_finite_start_raises_in_callers(self):
-        """solve_f, here on a NaN start value, raises IntegrationError at
-        the start instead of hanging."""
+        """The dense legs of solve_f, here at a NaN lam, which makes the
+        forward leg's start NaN, raise IntegrationError at the start
+        instead of hanging."""
         sh = _PhaseShooter(1.0, derived_exponents(5, 3.0), 16.0)
         with deadline(10), pytest.raises(IntegrationError,
                                          match="non-finite start") as err:
-            sh.solve_f(0.0, (16.0, 2.0), math.nan, 0.0)
-        assert err.value.last_rho == 16.0
+            sh.solve_f(math.nan, 2.0)
+        assert err.value.last_rho == sh.rho0
 
 
 @contextlib.contextmanager
@@ -538,9 +540,10 @@ def test_shooter_and_profile_share_one_start(d, p, alpha):
 def test_right_hand_sides_die_with_their_call(monkeypatch):
     """No reference cycle keeps a right-hand side alive after its call:
     with the collector off, every rhs that integrate_profile, match_phases
-    and solve_f hand to _integrate_to_end is freed as soon as the call
-    returns (a solve_ivp solver and its wrapped rhs form a cycle, which
-    kept whatever the rhs closed over alive until a full collection)."""
+    and its dense legs (solve_f) hand to _integrate_to_end is freed as soon
+    as the call returns (a solve_ivp solver and its wrapped rhs form a
+    cycle, which kept whatever the rhs closed over alive until a full
+    collection)."""
     refs = []
 
     def spy(real):
@@ -557,8 +560,7 @@ def test_right_hand_sides_die_with_their_call(monkeypatch):
     try:
         for call in (lambda: integrate_profile(sh.alpha, sh.params, 16.0),
                      lambda: sh.match_phases(0.0, 2.0),
-                     lambda: sh.solve_f(0.0, (16.0, 2.0), 1.0,
-                                        sh.decay_slope(0.0))):
+                     lambda: sh.solve_f(0.0, 2.0)):
             before = len(refs)
             call()
             assert len(refs) > before

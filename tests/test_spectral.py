@@ -388,6 +388,57 @@ class TestEigenvalueShoot:
             PotentialField.from_profile(selected53.profile).v - v_star))
         assert 0 < selected53.lambda_bar <= gap
 
+    def test_top_pair_at_alpha_100(self):
+        # a raw (f, f') backward leg grows like e^(sqrt(lam) (rho_max - rho))
+        # and leaves the double range here; the amplitude of the Pruefer
+        # legs is summed as log r, so no branch overflows
+        pair = top_eigenpair(100.0, derived_exponents(5, 3))
+        assert pair.lam == 4181.077070180641
+        assert np.isfinite(pair.f).all() and pair.f[0] == 1.0
+        assert pair.zero_count == 0
+
+    @pytest.mark.parametrize("d, p, alpha", [
+        (5, 3.0, 1.7457421387208156), (3, 2.0, 5.0), (11, 7.0, 5.0),
+        (5, 3.0, 60.0)])
+    def test_eigenfunction_matches_raw_legs(self, d, p, alpha):
+        """The top eigenfunction against raw (f, f') legs at the shooter's
+        lam, integrated here by solve_ivp at rtol 1e-12 and glued at the
+        matching node: forward from the series start with the profile
+        riding along, backward from the decaying branch on a solve_ivp
+        profile.  The first case is the demo's alpha_bar."""
+        params = derived_exponents(d, p)
+        grid = RadialGrid.uniform()
+        pair = top_eigenpair(alpha, params, grid)
+        lam, sh = pair.lam, _PhaseShooter(alpha, params, 16.0)
+        rho_m = _matching_point(sh, lam, grid.nodes)
+        tol = dict(method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
+
+        def rhs(rho, y):
+            u, du, f, df = y
+            w = (d - 1.0) / rho + 0.5 * rho
+            v = p * abs(u) ** (p - 1.0)
+            return [du, -w * du - u / (p - 1.0) - u * v / p,
+                    df, -w * df - (1.0 / (p - 1.0) + v - lam) * f]
+
+        f0, df0, _, _ = sh._eigen_series(lam)
+        start = [sh.u0, sh.du0, f0, df0]
+        fwd = solve_ivp(rhs, (sh.rho0, rho_m), start, **tol)
+        prof = solve_ivp(lambda rho, y: rhs(rho, [*y, 0.0, 0.0])[:2],
+                         (sh.rho0, 16.0), start[:2], **tol)
+        slope = -8.0 + (-lam - d / 2.0 + 1.0 / (p - 1.0)) / 8.0
+        bwd = solve_ivp(
+            lambda rho, y: rhs(rho, [*prof.sol(rho), *y])[2:],
+            (16.0, rho_m), [1.0, slope], **tol)
+        assert fwd.success and prof.success and bwd.success
+        inner = grid.nodes < rho_m
+        take = inner & (grid.nodes >= sh.rho0)
+        ref = np.ones_like(grid.nodes)
+        ref[take] = fwd.sol(grid.nodes[take])[2]
+        ref[~inner] = (fwd.y[2, -1] / bwd.y[0, -1]
+                       * bwd.sol(grid.nodes[~inner])[0])
+        err = np.max(np.abs(pair.f - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-8
+
     def test_top_eigenfunction_nodeless_d11_p7(self, params117):
         pair = eigenvalue_shoot(5.023596998906852, params117, (-3.3, -3.1),
                                 RadialGrid.uniform(16.0, 0.01))
