@@ -100,10 +100,11 @@ def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
     out: their terms lie below 2^-1000, and pow is some 50x slower on a
     subnormal result.  The cut grows with gamma, so |f|, taken once, is
     cut in place, gammas in ascending order.  gamma 1 sums |f|; an integer
-    gamma >= 2 is taken by binary powering, whose products then stay
-    normal, within 1.5 ulp of pow's norm; other gammas by pow.  A row
-    whose largest power would leave [2^-500, 2^900] (then also at every
-    larger gamma) has |f| taken again and divided by its maximum.  Sums are
+    gamma in [2, 2^16) is taken by binary powering, whose
+    products then stay normal, within 1.5 ulp of pow's norm; other gammas
+    by pow, one pass whatever gamma's bit length.  A row whose largest
+    power would leave [2^-500, 2^900] (then also at every larger gamma)
+    has |f| taken again and divided by its maximum.  Sums are
     np.dot's bits (np.vecdot, not a matrix product), roots Python floats'.
     If the cut leaves only nodes of weight 0 (the axis, at huge gamma), the
     norm is taken again with them set to 0.  NaN nodes give NaN norms.
@@ -122,7 +123,9 @@ def lebesgue_norms(w_meas: np.ndarray, values: np.ndarray,
         if not all(low / unit >= cut for low, unit in zip(lows, units)):
             np.copyto(mag, 0.0, where=mag < cut)
         terms = mag
-        if gamma >= 2.0 and float(gamma).is_integer():
+        # one pow costs about as much as the 30 products of binary
+        # powering at gamma 2^16 - 1, and 17x less at 1e300 (cut included)
+        if 2.0 <= gamma < 65536.0 and float(gamma).is_integer():
             for bit in bin(int(gamma))[3:]:     # left to right, from |f|
                 terms = np.multiply(terms, terms, out=power)
                 if bit == "1":

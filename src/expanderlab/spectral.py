@@ -29,8 +29,8 @@ independent routes are implemented:
   integrations, converge in a few evaluations (the matching-point method,
   Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).  Counts
   and matching run on the profile's integrator, profiles._integrate_to_end,
-  a DOP853 written out on Python floats; the eigenfunction is read off the
-  matching legs in modified Pruefer form (f = r sin theta), never raw.
+  a DOP853 written out on Python floats.  zero_count is the Sturm index;
+  f, glued on first read off the matching legs as r sin theta, is never raw.
 
 * a symmetric finite-difference matrix.  The substitution g = sqrt(w) f
   turns the conservative discretization of (1/w)(w f')' into a symmetric
@@ -71,7 +71,7 @@ from .profiles import (
     series_coefficients,
     series_start,
 )
-from .semigroup import _clenshaw_curtis
+from .semigroup import _NormKit, _clenshaw_curtis
 
 LAMBDA_TOL = 1e-11      # eigenvalue_shoot's final bracket width
 ALPHA_STAR_BRACKET = (0.1, 50.0)     # find_alpha_star's default
@@ -110,13 +110,23 @@ class PotentialField:
 
 @dataclass
 class EigenPair:
-    """One eigenvalue with its normalized eigenfunction (f(0) = 1)."""
+    """One eigenvalue, its Sturm index (its eigenfunction's zeros) and its
+    phase miss; f (f(0) = 1) is glued on first read, where lam was matched."""
 
     lam: float
-    f: np.ndarray
     zero_count: int
-    l2w_norm: float
-    match_defect: float = 0.0     # phase miss at the glue point, mod pi
+    match_defect: float           # larger phase miss at the bracket's ends
+    glue: tuple = field(repr=False, compare=False)  # shooter, grid, rho_m
+
+    @functools.cached_property
+    def f(self) -> np.ndarray:
+        sh, grid, rho_m = self.glue
+        return _reconstruct_eigenfunction(sh, self.lam, grid, rho_m)
+
+    @property
+    def l2w_norm(self) -> float:
+        sh, grid, _ = self.glue
+        return _NormKit(grid, sh.params).weighted_l2(self.f)
 
     def to_csv_rows(self, grid: RadialGrid):
         yield ("rho", "f")
@@ -531,8 +541,8 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     stability, m can change sign several times across a band around the
     root (7 times across 1.25e-10 at (3, 2, alpha = 5)), and the result is
     one of those sign changes, which other rounding moves within the band.
-    The eigenfunction is read off both matching legs, run once more at the
-    result with dense output, and glued at the same rho_m.
+    zero_count is k, match_defect max(m(a), -m(b)) on the final bracket
+    (a, b), and the eigenfunction is glued at rho_m when first read.
     """
     sh = _shooter(alpha, params, grid.rho_max)
     lo, hi = float(lambda_bracket[0]), float(lambda_bracket[1])
@@ -557,7 +567,7 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
     if not (m_lo > 0 > m_hi):
         raise EmptyBracketError(
             f"miss function does not change sign on ({lo}, {hi})")
-    a, b = lo, hi
+    a, b, m_a, m_b = lo, hi, m_lo, m_hi
     # Newton starts from the end with the smaller miss
     x, fx, dx = (lo, m_lo, d_lo) if -m_hi > m_lo else (hi, m_hi, d_hi)
     for _ in range(200):
@@ -572,10 +582,10 @@ def eigenvalue_shoot(alpha: float, params: ProblemParams,
             x = 0.5 * (a + b)                 # bisection fallback
         fx, dx = miss(x)
         if fx >= 0:
-            a = x
+            a, m_a = x, fx
         else:
-            b = x
-    return _reconstruct_eigenfunction(sh, 0.5 * (a + b), grid, rho_m)
+            b, m_b = x, fx
+    return EigenPair(0.5 * (a + b), k, max(m_a, -m_b), (sh, grid, rho_m))
 
 
 def _matching_point(sh: _PhaseShooter, lam: float, nodes) -> float:
@@ -600,15 +610,14 @@ def _matching_point(sh: _PhaseShooter, lam: float, nodes) -> float:
 
 
 def _reconstruct_eigenfunction(sh: _PhaseShooter, lam: float,
-                               grid: RadialGrid, rho_m: float) -> EigenPair:
-    """The eigenpair at lam, f = 1 on the axis, read off the dense matching
-    legs (_PhaseShooter.solve_f) as f = r sin(theta), log r summed between
-    a leg's knots and grid nodes: the forward r from hypot(f, f') at rho0,
-    the backward r equal to it at rho_m, signed (-1)^k.  No raw (f, f') can
-    overflow.  match_defect is |theta_fwd - theta_bwd - k pi| at rho_m."""
+                               grid: RadialGrid, rho_m: float) -> np.ndarray:
+    """The eigenfunction at lam, f = 1 on the axis, read off the dense
+    matching legs (_PhaseShooter.solve_f) as f = r sin(theta), log r summed
+    between a leg's knots and grid nodes: the forward r from hypot(f, f')
+    at rho0, the backward r equal to it at rho_m, signed (-1)^k.  No raw
+    (f, f') can overflow."""
     fwd, bwd = sh.solve_f(lam, rho_m)
-    gap = float(fwd.y[0, -1] - bwd.y[0, -1])
-    k = round(gap / math.pi)
+    k = round(float(fwd.y[0, -1] - bwd.y[0, -1]) / math.pi)
     f0, df0, _, _ = sh._eigen_series(lam)
     log_r = math.log(math.hypot(f0, df0))
     f = np.ones_like(grid.nodes)
@@ -621,15 +630,7 @@ def _reconstruct_eigenfunction(sh: _PhaseShooter, lam: float,
             log_r[np.searchsorted(pts, nodes)])
         log_r = log_r[-1]
     f[~inner] *= (-1.0) ** k
-
-    fmax = np.max(np.abs(f))
-    sig = np.where(np.abs(f) > 1e-12 * fmax, np.sign(f), 0.0)
-    sig = sig[sig != 0.0]
-    zero_count = int(np.sum(sig[:-1] != sig[1:]))
-
-    l2w = math.sqrt(np.dot(grid.l2w_weights(sh.params.d), f * f))
-    return EigenPair(lam=lam, f=f, zero_count=zero_count, l2w_norm=l2w,
-                     match_defect=abs(gap - k * math.pi))
+    return f
 
 
 def _log_amplitude(sh: _PhaseShooter, lam: float, leg, pts):
@@ -843,8 +844,7 @@ def select_unstable_expander(params: ProblemParams, eps_target: float,
                 f"could not isolate lambda_top in (0, {eps_target}) above "
                 f"alpha_star={a_star}")
     pair = top_eigenpair(a_bar, params, grid)
-    profile = sample_profile(_shooter(a_bar, params, grid.rho_max)._usol,
-                             a_bar, params, grid)
+    profile = sample_profile(pair.glue[0]._usol, a_bar, params, grid)
     return SelectedExpander(alpha_star=star, alpha_bar=a_bar,
                             lambda_bar=pair.lam, profile=profile,
                             eigenpair=pair)

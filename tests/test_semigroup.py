@@ -41,6 +41,11 @@ def grid():
     return RadialGrid.uniform(16.0, 0.01)
 
 
+# lebesgue_norms takes integer gammas below 2^POWERING_BITS by binary
+# powering, larger ones by pow
+POWERING_BITS = 16
+
+
 def masked_norms(w, values, gammas, sphere):
     """The L^gamma norms with every power masked at the subnormal cut and
     the field divided by max|f| where its largest power would leave
@@ -198,6 +203,62 @@ class TestLqNorm:
         want = [masked_norms(w, f, (gamma,), sphere)[0] for f in fields]
         assert norms[:, 0] == pytest.approx(want, rel=4 * 2.0 ** -52,
                                             abs=0.0)
+
+    @staticmethod
+    def fields(grid, seed):
+        # the family above, its maxima off the axis (of weight 0)
+        rng = np.random.default_rng(seed)
+        return np.ldexp(rng.standard_normal((20, grid.nodes.size))
+                        * np.exp(-(grid.nodes - 2.0) ** 2 / 8.0),
+                        rng.integers(-1100, 1000, (20, 1)))
+
+    def test_huge_integer_exponent_is_the_pow_norm(self, grid):
+        # 1e300 is an integer float; past the powering cap its norm is one
+        # pow, bit for bit, as on the largest integer gamma under the cap
+        # products land within 4 ulp
+        w, sphere = grid.measure_weights(5), sphere_area(5)
+        fields = self.fields(grid, 300)
+        top = 2.0 ** POWERING_BITS
+        for gamma in (top, 1e300):
+            norms = semigroup.lebesgue_norms(w, fields, (gamma,), sphere)
+            assert norms[:, 0].tolist() == [
+                masked_norms(w, f, (gamma,), sphere)[0] for f in fields]
+        norms = semigroup.lebesgue_norms(w, fields, (top - 1.0,), sphere)
+        want = [masked_norms(w, f, (top - 1.0,), sphere)[0] for f in fields]
+        assert norms[:, 0] == pytest.approx(want, rel=4 * 2.0 ** -52,
+                                            abs=0.0)
+
+    def test_block_passes_do_not_grow_with_bit_length(self, grid,
+                                                      monkeypatch):
+        # binary powering takes up to 2 (bits - 1) products of the block,
+        # bits <= POWERING_BITS; any larger gamma takes one np.power
+        passes = []
+
+        class CountedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def multiply(self, *args, **kwargs):
+                passes.append("multiply")
+                return np.multiply(*args, **kwargs)
+
+            def power(self, *args, **kwargs):
+                passes.append("power")
+                return np.power(*args, **kwargs)
+
+        monkeypatch.setattr(semigroup, "np", CountedNumpy())
+        w, sphere = grid.measure_weights(5), sphere_area(5)
+        fields = self.fields(grid, 16)
+        bits = POWERING_BITS
+        count = {}
+        for gamma in (2.0 ** bits - 1.0, 2.0 ** bits, 2.0 ** 40 - 1.0,
+                      1e300):
+            passes.clear()
+            semigroup.lebesgue_norms(w, fields, (gamma,), sphere)
+            count[gamma] = len(passes)
+        assert count[2.0 ** bits - 1.0] == 2 * bits - 2
+        assert count[2.0 ** bits] == count[2.0 ** 40 - 1.0] == 1
+        assert count[1e300] == 1
 
 
     def test_any_gamma_order_same_bits_no_block_allocated(self, grid):

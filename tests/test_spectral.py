@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.integrate import solve_ivp
 
 from expanderlab import profiles, spectral
@@ -541,11 +542,89 @@ class TestPositiveSpectrum:
         assert len(shoots) == len(pairs) == 2
         assert pairs[0] is top
 
+    def test_eigenfunctions_glued_only_when_read(self, params53,
+                                                 monkeypatch):
+        # the eigenvalue calls never glue; a pair glues its f on the first
+        # read, on its own shooter, even after the slot has moved on
+        glued = []
+        glue = spectral._reconstruct_eigenfunction
+
+        def counted_glue(*args):
+            glued.append(args[1])
+            return glue(*args)
+
+        monkeypatch.setattr(spectral, "_reconstruct_eigenfunction",
+                            counted_glue)
+        spectral._shooter.cache_clear()
+        grid = RadialGrid.uniform()
+        top = top_eigenpair(10.0, params53, grid)
+        pairs = positive_spectrum(10.0, params53, grid)
+        assert neutral_zero_count(10.0, params53, grid) == len(pairs) == 2
+        top_eigenpair(5.0, params53, grid)
+        assert glued == []
+        for pair in pairs:
+            f = pair.f
+            assert pair.f is f
+            assert pair.l2w_norm == math.sqrt(
+                np.dot(grid.l2w_weights(params53.d), f * f))
+        assert glued == [pair.lam for pair in pairs] and pairs[0] is top
+        spectral._shooter.cache_clear()
+        for pair, ref in zip(pairs, positive_spectrum(10.0, params53, grid),
+                             strict=True):
+            assert np.array_equal(pair.f, ref.f)
+
     def test_single_small_eigenvalue_just_above_star(self, selected53):
         pairs = positive_spectrum(selected53.alpha_bar,
                                   selected53.profile.params)
         assert len(pairs) == 1
         assert pairs[0].lam == pytest.approx(selected53.lambda_bar, abs=1e-9)
+
+
+def sign_changes(f):
+    """Sign changes of f on its nodes, with no cut, exact zeros skipped."""
+    s = np.sign(f[f != 0.0])
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+class TestFreeOperatorOracle:
+    """alpha = 0: the zero profile, where L0 = Delta + (rho/2) d/drho +
+    1/(p-1) has the radial eigenpairs lam_k = 1/(p-1) - d/2 - k and f_k =
+    e^(-rho^2/4) L_k^(d/2-1)(rho^2/4) / L_k^(d/2-1)(0), with k zeros
+    (Escobedo and Kavian, Nonlinear Anal. 11, 1987).  The Laguerre
+    polynomials share no code with the shooter, and the sign changes of
+    the glued f count its zeros apart from zero_count, the Sturm index of
+    the bracket.  Measured errors: lam 1.7e-12 to 6.7e-12, f 2e-11 to
+    5e-11 of max|f| at rho_max 16; 1.5e-11 and 2.2e-10 for (3, 1.06) at
+    rho_max 24, whose every mode has its turning point 8 or more inside."""
+
+    def check_modes(self, d, p, grid, modes):
+        params = derived_exponents(d, p)
+        pairs = positive_spectrum(0.0, params, grid)
+        top = 1.0 / (p - 1.0) - d / 2.0
+        assert len(pairs) == math.ceil(top)
+        sh = _PhaseShooter(0.0, params, grid.rho_max)
+        x, a = grid.nodes ** 2 / 4.0, d / 2.0 - 1.0
+        for k in modes:
+            pair, lam = pairs[k], top - k
+            assert abs(pair.lam - lam) <= 2e-11
+            ref = (np.exp(-x) * special.eval_genlaguerre(k, a, x)
+                   / special.eval_genlaguerre(k, a, 0.0))
+            assert np.max(np.abs(pair.f - ref)) <= 1e-9 * np.max(np.abs(ref))
+            assert sign_changes(pair.f) == pair.zero_count == k
+            assert sh.count_above(lam + 0.5) == k
+            assert sh.count_above(lam - 0.5) == k + 1
+
+    @pytest.mark.parametrize("d, p", [(5, 1.2), (3, 1.2), (4, 1.3),
+                                      (3, 1.5)])
+    def test_pairs_are_the_laguerre_modes(self, d, p):
+        self.check_modes(d, p, RadialGrid.uniform(), range(
+            math.ceil(1.0 / (p - 1.0) - d / 2.0)))
+
+    @pytest.mark.slow
+    def test_outer_lobes_counted_near_the_truncation_edge(self):
+        # outer lobes of k = 14 and 15 lie below 1e-12 max|f|: a sign count
+        # that cut them read 13 and 14
+        self.check_modes(3, 1.06, RadialGrid.uniform(24.0, 0.01), (14, 15))
 
 
 class TestShooterSlot:
