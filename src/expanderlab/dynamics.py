@@ -172,7 +172,8 @@ class _CrankNicolson:
     itself; the matrix carries it times 1 / (1/h + h/dtau), whose entries,
     at most 4 dtau / (h^2 + dtau), stay below the diagonal
     1 + 1.25 dtau/h^2 of the rows they meet, so the factorization never
-    swaps the boundary row in.
+    swaps the boundary row in.  Without swaps U is kept as D U', with
+    D^-1 taken once per dtau, so a step divides by nothing.
     """
 
     def __init__(self, grid: RadialGrid, params: ProblemParams,
@@ -189,12 +190,14 @@ class _CrankNicolson:
         self._lu = None
 
     def _factorized(self, dtau: float):
-        """(lu, piv, lower, row): the LU factors of I - dtau/2 A with its
+        """(lu, piv, sweep, row): the LU factors of I - dtau/2 A with its
         scaled boundary row, refactored only when dtau changes, in
         dgbtrf's layout (the (4, 2) band under 4 fill-in rows), and row,
-        the boundary row as factored.  If no row was swapped, lower views
-        lu from row 6 on as dtbsv's unit-lower band, without a copy, for
-        step's two sweeps; else it is None and step calls dgbtrs."""
+        the boundary row as factored.  If no row was swapped, U is stored
+        as D U' with U' unit-upper and 1/D in its diagonal row: sweep is
+        (lower, upper, dinv), views of lu from rows 6 and 4 on as dtbsv's
+        unit bands and of that row, without a copy; else it is None and
+        step calls dgbtrs."""
         if self._dtau != dtau:
             n = self.ab.shape[1]
             row = self._bc / (1.0 / self._h + self._h / dtau)
@@ -209,11 +212,16 @@ class _CrankNicolson:
             lu, piv, info = dgbtrf(ab, 4, 2, overwrite_ab=True)
             if info != 0:
                 raise LinAlgError("singular matrix")
-            lower = None
+            sweep = None
             # bytes, not an int32 ufunc, whose code no other step pages in
             if piv.tobytes() == np.arange(n, dtype=piv.dtype).tobytes():
-                lower = buf[6:].reshape((11, n), order="F")
-            self._lu = (lu, piv, lower, row)
+                # no swap leaves fill-in rows 0-3 zero: U has width 2
+                dinv = np.divide(1.0, lu[6], out=lu[6])
+                lu[5, 1:] *= dinv[:-1]
+                lu[4, 2:] *= dinv[:-2]
+                sweep = (buf[6:].reshape((11, n), order="F"),
+                         buf[4:-2].reshape((11, n), order="F"), dinv)
+            self._lu = (lu, piv, sweep, row)
             self._dtau = dtau
         return self._lu
 
@@ -225,24 +233,25 @@ class _CrankNicolson:
         x + v, with row . v on the (scaled) boundary row, and applies no
         band product; bc . x = 0 then holds to roundoff.
 
-        Without row swaps the solve is two dtbsv sweeps, unit-lower then
-        upper.  dgbtrs runs the same upper dtbsv, and its forward solve
-        applies L with one dger call per column; OpenBLAS's dger and dtbsv
-        share the daxpy kernel, so x is solve_banded's bit for bit, up to
-        the sign of an exact zero."""
-        lu, piv, lower, row = self._factorized(dtau)
+        Without row swaps the solve is division-free: a unit-lower dtbsv
+        sweep, one product by dinv, a unit-upper dtbsv sweep of width 2;
+        x is solve_banded's within rounding.  With swaps, dgbtrs gives
+        solve_banded's x bit for bit."""
+        lu, piv, sweep, row = self._factorized(dtau)
         rhs = 2.0 * v
         if source is not None:
             rhs += dtau * source
         rhs[-1] = np.dot(row, v[-5:])
         if not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
-        if lower is None:
+        if sweep is None:
             x, _ = dgbtrs(lu, 4, 2, rhs, piv, overwrite_b=True)
         else:
+            lower, upper, dinv = sweep
             # (k, a, x, incx, offx, lower, trans, diag, overwrite_x)
             x = dtbsv(4, lower, rhs, 1, 0, 1, 0, 1, 1)
-            x = dtbsv(6, lu, x, 1, 0, 0, 0, 0, 1)
+            x *= dinv
+            x = dtbsv(2, upper, x, 1, 0, 0, 0, 1, 1)
         x -= v
         return x
 
