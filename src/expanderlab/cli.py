@@ -326,7 +326,9 @@ def _cmd_semigroup_check(cfg: RunConfig, writer: ArtifactWriter) -> int:
     rng = np.random.default_rng(cfg.seed)
     growth = {}
     ok = True
-    for eta in (1.0, 2.0, params.q_c, 2.0 * params.q_c):
+    # below Fujita q_c < 1, and L^q_c is no norm: only exponents >= 1
+    for eta in [e for e in (1.0, 2.0, params.q_c, 2.0 * params.q_c)
+                if e >= 1.0]:
         fitted = growth_rate_gaussian(eta, params)
         target = params.growth_exponent(eta)
         growth[f"eta={eta:g}"] = {"fitted": fitted, "target": target,

@@ -19,10 +19,11 @@ every node shares (a window under two of them wide keeps panels of its
 own): the data factor is sampled once per panel and order, and only the
 kernel once per node.
 
-For d <= 63 it is summed in the package, to 1.6e-14 at 30-46 ns per
-element: its power series below beta_c, max(2, nu^2 / 5) for odd d and
-max(18, nu^2 / 4.5) for even d, and its large-beta expansion above; past
-d = 63 it is scipy's hyp1f1 (see _angular_factor).
+For d <= 63 it is summed in the package, to 1.6e-14 at about 15 ns per
+element at d = 5: its power series below beta_c, max(2, nu^2 / 5) for odd
+d and max(18, nu^2 / 4.5) for even d, its large-beta expansion above, and
+from beta_e up (odd d) that expansion less its e^(-2 beta) term, which
+there moves no bit; past d = 63 it is scipy's hyp1f1 (see _angular_factor).
 """
 
 from __future__ import annotations
@@ -263,11 +264,15 @@ def _beta_half(d: int) -> float:
 
 
 @functools.cache
-def _angular_forms(d: int) -> tuple[float, list, list, float, float]:
-    """beta_c; B(k + 1/2, nu + 1) beta_c^(2k) / (2k)! while over 2^-53 of
-    the sum; c_s 2^-s while the term at beta_c is over 2^-53 and, past s =
-    nu, shrinks; 2^j and 2^nu Gamma(nu + 1) 2^-(j (nu + 1)), which keep
-    (2^j / beta)^(nu + 1) normal down to J = 2^-1074.  Highest power first."""
+def _angular_forms(d: int) -> tuple[float, float, list, list, float, float]:
+    """beta_c; beta_e, the least float >= beta_c at which sum_s |c_s 2^-s|
+    beta^-s e^(-2 beta), a bound on the e^(-2 beta) term, is at most 2^-55
+    of 1 - sum_(s>0) |c_s 2^-s| beta^-s, a lower bound on the first, so
+    under half an ulp of it (beta_c for even d);
+    B(k + 1/2, nu + 1) beta_c^(2k) / (2k)! while over 2^-53 of the sum;
+    c_s 2^-s while the term at beta_c is over 2^-53 and, past s = nu,
+    shrinks; 2^j and 2^nu Gamma(nu + 1) 2^-(j (nu + 1)), which keep (2^j /
+    beta)^(nu + 1) normal down to J = 2^-1074.  Highest power first."""
     nu = (d - 3) / 2.0
     beta_c = max(2.0, nu * nu / 5.0) if d % 2 else max(18.0, nu * nu / 4.5)
     series = [_beta_half(d)]
@@ -281,9 +286,19 @@ def _angular_forms(d: int) -> tuple[float, list, list, float, float]:
                 s > nu and abs(c) >= abs(coef[-1]) * beta_c):
             break
         coef.append(c)
+
+    def skip(beta):
+        terms = sum(abs(c) * beta ** -s for s, c in enumerate(coef))
+        return terms * math.exp(-2.0 * beta) <= 2.0 ** -55 * (2.0 - terms)
+
+    lo = hi = beta_c
+    while d % 2 and not skip(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:     # bisect to a float
+        lo, hi = (lo, mid) if skip(mid) else (mid, hi)
     prefactor = math.gamma(nu + 1.0) * 2.0 ** nu
     j = math.ceil((math.log2(prefactor) + 52.0) / (nu + 1.0))
-    return (beta_c, series[-2::-1], coef[::-1], 2.0 ** j,
+    return (beta_c, hi, series[-2::-1], coef[::-1], 2.0 ** j,
             prefactor * 2.0 ** (-j * (nu + 1.0)))
 
 
@@ -295,67 +310,72 @@ def _angular_factor(beta: np.ndarray, d: int) -> np.ndarray:
         J = 2^(2 nu + 1) B(nu + 1, nu + 1) M(nu + 1, 2 nu + 2, -2 beta),
 
     nu = (d - 3)/2, exact for every d >= 3 and beta >= 0.  For d <= 63 it
-    is summed from two forms, with the coefficients of _angular_forms:
+    is summed over three ranges, with the coefficients of _angular_forms:
     below beta_c, the power series of e^(beta c) integrated term by term,
 
         J = e^(-beta) sum_k B(k + 1/2, nu + 1) beta^(2k) / (2k)!,
 
-    whose terms are all positive, by Horner in (beta / beta_c)^2; from
-    beta_c up, the large-beta expansion (DLMF 13.7.2), by Horner in 1/beta,
+    whose terms are all positive, by Horner in (beta / beta_c)^2; on
+    [beta_c, beta_e), the large-beta expansion (DLMF 13.7.2), by Horner in
+    1/beta,
 
         J = 2^nu Gamma(nu + 1) beta^-(nu + 1) [sum_s c_s (2 beta)^-s
             + cos(pi (nu + 1)) e^(-2 beta) sum_s c_s (-2 beta)^-s],
 
-    c_s = (nu + 1)_s (-nu)_s / s!.  For odd d, c_s = 0 past s = nu and the
-    sums are finite (DLMF 10.49(ii)); they alternate, and cancel little from
-    beta_c = max(2, nu^2 / 5) up.  For even d the second term is zero and
-    the first is cut at its smallest term, near e^(-2 beta), below 2^-53
-    from beta_c = max(18, nu^2 / 4.5) up.  For d > 63, J is scipy's hyp1f1
-    times J(0) = B(1/2, nu + 1).
+    c_s = (nu + 1)_s (-nu)_s / s!; from beta_e up, its first term alone:
+    the second is under 2^-55 of it there and moves no bit (beta_e is 19.1
+    to 19.4 for d <= 9, 670 at d = 63).  For odd d, c_s = 0 past s = nu and
+    the sums are finite (DLMF 10.49(ii)); they alternate, and cancel little
+    from beta_c = max(2, nu^2 / 5) up.  For even d the second term is zero
+    (beta_e = beta_c) and the first is cut at its smallest term, near
+    e^(-2 beta), below 2^-53 from beta_c = max(18, nu^2 / 4.5) up.  The
+    expansion is taken at max(beta, beta_c) everywhere, and the series
+    written over it below beta_c.  For d > 63, J is scipy's hyp1f1 times
+    J(0) = B(1/2, nu + 1).
 
     Against a 40-digit reference on beta in [0, 1e12], beta_c and its
     neighbours included, J is within 1.6e-14 relative for every d <= 63
     (4e-15 for d <= 10).  On the semigroup workload's beta (a 2-vCPU box)
-    it costs about 32 ns per element at d = 5 and 40-46 ns at d = 4, 6, 12.
+    it costs about 15 ns per element at d = 5 and 40 ns at d = 4.
     """
     nu = (d - 3) / 2.0
     beta = np.asarray(beta, dtype=float)
     if d > 63:
         from scipy.special import hyp1f1
         return _beta_half(d) * hyp1f1(nu + 1.0, 2.0 * nu + 2.0, -2.0 * beta)
-    beta_c, series, coef, scale, prefactor = _angular_forms(d)
-    out = np.empty_like(beta)
+    beta_c, beta_e, series, coef, scale, prefactor = _angular_forms(d)
+    x = np.maximum(beta, beta_c, out=np.empty_like(beta))
+    inv = np.reciprocal(x, out=np.empty_like(x))
+    x.fill(coef[0])
+    for c in coef[1:]:
+        x *= inv
+        x += c
     low = beta < beta_c
+    if d % 2:
+        # on [beta_c, beta_e) only; c_s (-1)^s > 0
+        mid = beta < beta_e
+        mid ^= low
+        y = inv[mid]
+        sign = (-1) ** ((d - 1) // 2)       # cos(pi (nu + 1))
+        plus = np.full_like(y, sign * abs(coef[0]))
+        for c in coef[1:]:
+            plus *= y
+            plus += sign * abs(c)
+        y = beta[mid]
+        y *= -2.0
+        plus *= np.exp(y, out=y)
+        x[mid] += plus
+    inv *= scale
+    x *= np.power(inv, nu + 1.0, out=inv)
+    x *= prefactor
     y = beta[low]
     y2 = (y / beta_c) ** 2
     total = np.full_like(y, series[0])
     for c in series[1:]:
         total *= y2
         total += c
-    out[low] = total * np.exp(-y)
-    x = beta[~low]
-    inv = np.reciprocal(x)
-    if d % 2:
-        # x turns into e^(-2 beta) once 1/beta is taken; c_s (-1)^s > 0
-        sign = (-1) ** ((d - 1) // 2)       # cos(pi (nu + 1))
-        plus = np.full_like(x, sign * abs(coef[0]))
-        for c in coef[1:]:
-            plus *= inv
-            plus += sign * abs(c)
-        x *= -2.0
-        np.exp(x, out=x)
-        plus *= x
-    x.fill(coef[0])
-    for c in coef[1:]:
-        x *= inv
-        x += c
-    if d % 2:
-        x += plus
-    inv *= scale
-    x *= np.power(inv, nu + 1.0, out=inv)
-    x *= prefactor
-    out[~low] = x
-    return out[()]
+    x[low] = total * np.exp(-y)
+    return x[()]
 
 
 def _even_spline(f: RadialFunction) -> Callable[[np.ndarray], np.ndarray]:
@@ -500,8 +520,13 @@ def apply_S0(tau: float, f: RadialFunction,
                         table[n] = data
                 s, g = (v[:, j:k] for v in data)
                 xs = x[idx, None, None]
-                fresh = (g * np.exp(-(xs - s) ** 2 / (4.0 * a))
-                         * _angular_factor(xs * s / (2.0 * a), d))
+                # e^(-(x - s)^2 / (4a)) g J, built in one buffer
+                fresh = xs - s
+                fresh *= fresh
+                fresh /= -4.0 * a
+                np.exp(fresh, out=fresh)
+                fresh *= g
+                fresh *= _angular_factor(xs * s / (2.0 * a), d)
                 if samples is None:
                     samples = fresh
                 else:

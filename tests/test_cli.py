@@ -334,6 +334,14 @@ class TestDynamicsCommands:
         assert doc["pass"] is True
         assert doc["smoothing"]["pass"] is True
 
+    def test_semigroup_check_below_fujita(self, tmp_path):
+        # q_c = d (p - 1) / 2 = 0.75 < 1: the growth probe leaves out
+        # L^q_c and keeps L^1, L^2 and L^(2 q_c)
+        assert run(tmp_path, "semigroup-check", "--d", "3", "--p", "1.5") == 0
+        doc = json.loads((tmp_path / "semigroup_check.json").read_text())
+        assert set(doc["growth_rates"]) == {"eta=1", "eta=2", "eta=1.5"}
+        assert doc["pass"] is True
+
     def test_evolve_static_profile(self, tmp_path):
         code = run(tmp_path, "evolve", "--d", "5", "--p", "3",
                    "--alpha", "1.0", "--tau0", "0", "--tau1", "1",

@@ -418,6 +418,31 @@ class TestGaussianSemigroup:
                 1.0 / (params.p - 1.0) - params.d / 2.0, abs=1e-3)
 
 
+def angular_both_terms(beta, d):
+    """J for odd d <= 63 from _angular_forms' coefficients in the library's
+    order of operations, with the e^(-2 beta) term of the large-beta form
+    kept at every beta >= beta_c: the series below beta_c, and both
+    exponential terms of the expansion from beta_c up."""
+    beta_c, _, series, coef, scale, prefactor = semigroup._angular_forms(d)
+    out = np.empty_like(beta)
+    low = beta < beta_c
+    y = beta[low]
+    total = np.full_like(y, series[0])
+    for c in series[1:]:
+        total = total * (y / beta_c) ** 2 + c
+    out[low] = total * np.exp(-y)
+    inv = np.reciprocal(beta[~low])
+    sign = (-1) ** ((d - 1) // 2)
+    kept = np.full_like(inv, coef[0])
+    other = np.full_like(inv, sign * abs(coef[0]))
+    for c in coef[1:]:
+        kept = kept * inv + c
+        other = other * inv + sign * abs(c)
+    kept += other * np.exp(-2.0 * beta[~low])
+    out[~low] = kept * np.power(scale * inv, (d - 1) / 2.0) * prefactor
+    return out
+
+
 class TestQuadraturePath:
     # J switches from its series to its large-beta expansion at beta_c: 2
     # for odd d <= 9, 3.2 at d = 11 and 18 for even d
@@ -552,6 +577,46 @@ class TestQuadraturePath:
                                        err_msg=f"d = {d}")
             np.testing.assert_allclose(got[:near.size], exact[:near.size],
                                        rtol=3e-14, err_msg=f"d = {d}")
+
+    def test_exponential_term_skipped_only_where_no_bit_moves(self):
+        # past beta_e the e^(-2 beta) term of odd d is at most 2^-55 of the
+        # sum it joins: sum_s |c_s 2^-s| beta^-s (1 + 2^55 e^(-2 beta)) <=
+        # 2 |c_0| = 2, at 40 digits; beta_e is the least such beta to 1e-9.
+        # Dropping the term there leaves every bit as it is
+        rng = np.random.default_rng(0)
+        for d in range(3, 64, 2):
+            beta_c, beta_e, _, coef, _, _ = semigroup._angular_forms(d)
+            assert beta_e >= beta_c, d
+            with mpmath.workdps(40):
+                def excess(b):
+                    b = mpmath.mpf(b)
+                    terms = sum(abs(mpmath.mpf(c)) * b ** -s
+                                for s, c in enumerate(coef[::-1]))
+                    return terms * (1 + 2 ** 55 * mpmath.exp(-2 * b)) / 2
+                assert excess(beta_e) <= 1.0 + 1e-14, d
+                assert beta_e == beta_c or excess(beta_e * (1.0 - 1e-9)) > 1.0
+            beta = np.concatenate([
+                np.geomspace(1e-3, 1e12, 2001),
+                rng.uniform(beta_c, 1.5 * beta_e, 2000),
+                [beta_e, np.nextafter(beta_e, 0.0),
+                 np.nextafter(beta_e, np.inf)]])
+            np.testing.assert_array_equal(
+                _angular_factor(beta, d).view(np.int64),
+                angular_both_terms(beta, d).view(np.int64), err_msg=f"d={d}")
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @settings(derandomize=True, deadline=None, max_examples=4)
+    @given(amplitude=st.floats(0.5, 2.0), variance=st.floats(0.5, 2.0),
+           tau=st.floats(0.004, 1.5))
+    def test_gaussians_match_closed_form(self, grid, d, amplitude, variance,
+                                         tau):
+        params = derived_exponents(d, 3.0)
+        g = GaussianDatum(amplitude, variance)
+        out = apply_S0(tau, RadialFunction(grid=grid,
+                                           values=g.values_on(grid.nodes)),
+                       params).values
+        exact = apply_S0_gaussian(tau, g, params).values_on(grid.nodes)
+        assert np.max(np.abs(out - exact)) <= 1e-6 * np.max(np.abs(exact))
 
     def test_blocks_match_per_node_reference(self):
         # coarse grids; the algebraic datum is nonzero at rho_max, so the
