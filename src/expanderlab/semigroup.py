@@ -38,7 +38,7 @@ from scipy.linalg import solve_banded
 
 from .exceptions import DomainError, QuadratureAccuracyError
 from .exponents import ProblemParams
-from .profiles import RadialGrid
+from .profiles import RadialGrid, fit_log_slope
 
 
 def sphere_area(n: int) -> float:
@@ -214,8 +214,7 @@ def growth_rate_gaussian(eta: float, params: ProblemParams) -> float:
         out = apply_S0_gaussian(float(tau), g, params)
         logr.append(math.log(out.lq_norm(eta, params.d)
                              / g.lq_norm(eta, params.d)))
-    slope = np.polyfit(_GROWTH_TAUS, np.array(logr), 1)[0]
-    return float(slope)
+    return fit_log_slope(_GROWTH_TAUS, logr)[0]
 
 
 # ---------------------------------------------------------------------------

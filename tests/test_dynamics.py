@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -589,6 +590,69 @@ class TestAncientBranch:
                                selected53):
         log = evolve_perturbation(0.0 * mode53, potential53, -4.0, -2.0)
         assert np.all(log.final.v == 0.0)
+
+
+def polyfit_line(x, y):
+    """The line fit as numpy's least-squares solver gives it: the slope
+    and the coefficient of determination."""
+    coeffs = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - np.polyval(coeffs, x)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return float(coeffs[0]), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
+@pytest.mark.parametrize("n, x0, x1", [
+    (2, 0.0, 5.0), (3, -12.0, -2.0), (51, 0.0, 5.0), (501, 0.0, 5.0),
+    (2001, -12.0, -2.0)])
+def test_fit_log_slope_matches_least_squares(n, x0, x1):
+    # noisy lines shaped like the demo's fits
+    rng = np.random.default_rng(n)
+    x = np.linspace(x0, x1, n)
+    y = -0.19 * x - 6.0 + 1e-6 * rng.standard_normal(n)
+    slope, r2 = fit_log_slope(x, y)
+    want_slope, want_r2 = polyfit_line(x, y)
+    assert slope == pytest.approx(want_slope, rel=1e-12, abs=0.0)
+    assert r2 == pytest.approx(want_r2, rel=1e-12, abs=0.0)
+    assert fit_log_slope(x, np.full(n, 3.0)) == (0.0, 1.0)
+
+
+def test_fit_log_slope_two_points_near_minus_two():
+    # the demo's divergence fit over --tau0 -2.004 --tau1 -2: the exact
+    # slope of the two logged points, which the uncentred solve of polyfit
+    # misses by 4.6e-14
+    x = np.array([-2.004, -2.0])
+    y = np.array([-5.606571615896261, -5.607335593029165])
+    slope, r2 = fit_log_slope(x, y)
+    assert slope == pytest.approx(polyfit_line(x, y)[0], rel=1e-12, abs=0.0)
+    assert slope == -0.19099428322610895
+    assert r2 == 1.0
+
+
+def test_branch_and_rate_fits_never_call_lstsq(monkeypatch, params53,
+                                               selected53, potential53,
+                                               mode53):
+    # the first call of numpy's least-squares solver pages in about 1 MiB,
+    # which the 20-state log blocks spend instead: the demo's dynamics
+    # stages must not reach it under any name numpy binds it to
+    lstsq = np.linalg.lstsq
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg.lstsq called")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("lstsq") is lstsq:
+            monkeypatch.setattr(module, "lstsq", refused)
+    with pytest.raises(AssertionError, match="lstsq called"):
+        np.polyfit([0.0, 1.0], [0.0, 1.0], 1)
+    lam = selected53.lambda_bar
+    log = linearized_evolve(mode53, potential53, 0.0, 5.0, dtau=0.01)
+    rate, _ = fit_log_slope(log.taus, np.log(log.norms["lr"]))
+    assert abs(rate - lam) <= 1e-3
+    g2 = abs(quadratic_mode_coupling(potential53, mode53))
+    eps = 0.05 * lam / (g2 * math.exp(lam * -2.0))
+    log = ancient_branch(potential53, mode53, lam, eps, -8.0, -2.0,
+                         params53, dtau=0.01)
+    assert log.extras["delta_ok"]
 
 
 class TestDemo:
