@@ -33,7 +33,12 @@ from .exceptions import (
 )
 from .exponents import derived_exponents
 from .profiles import RadialGrid, estimate_ell, shoot_profile, sweep_ell
-from .semigroup import GaussianDatum, growth_rate_gaussian, verify_smoothing
+from .semigroup import (
+    GaussianDatum,
+    apply_S0_gaussian,
+    growth_rate_gaussian,
+    verify_smoothing,
+)
 from .spectral import (
     ALPHA_STAR_BRACKET,
     find_alpha_star,
@@ -76,7 +81,7 @@ class RunConfig:
         "help": "initial-data multiple of the profile (evolve)"})
 
     def as_dict(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items()}
+        return dataclasses.asdict(self)
 
     def validate(self):
         for name, value in self.as_dict().items():
@@ -316,7 +321,7 @@ def _cmd_spectrum(cfg: RunConfig, writer: ArtifactWriter) -> int:
     if writer.eigenfunctions:
         for alpha, k, pair in pairs_for_export:
             writer.csv(f"eigenfunction_{float(alpha)!r}_{k}",
-                       pair.to_csv_rows(grid))
+                       pair.to_csv_rows())
     print(f"{len(rows) - 1} spectrum rows for {len(alphas)} alpha value(s)")
     return 0
 
@@ -341,7 +346,6 @@ def _cmd_semigroup_check(cfg: RunConfig, writer: ArtifactWriter) -> int:
     ok = ok and report.passed
 
     # semigroup law spot check on the closed form
-    from .semigroup import apply_S0_gaussian
     g = GaussianDatum(1.0, 1.3)
     once = apply_S0_gaussian(0.7, g, params)
     twice = apply_S0_gaussian(0.3, apply_S0_gaussian(0.4, g, params), params)
@@ -396,8 +400,7 @@ def _cmd_demo(cfg: RunConfig, writer: ArtifactWriter) -> int:
                                 grid=_grid(cfg), tau0=cfg.tau0,
                                 tau1=cfg.tau1, dtau=cfg.dtau)
     writer.json("demo", report.as_dict())
-    if report.branch_log is not None:
-        writer.csv("demo_trajectory", report.branch_log.to_csv_rows())
+    writer.csv("demo_trajectory", report.branch_log.to_csv_rows())
     status = "PASS" if report.passed else "FAIL"
     print(f"demo {status}: lambda_bar={report.lambda_bar:.6f} "
           f"slope={report.measured_slope:.4f} "

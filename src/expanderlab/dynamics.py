@@ -569,7 +569,7 @@ class DemoReport:
     feasibility: FeasibilityCheck
     checks: dict
     tolerances: dict
-    branch_log: Optional[TrajectoryLog] = field(default=None, repr=False)
+    branch_log: TrajectoryLog = field(repr=False)
 
     @property
     def passed(self) -> bool:

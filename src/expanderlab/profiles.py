@@ -315,7 +315,9 @@ class _DenseSteps:
     interpolant rows F, stacked so that a call evaluates all its points at
     once.  A point takes its step as scipy's OdeSolution picks it (on a step
     boundary the step with the lower index, outside the span the end step),
-    and the rows are summed in Dop853DenseOutput's order."""
+    and the rows are summed in Dop853DenseOutput's order.  walker(i) gives
+    component i at one float with the same bits, for a caller that asks
+    point by point along an ascending run."""
 
     def __init__(self, ts, t_old, h, y_old, rows):
         self._ascending = ts[-1] >= ts[0]
@@ -340,6 +342,35 @@ class _DenseSteps:
             y *= x if i % 2 == 0 else 1 - x
         y += self._y_old[:, seg]
         return y[:, 0] if t.ndim == 0 else y
+
+    def walker(self, component: int):
+        """Component `component` as a function of one float of an
+        ascending run: __call__'s step, walked to from the step of the call
+        before (an integration's stages stay within a step or two), and
+        __call__'s sums in its order, so bit for bit its value."""
+        knots = self._ts_sorted.tolist()
+        rows = self._rows[::-1, component]
+        # __call__ adds the top row to zeros, which turns -0.0 into 0.0
+        steps = list(zip(self._t_old.tolist(), self._h.tolist(),
+                         (rows[0] + 0.0).tolist(),
+                         *(row.tolist() for row in rows[1:]),
+                         self._y_old[component].tolist()))
+        last = len(steps) - 1
+        i = 0
+
+        def value(t):
+            nonlocal i
+            while i and t <= knots[i]:
+                i -= 1
+            while i < last and knots[i + 1] < t:
+                i += 1
+            t_old, h, f6, f5, f4, f3, f2, f1, f0, y_old = steps[i]
+            x = (t - t_old) / h
+            x1 = 1 - x
+            return ((((((f6 * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x
+                     + f1) * x1 + f0) * x + y_old
+
+        return value
 
 
 def _initial_step(rhs, t0: float, tf: float, y: tuple, f0: tuple) -> float:

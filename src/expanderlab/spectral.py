@@ -29,8 +29,11 @@ independent routes are implemented:
   integrations, converge in a few evaluations (the matching-point method,
   Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).  Counts
   and matching run on the profile's integrator, profiles._integrate_to_end,
-  a DOP853 written out on Python floats.  zero_count is the Sturm index;
-  f, glued on first read off the matching legs as r sin theta, is never raw.
+  a DOP853 written out on Python floats.  The forward legs carry the
+  profile along; the backward leg reads V off the profile's own dense
+  output, the U of every other call bit for bit.  zero_count is the Sturm
+  index; f, glued on first read off the matching legs as r sin theta, is
+  never raw.
 
 * a symmetric finite-difference matrix.  The substitution g = sqrt(w) f
   turns the conservative discretization of (1/w)(w f')' into a symmetric
@@ -111,7 +114,8 @@ class PotentialField:
 @dataclass
 class EigenPair:
     """One eigenvalue, its Sturm index (its eigenfunction's zeros) and its
-    phase miss; f (f(0) = 1) is glued on first read, where lam was matched."""
+    phase miss; f (f(0) = 1) is glued on first read, where lam was matched,
+    on the grid in glue, which its CSV rows take."""
 
     lam: float
     zero_count: int
@@ -128,9 +132,9 @@ class EigenPair:
         sh, grid, _ = self.glue
         return _NormKit(grid, sh.params).weighted_l2(self.f)
 
-    def to_csv_rows(self, grid: RadialGrid):
+    def to_csv_rows(self):
         yield ("rho", "f")
-        for r, v in zip(grid.nodes, self.f):
+        for r, v in zip(self.glue[1].nodes, self.f):
             yield (repr(float(r)), repr(float(v)))
 
 
@@ -181,7 +185,6 @@ class _PhaseShooter:
         else:
             self._v0 = self._v2 = 0.0
         self._dense = None
-        self._potential = None
         self._theta_cache = {}
         self._grid, self._pairs = None, []
 
@@ -321,16 +324,15 @@ class _PhaseShooter:
         neutral solution)."""
         return int(math.floor(self.theta_end(lam) / math.pi))
 
-    @property
+    @functools.cached_property
     def potential(self):
         """V(rho) = p |U(rho)|^(p-1) as a scalar function on [rho0, rho_max],
         for the backward phase leg, which cannot carry the profile along (it
-        cannot be integrated backward); equal to the dense profile's value
-        to rounding (see _step_polynomial_potential)."""
-        if self._potential is None:
-            self._potential = _step_polynomial_potential(self._usol,
-                                                         self.params.p)
-        return self._potential
+        cannot be integrated backward).  U is the dense profile itself, read
+        one float at a time by its walker, bit for bit the U that every
+        other spectral call reads off _usol.sol."""
+        u, p = self._usol.sol.walker(0), self.params.p
+        return lambda rho: p * abs(u(rho)) ** (p - 1.0)
 
     def match_phases(self, lam: float, rho_m: float):
         """theta_fwd(rho_m) - theta_bwd(rho_m) and its lambda-derivative.
@@ -406,46 +408,6 @@ def _shooter(alpha: float, params: ProblemParams,
     _PhaseShooter and is not cached.
     """
     return _PhaseShooter(alpha, params, rho_max)
-
-
-def _step_polynomial_potential(usol, p: float):
-    """V = p |U|^(p-1) with U read off the dense profile step by step.
-
-    The dense output of DOP853 (integrate_profile) is a polynomial of
-    degree 7 on each solver step, so its values at 8 Chebyshev points of
-    the step give back its coefficients, in the step's centred variable,
-    to rounding.  One call is then a walk to its step from the step of the
-    call before, which an integration's stages keep within a step or two,
-    and a Horner sum, about 40 times cheaper than a call of the dense
-    output.
-    """
-    n = 8
-    cheb = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-    t = usol.t
-    mid, half = 0.5 * (t[1:] + t[:-1]), 0.5 * np.diff(t)
-    u = usol.sol((mid[:, None] + half[:, None] * cheb).ravel())[0]
-    coef = np.linalg.solve(np.vander(cheb, n, increasing=True),
-                           u.reshape(-1, n).T).T
-    knots, centre, inv_half, c = (a.tolist() for a in (
-        t, mid, 1.0 / half, coef.ravel()))
-    last = len(t) - 2
-    i = 0
-
-    def v(rho):
-        # the step of rho, clamped to the first and the last: walked to
-        # from the step of the call before, one or two steps off along a run
-        nonlocal i
-        while i and rho < knots[i]:
-            i -= 1
-        while i < last and knots[i + 1] <= rho:
-            i += 1
-        s = (rho - centre[i]) * inv_half[i]
-        k = n * i
-        u = (((((((c[k + 7] * s + c[k + 6]) * s + c[k + 5]) * s + c[k + 4])
-                * s + c[k + 3]) * s + c[k + 2]) * s + c[k + 1]) * s + c[k])
-        return p * abs(u) ** (p - 1.0)
-
-    return v
 
 
 def _phase_rates(theta, eta, qt, w):

@@ -1,3 +1,6 @@
+import sys
+
+import numpy as np
 import pytest
 
 from expanderlab import spectral
@@ -11,6 +14,22 @@ def cold_shooter_slot():
     """Every test starts with spectral's shooter slot empty, so a test that
     counts solver work measures a cold slot whatever ran before it."""
     spectral._shooter.cache_clear()
+
+
+@pytest.fixture
+def refuse_numpy_linalg(monkeypatch):
+    """numpy's least-squares and dense solvers raise under every name a
+    loaded module binds them to: the first call of lstsq pages in about 1
+    MiB and that of solve about 0.3 MiB, and no command needs either."""
+    for name in ("lstsq", "solve"):
+        target = getattr(np.linalg, name)
+
+        def refused(*args, name=name, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get(name) is target:
+                monkeypatch.setattr(module, name, refused)
 
 
 @pytest.fixture(scope="session")

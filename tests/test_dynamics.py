@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -628,20 +627,12 @@ def test_fit_log_slope_two_points_near_minus_two():
     assert r2 == 1.0
 
 
-def test_branch_and_rate_fits_never_call_lstsq(monkeypatch, params53,
-                                               selected53, potential53,
-                                               mode53):
+def test_branch_and_rate_fits_never_call_lstsq(refuse_numpy_linalg,
+                                               params53, selected53,
+                                               potential53, mode53):
     # the first call of numpy's least-squares solver pages in about 1 MiB,
     # which the 20-state log blocks spend instead: the demo's dynamics
     # stages must not reach it under any name numpy binds it to
-    lstsq = np.linalg.lstsq
-
-    def refused(*args, **kwargs):
-        raise AssertionError("numpy.linalg.lstsq called")
-
-    for module in list(sys.modules.values()):
-        if getattr(module, "__dict__", {}).get("lstsq") is lstsq:
-            monkeypatch.setattr(module, "lstsq", refused)
     with pytest.raises(AssertionError, match="lstsq called"):
         np.polyfit([0.0, 1.0], [0.0, 1.0], 1)
     lam = selected53.lambda_bar

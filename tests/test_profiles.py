@@ -455,6 +455,25 @@ class TestDop853:
         assert np.isnan(got.sol(t[3])).all()
         assert not np.isnan(got.sol(t[[1, 2, 4]])).any()
 
+    def test_walker_is_the_interpolant_bit_for_bit(self):
+        """walker(i) gives the bytes of component i of a call, in any order
+        of points: random rows make the two steps that meet at a knot
+        disagree there, so the walk must take the lower one, and a step of
+        -0.0 rows reads +0.0, as the call's sum from zeros does."""
+        rng = np.random.default_rng(3)
+        ts = np.cumsum(rng.uniform(0.1, 1.0, 9))
+        rows = rng.standard_normal((8, 7, 2))
+        y_old = rng.standard_normal((8, 2))
+        rows[4], y_old[4] = -0.0, -0.0
+        dense = profiles._DenseSteps(ts, ts[:-1], np.diff(ts), y_old, rows)
+        pts = np.concatenate([ts, rng.uniform(ts[0] - 1.0, ts[-1] + 1.0, 200),
+                              [0.5 * (ts[4] + ts[5])]])
+        for order in (pts, pts[::-1], rng.permutation(pts)):
+            for i in (0, 1):
+                walk = dense.walker(i)
+                got = np.array([walk(t) for t in order.tolist()])
+                assert got.tobytes() == dense(order)[i].tobytes()
+
     # a single value, which keeps the test ids of the cases
     @pytest.mark.parametrize("dense", [True])
     def test_failing_run(self, dense):

@@ -394,7 +394,7 @@ class TestEigenvalueShoot:
         # and leaves the double range here; the amplitude of the Pruefer
         # legs is summed as log r, so no branch overflows
         pair = top_eigenpair(100.0, derived_exponents(5, 3))
-        assert pair.lam == 4181.077070180641
+        assert pair.lam == 4181.077070185087
         assert np.isfinite(pair.f).all() and pair.f[0] == 1.0
         assert pair.zero_count == 0
 
@@ -489,12 +489,32 @@ class TestPhaseMatching:
     @pytest.mark.parametrize("d, p, alpha",
                              CRITERION3_CASES + [(5, 3.0, 10.0)])
     def test_potential_table_matches_dense_profile(self, d, p, alpha):
-        # on the whole profile domain, which holds every matching point
+        # bit for bit the dense profile, on the whole profile domain (which
+        # holds every matching point) and at every knot, walked descending,
+        # as the backward leg walks, and ascending
         sh = _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
         rho = np.linspace(sh.rho0, 16.0, 20001)
-        exact = p * np.abs(sh._usol.sol(rho)[0]) ** (p - 1.0)
-        table = np.array([sh.potential(r) for r in rho])
-        assert np.max(np.abs(table - exact)) <= 1e-12 * np.max(exact)
+        knots = sh._usol.t
+        walk = sh._usol.sol.walker(0)
+        for pts in (rho[::-1], rho, knots[::-1], knots):
+            u = sh._usol.sol(pts)[0].tolist()
+            assert [walk(r) for r in pts.tolist()] == u
+            assert [sh.potential(r) for r in pts.tolist()] == [
+                p * abs(x) ** (p - 1.0) for x in u]
+
+    def test_spectrum_never_calls_numpy_linalg(self, refuse_numpy_linalg,
+                                               params32):
+        # crossval's (3, 2, 5) on a fresh shooter: the backward leg's V, the
+        # glued eigenfunction and the matrix check need no numpy solver
+        with pytest.raises(AssertionError, match="solve called"):
+            np.linalg.solve(np.eye(2), np.ones(2))
+        grid = RadialGrid.uniform(16.0, 0.01)
+        pair = top_eigenpair(5.0, params32, grid)
+        mat = matrix_spectrum(5.0, params32, grid, cutoff=-1.1)
+        *_, lam, tol = CROSSVAL_TOP[3]
+        assert pair.lam == pytest.approx(lam, abs=tol)
+        assert np.isfinite(pair.f).all()
+        assert abs(pair.lam - mat[0]) <= 1e-4 * pair.lam
 
 
 class TestPositiveSpectrum:
