@@ -12,7 +12,8 @@ Taylor expansion at a small rho_0 (the (d-1)/rho coefficient is singular at
 the origin) and integrates with an adaptive embedded Runge-Kutta method,
 the package's one DOP853 driver (_integrate_to_end): scipy's tableau,
 first step and step control, with each trial step generated on Python
-floats (_count_step).  The spectral module's phase and eigenfunction
+floats (_count_step; _fused_rhs writes a right-hand side given as source
+out at every stage).  The spectral module's phase and eigenfunction
 integrations run on it too.
 """
 
@@ -431,27 +432,23 @@ def _items(n: int, *names) -> str:
     return "".join(f"{name}_{i},\n" for name in names for i in range(n))
 
 
-@functools.lru_cache(maxsize=None)
-def _count_step(n: int):
-    """step(rhs, t, h, y, f): one DOP853 trial step of width h from a state
-    y of n Python floats at t, f = rhs(t, y), the trial step of the
-    spectral module's phase integrations (spectral._integrate_to_end),
-    generated once per n.  Returns the new state, rhs there, the squared
-    norms of the 5th- and 3rd-order error estimates, scaled as scipy's
-    DOP853 scales them, and the 13 stages, flat, for _dense_steps.  Every
-    sum is written out over the nonzero entries of the tableau, as
-    dataclasses writes out an __init__; with the sums looped over the
-    coefficients six (5,3) counts took 23 ms instead of 7.4."""
+def _step_source(n: int, stage) -> list:
+    """Source lines of step(rhs, t, h, y, f): one DOP853 trial step of width
+    h from a state y of n Python floats at t, f = rhs(t, y), stage(s, rho,
+    state) the lines that set k{s}_0, ... to rhs at those expressions.  It
+    returns the new state, rhs there, the squared norms of the 5th- and
+    3rd-order error estimates, scaled as scipy's DOP853 scales them, and
+    the 13 stages, flat, for _dense_steps.  Every sum is written out over
+    the nonzero entries of the tableau, as dataclasses writes out an
+    __init__: with the sums looped six (5,3) counts took 23 ms, not 7.4."""
     last = DOP853.n_stages
     body = [f"({_items(n, 'y')}) = y", f"({_items(n, 'k0')}) = f"]
     for s in range(1, last):
-        state = "".join(f"y_{i} + ({_sum(DOP853.A[s, :s], i)}) * h,\n"
-                        for i in range(n))
-        body.append(f"({_items(n, f'k{s}')}) = "
-                    f"rhs(t + {float(DOP853.C[s])!r} * h, ({state}))")
+        body += stage(s, f"t + {float(DOP853.C[s])!r} * h",
+                      [f"y_{i} + ({_sum(DOP853.A[s, :s], i)}) * h"
+                       for i in range(n)])
     body += [f"n_{i} = y_{i} + h * ({_sum(DOP853.B, i)})" for i in range(n)]
-    body.append(f"({_items(n, f'k{last}')}) = f_new = "
-                f"rhs(t + h, ({_items(n, 'n')}))")
+    body += stage(last, "t + h", [f"n_{i}" for i in range(n)])
     for i in range(n):
         body += [f"s_{i} = {ATOL!r} + max(abs(y_{i}), abs(n_{i})) * {RTOL!r}",
                  f"e5_{i} = ({_sum(DOP853.E5, i)}) / s_{i}",
@@ -459,12 +456,45 @@ def _count_step(n: int):
     e5, e3 = ("\n + ".join(f"{e}_{i} * {e}_{i}" for i in range(n))
               for e in ("e5", "e3"))
     stages = _items(n, *(f"k{j}" for j in range(last + 1)))
-    body.append(f"return (({_items(n, 'n')}), f_new, ({e5}), ({e3}), "
-                f"({stages}))")
+    body.append(f"return (({_items(n, 'n')}), ({_items(n, f'k{last}')}), "
+                f"({e5}), ({e3}), ({stages}))")
+    return ["def step(rhs, t, h, y, f):", *(f"    {line}" for line in body)]
+
+
+@functools.lru_cache(maxsize=None)
+def _count_step(n: int):
+    """_step_source's step(rhs, t, h, y, f) for any rhs of n floats, called
+    at each stage on a float and a tuple; generated once per n."""
+    def stage(s, rho, state):
+        values = "".join(f"{x},\n" for x in state)
+        return [f"({_items(n, f'k{s}')}) = rhs({rho}, ({values}))"]
+
     namespace = {}
-    exec("def step(rhs, t, h, y, f):\n"
-         + "".join(f"    {line}\n" for line in body), namespace)
+    exec("\n".join(_step_source(n, stage)), namespace)
     return namespace["step"]
+
+
+@functools.lru_cache(maxsize=None)
+def _fused_rhs(args: str, state: tuple, body: tuple, rates: tuple):
+    """make(args), generated on first use, for a right-hand side given as
+    source: rhs(rho, y) unpacks y into state, runs body (args make's, math
+    the module; no name of step's: t, h, y, f, rhs, name_i) and returns
+    the rates.  rhs.step, _step_source's step with these lines at every
+    stage in place of a call, does _count_step(n)'s float operations in
+    its order, bit for bit, with no call, tuple or unpacking per stage."""
+    def stage(s, rho, values):
+        return [f"rho = {rho}", *map("{} = {}".format, state, values), *body,
+                *(f"k{s}_{i} = {rate}" for i, rate in enumerate(rates))]
+
+    lines = [f"def make({args}):", "    def rhs(rho, y):",
+             f"        ({', '.join(state)},) = y",
+             *(f"        {line}" for line in body),
+             f"        return ({', '.join(rates)},)",
+             *(f"    {line}" for line in _step_source(len(state), stage)),
+             "    rhs.step = step", "    return rhs"]
+    namespace = {"math": math}
+    exec("\n".join(lines), namespace)
+    return namespace["make"]
 
 
 def _dense_steps(rhs, ts, ys, ks) -> _DenseSteps:
@@ -496,7 +526,8 @@ def _integrate_to_end(rhs, span, state0, stop, what: str,
     included, where stop(rho, state) holds.  The state is a tuple of n
     floats, as rhs and stop read it and rhs returns it.  The package's one
     DOP853 driver: scipy's first step and step control at RTOL, ATOL, each
-    trial step _count_step(n), on Python floats with no numpy.  With dense,
+    trial step rhs.step where rhs carries one (_fused_rhs) and
+    _count_step(n) otherwise, on Python floats with no numpy.  With dense,
     for a run without a stop, it returns instead a _Dop853Result of the run:
     the accepted rho and states, the calls of rhs, and in sol the DOP853
     interpolant of every accepted step (_dense_steps; None when no step was
@@ -512,7 +543,7 @@ def _integrate_to_end(rhs, span, state0, stop, what: str,
         raise IntegrationError(f"{what} at rho = {t}: non-finite start",
                                last_rho=t)
     n = len(y)
-    step = _count_step(n)
+    step = getattr(rhs, "step", None) or _count_step(n)
     direction = 1.0 if tf >= t else -1.0
     h_abs = _initial_step(rhs, t, tf, y, f)
     nfev = 2
@@ -728,10 +759,9 @@ def sweep_ell(alpha_list: Sequence[float], params: ProblemParams,
     return EllSweep(rows=rows, continuity_jump=jump)
 
 
-# the trial steps of the profile and the backward matching leg (2
-# components), the counts (3) and the forward one (4), built at import, where
-# their parses (0.3-0.8 MiB each, freed at once) precede every workload's
-# own allocations: built on first use instead, they raised crossval's median
-# peak RSS by 0.13 MiB more (two runs of 10 worker passes per tree)
-for _n in (2, 3, 4):
+# the trial steps of the profile (2 components) and the counts (3), built
+# at import, before every workload's own allocations: on first use they
+# raised crossval's median peak RSS by 0.13 MiB, and building the 4-float
+# one, which the fused matching legs no longer use, by 0.09 MiB
+for _n in (2, 3):
     _count_step(_n)

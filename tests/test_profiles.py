@@ -402,8 +402,9 @@ class TestDop853:
         """The profile (2 components), the forward phase (4), the backward
         phase (2, on a decreasing span) and the same two phase legs run
         dense by solve_f, which the eigenfunction is read off, all run on
-        the one driver and agree with solve_ivp's DOP853 on the same
-        right-hand sides (assert_near_solve_ivp)."""
+        the one driver, the phase legs on their fused steps, and agree with
+        solve_ivp's DOP853 on the same right-hand sides, the generated
+        callables of the phase legs (assert_near_solve_ivp)."""
         calls = []
         real = profiles._integrate_to_end
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -489,18 +490,16 @@ class TestPhaseMatching:
     @pytest.mark.parametrize("d, p, alpha",
                              CRITERION3_CASES + [(5, 3.0, 10.0)])
     def test_potential_table_matches_dense_profile(self, d, p, alpha):
-        # bit for bit the dense profile, on the whole profile domain (which
-        # holds every matching point) and at every knot, walked descending,
-        # as the backward leg walks, and ascending
+        # the U that the backward leg reads is bit for bit the dense
+        # profile, on the whole profile domain (which holds every matching
+        # point) and at every knot, walked descending, as the backward leg
+        # walks, and ascending
         sh = _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
         rho = np.linspace(sh.rho0, 16.0, 20001)
         knots = sh._usol.t
-        walk = sh._usol.sol.walker(0)
         for pts in (rho[::-1], rho, knots[::-1], knots):
             u = sh._usol.sol(pts)[0].tolist()
-            assert [walk(r) for r in pts.tolist()] == u
-            assert [sh.potential(r) for r in pts.tolist()] == [
-                p * abs(x) ** (p - 1.0) for x in u]
+            assert [sh._u(r) for r in pts.tolist()] == u
 
     def test_spectrum_never_calls_numpy_linalg(self, refuse_numpy_linalg,
                                                params32):
@@ -515,6 +514,113 @@ class TestPhaseMatching:
         assert pair.lam == pytest.approx(lam, abs=tol)
         assert np.isfinite(pair.f).all()
         assert abs(pair.lam - mat[0]) <= 1e-4 * pair.lam
+
+
+def forward_leg(d, p, c0, pm1):
+    """The forward matching leg's right-hand side as a plain closure."""
+    def rhs(rho, y):
+        theta, eta, u, du = y
+        w = (d - 1.0) / rho + 0.5 * rho
+        au = abs(u)
+        qt = c0 + p * au ** (p - 1.0)
+        s, c = math.sin(theta), math.cos(theta)
+        return (c * c + qt * s * s + w * s * c,
+                ((qt - 1.0) * 2.0 * s * c + w * (c * c - s * s)) * eta - s * s,
+                du, -w * du - u * pm1 - math.copysign(au ** p, u))
+    return rhs
+
+
+def backward_leg(d, p, c0, u):
+    """The backward matching leg's right-hand side as a plain closure, V
+    read off the profile walker u."""
+    def rhs(rho, y):
+        theta, eta = y
+        w = (d - 1.0) / rho + 0.5 * rho
+        qt = c0 + p * abs(u(rho)) ** (p - 1.0)
+        s, c = math.sin(theta), math.cos(theta)
+        return (c * c + qt * s * s + w * s * c,
+                ((qt - 1.0) * 2.0 * s * c + w * (c * c - s * s)) * eta - s * s)
+    return rhs
+
+
+def closure_of(rhs):
+    """The plain closure equivalent to a matching leg's generated rhs, built
+    from the values the generated one closes over."""
+    cells = dict(zip(rhs.__code__.co_freevars,
+                     (cell.cell_contents for cell in rhs.__closure__)))
+    return (forward_leg if "pm1" in cells else backward_leg)(**cells)
+
+
+def step_bytes(step, *args):
+    """The bytes of a trial step's tuple (the new state, rhs there, the two
+    error norms and the 13 stages), or the error it raised: a wide step
+    can overflow a power."""
+    try:
+        y, f, e5, e3, stages = step(*args)
+    except OverflowError as exc:
+        return repr(exc)
+    return np.array([*y, *f, e5, e3, *stages]).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def fused_shooter(d, p, alpha):
+    return _PhaseShooter(alpha, derived_exponents(d, p), 16.0)
+
+
+class TestFusedLegs:
+    """The matching legs' fused trial steps (profiles._fused_rhs) against
+    the generic step (profiles._count_step) on plain closures."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(case=st.sampled_from([(5, 3.0, ALPHA_STAR_53), (3, 2.0, 5.0),
+                                 (11, 7.0, 5.0), (3, 2.0, 0.5),
+                                 (5, 3.0, 0.0)]),
+           lam=st.floats(-6.0, 10.0), rho=st.floats(0.01, 16.0),
+           h=st.floats(-2.0, 2.0).filter(bool),
+           y=st.tuples(*[st.floats(-20.0, 20.0)] * 4))
+    def test_fused_step_is_the_generic_step(self, case, lam, rho, h, y):
+        d, p, alpha = case
+        sh = fused_shooter(d, p, alpha)
+        c0 = 1.0 / (p - 1.0) - lam
+        for leg, args, n in (
+                (spectral._FORWARD_LEG, (d, p, c0, 1.0 / (p - 1.0)), 4),
+                (spectral._BACKWARD_LEG, (d, p, c0, sh._u), 2)):
+            fused = profiles._fused_rhs(*leg)(*args)
+            plain = closure_of(fused)
+            f = plain(rho, y[:n])
+            assert np.array(fused(rho, y[:n])).tobytes() == np.array(
+                f).tobytes()
+            assert step_bytes(fused.step, fused, rho, h, y[:n], f) == (
+                step_bytes(profiles._count_step(n), plain, rho, h, y[:n], f))
+
+    @pytest.mark.parametrize("d, p, alpha, lam, tol", CROSSVAL_TOP)
+    def test_legs_match_a_closure_driven_run(self, monkeypatch, d, p, alpha,
+                                             lam, tol):
+        """match_phases and solve_f give the floats and arrays of a run on
+        the generic step with the plain closures."""
+        def legs(sh):
+            rho_m = _matching_point(sh, lam, RadialGrid.uniform().nodes)
+            fwd, bwd = sh.solve_f(lam, rho_m)
+            return sh.match_phases(lam, rho_m), [
+                (leg.t.tobytes(), leg.y.tobytes(), leg.nfev,
+                 leg.sol(leg.t[:-1] + 0.3 * np.diff(leg.t)).tobytes())
+                for leg in (fwd, bwd)]
+
+        params = derived_exponents(d, p)
+        fused = legs(_PhaseShooter(alpha, params, 16.0))
+        real = profiles._integrate_to_end
+
+        swapped = []
+
+        def closure_driven(rhs, *args):
+            if hasattr(rhs, "step"):
+                swapped.append(rhs)
+                rhs = closure_of(rhs)
+            return real(rhs, *args)
+
+        monkeypatch.setattr(spectral, "_integrate_to_end", closure_driven)
+        assert legs(_PhaseShooter(alpha, params, 16.0)) == fused
+        assert len(swapped) == 4
 
 
 class TestPositiveSpectrum:
